@@ -107,6 +107,8 @@ def _decode_entry(x) -> complex:
 def decode_matrix(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
         raise CliError("matrix must be a list of rows")
+    if any(not isinstance(row, list) or len(row) != len(rows[0]) for row in rows):
+        raise CliError("matrix rows must be lists of equal length")
     return np.array([[_decode_entry(x) for x in row] for row in rows])
 
 
@@ -203,16 +205,15 @@ def load_spec(arg: str):
     raise CliError(f"unknown spec kind {kind!r}")
 
 
-def _parse_state(arg: str) -> np.ndarray:
-    if arg.lower() in _STATES:
-        return _STATES[arg.lower()]
-    return decode_matrix(_load_json(arg))
-
-
-def _parse_observable(arg: str) -> np.ndarray:
-    if arg.lower() in _OBSERVABLES:
-        return _OBSERVABLES[arg.lower()]
-    return decode_matrix(_load_json(arg))
+def _parse_matrix(arg: str, named: dict, d: int, what: str) -> np.ndarray:
+    """A named or JSON matrix that must act on the d-level system."""
+    if arg.lower() in named:
+        m = named[arg.lower()]
+    else:
+        m = decode_matrix(_load_json(arg))
+    if m.shape != (d, d):
+        raise CliError(f"{what} must be a {d}x{d} matrix, got shape {m.shape}")
+    return m
 
 
 def _parse_layer(arg: str) -> Channel:
@@ -319,11 +320,13 @@ def cmd_twirl(args) -> int:
 
 
 def cmd_pec(args) -> int:
+    if args.shots < 0 or args.shots == 1:
+        raise CliError(f"--shots must be 0 or at least 2, got {args.shots}")
     comb, _, _, _ = load_spec(args.spec)
     decomp = decompose_inverse(comb)
     layers = _resolve_layers(args, comb)
-    rho = _parse_state(args.input)
-    obs = _parse_observable(args.observable)
+    rho = _parse_matrix(args.input, _STATES, comb.d_sys, "input state")
+    obs = _parse_matrix(args.observable, _OBSERVABLES, comb.d_sys, "observable")
     ideal_state = rho
     for lay in layers:
         ideal_state = apply(lay, ideal_state)
@@ -381,7 +384,7 @@ def cmd_vcp(args) -> int:
                 raise CliError("--spec2 must be an env_model or pauli_correlated spec")
             model2 = env_model_from_pauli_table(table2)
     layers = _resolve_layers(args, comb)
-    rho = _parse_state(args.input)
+    rho = _parse_matrix(args.input, _STATES, comb.d_sys, "input state")
     res = vcp_comb(model, model2, layers, rho)
     out = {
         "teeth": comb.teeth,
@@ -428,7 +431,7 @@ def cmd_oracle(args) -> int:
     if model is None:
         raise CliError("the oracle command needs an env_model spec")
     layers = _resolve_layers(args, comb)
-    rho = _parse_state(args.input)
+    rho = _parse_matrix(args.input, _STATES, comb.d_sys, "input state")
     direct = simulate_env_model(model, layers, rho)
     via_comb = apply_comb(comb, layers, rho)
     _emit(

@@ -24,15 +24,15 @@ import numpy as np
 
 from .channels import (
     Channel,
-    apply,
     compose,
     from_kraus,
     tensor_channels,
     to_ptm,
     unitary_channel,
 )
-from .combs import Comb, apply_comb, choi_channel
+from .combs import Comb, _check_layers, choi_channel
 from .linalg import partial_trace, permute_wires, psd_check
+from .pauli import pauli_matrix
 
 PTM_CONDITION_CUTOFF = 1e10
 SINGULAR_VALUE_FLOOR = 1e-10
@@ -64,12 +64,9 @@ class BasisOpSet:
 
 
 def _rotation(axis) -> np.ndarray:
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
     n = np.asarray(axis, dtype=float)
     n = n / np.linalg.norm(n)
-    s = n[0] * x + n[1] * y + n[2] * z
+    s = n[0] * pauli_matrix("X") + n[1] * pauli_matrix("Y") + n[2] * pauli_matrix("Z")
     return (np.eye(2) - 1j * s) / np.sqrt(2)
 
 
@@ -105,14 +102,11 @@ def default_basis(n_qubits: int = 1) -> BasisOpSet:
     selections is what makes the stacked transfer matrices full rank:
     either family alone leaves the set rank deficient.
     """
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
     singles = [
         ("id", unitary_channel(np.eye(2))),
-        ("x", unitary_channel(x)),
-        ("y", unitary_channel(y)),
-        ("z", unitary_channel(z)),
+        ("x", unitary_channel(pauli_matrix("X"))),
+        ("y", unitary_channel(pauli_matrix("Y"))),
+        ("z", unitary_channel(pauli_matrix("Z"))),
         ("rx", unitary_channel(_rotation([1, 0, 0]))),
         ("ry", unitary_channel(_rotation([0, 1, 0]))),
         ("rz", unitary_channel(_rotation([0, 0, 1]))),
@@ -283,25 +277,49 @@ def _term_values(
     observable: np.ndarray,
     insertion: str,
 ) -> np.ndarray:
-    """Expectation value of every insertion pattern.
+    """Expectation value of every insertion pattern, in one contraction.
 
-    Patterns sharing their slot operations reuse one comb contraction;
-    only the final operation differs, and it acts on the small output
-    state.
+    A closed comb's value is Tr[C S] with S the tensor product of the
+    plugs, which is multilinear in them: the input state on in_1, the
+    Choi matrix of (layer after operation) on each slot's wires
+    (in_{m+1}, out_m), and the observable seen through the last
+    operation, op^dag(O), on out_M.  Stacking each slot's plug over all
+    operations turns the whole table into one chain of M+1 tensordots
+    costing about M * len(ops) * d^(4M-2) multiply-adds, which keeps
+    M=4-5 teeth and two-qubit systems (256 operations) cheap.
     """
     ops = _insertion_ops(decomp, insertion)
-    layers = list(layers)
-    if len(layers) != comb.teeth - 1:
-        raise ValueError(f"expected {comb.teeth - 1} ideal slot channels")
-    n_ops = len(ops)
-    values = np.zeros((n_ops,) * comb.teeth)
-    for combo in itertools.product(range(n_ops), repeat=comb.teeth - 1):
-        dressed = [compose(layers[m], ops[combo[m]]) for m in range(comb.teeth - 1)]
-        state = apply_comb(comb, dressed, rho)
-        for last in range(n_ops):
-            final = apply(ops[last], state)
-            values[combo + (last,)] = np.trace(observable @ final).real
-    return values
+    layers = _check_layers(comb, layers)
+    d, m_teeth = comb.d_sys, comb.teeth
+    for name, mat in (("input state", rho), ("observable", observable)):
+        if np.shape(mat) != (d, d):
+            raise ValueError(
+                f"{name} shape {np.shape(mat)} does not match the comb's "
+                f"system dimension {d}"
+            )
+    # Axes 0..2M-1 are the row indices of wires (in_1, out_1, ..., out_M)
+    # and 2M..4M-1 their column indices.  Group them plug by plug.
+    rows, cols = list(range(2 * m_teeth)), list(range(2 * m_teeth, 4 * m_teeth))
+    order = [rows[0], cols[0]]
+    for m in range(1, m_teeth):
+        order += [rows[2 * m], rows[2 * m - 1], cols[2 * m], cols[2 * m - 1]]
+    order += [rows[-1], cols[-1]]
+    t = comb.choi_op.reshape((d,) * (4 * m_teeth)).transpose(order)
+    t = t.reshape((d * d,) + (d**4,) * (m_teeth - 1) + (d * d,))
+
+    # Tr[C S] pairs C[i, j] with S[j, i].  The input and slot plugs are
+    # rho^T and transposed Choi matrices, so rho and the Choi matrices
+    # enter as stored, while op^dag(O) enters transposed ("nij" below).
+    # Each step contracts the leading plug axis and appends one axis
+    # indexing the operation inserted at that tooth.
+    values = np.tensordot(rho.reshape(-1), t, axes=(0, 0))
+    for layer in layers:
+        slot = np.array([compose(layer, op).choi.reshape(-1) for op in ops])
+        values = np.tensordot(values, slot, axes=(0, 1))
+    chois = np.array([op.choi.reshape(d, d, d, d) for op in ops])
+    heisenberg = np.einsum("ba,naibj->nij", observable, chois).reshape(len(ops), -1)
+    values = np.tensordot(values, heisenberg, axes=(0, 1))
+    return values.real
 
 
 def pec_correct_exact(

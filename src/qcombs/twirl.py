@@ -9,7 +9,7 @@ which are classical probability tables over per-tooth Pauli labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import fsum, log2
 
 import numpy as np
 
@@ -226,9 +226,13 @@ def product_of_marginals(table: PauliDiagTable) -> PauliDiagTable:
 
 
 def tv_distance(a: PauliDiagTable, b: PauliDiagTable) -> float:
-    """Total variation distance between two tables."""
-    keys = set(a.probs) | set(b.probs)
-    return 0.5 * sum(abs(a.prob(k) - b.prob(k)) for k in keys)
+    """Total variation distance between two tables.
+
+    Summed exactly in key order, so the result does not depend on the
+    iteration order of the tables (and hence not on string hashing).
+    """
+    keys = sorted(set(a.probs) | set(b.probs))
+    return 0.5 * fsum(abs(a.prob(k) - b.prob(k)) for k in keys)
 
 
 def mutual_information(table: PauliDiagTable) -> float:

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,31 @@ def test_teeth_mismatch_is_exit_2(capsys):
         }
     )
     assert main(["validate", spec]) == 2
+
+
+@pytest.mark.parametrize("shots", ["1", "-3"])
+def test_pec_bad_shot_count_is_exit_2(capsys, shots):
+    assert main(["pec", MARKOVIAN, "--shots", shots]) == 2
+    assert "--shots" in capsys.readouterr().err
+
+
+def test_pec_wrong_size_observable_is_exit_2(capsys):
+    eye3 = json.dumps(np.eye(3).tolist())
+    assert main(["pec", MARKOVIAN, "--observable", eye3]) == 2
+    err = capsys.readouterr().err
+    assert "observable must be a 2x2 matrix" in err
+    assert "matmul" not in err
+
+
+def test_pec_ragged_observable_is_exit_2(capsys):
+    assert main(["pec", MARKOVIAN, "--observable", "[[1, 0], [0]]"]) == 2
+    assert "equal length" in capsys.readouterr().err
+
+
+def test_pec_wrong_size_input_is_exit_2(capsys):
+    state3 = json.dumps(np.diag([1.0, 0.0, 0.0]).tolist())
+    assert main(["pec", MARKOVIAN, "--input", state3]) == 2
+    assert "input state must be a 2x2 matrix" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -329,6 +355,22 @@ def test_sampling_commands_are_byte_identical_across_runs():
         assert first.returncode == 0, first.stderr.decode()
         assert first.stdout == second.stdout
         assert first.stdout  # not empty
+
+
+def test_twirl_bytes_do_not_depend_on_hash_seed():
+    outputs = []
+    for hash_seed in ("0", "1", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcombs.cli", "twirl", ENV_RANDOM],
+            capture_output=True,
+            cwd=str(FIXTURES.parent),
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_default_seed_makes_repeat_runs_identical():

@@ -1,5 +1,7 @@
 """Tests for the quasi-probability noise cancellation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,21 +9,25 @@ from qcombs.channels import (
     Channel,
     apply,
     completely_depolarizing,
+    compose,
     depolarizing_channel,
     from_kraus,
     identity_channel,
     pauli_channel,
     random_channel,
+    random_density_matrix,
     unitary_channel,
 )
-from qcombs.combs import comb_from_env_model, markovian_comb, random_env_model
-from qcombs.pauli import pauli_basis
+from qcombs.combs import apply_comb, comb_from_env_model, markovian_comb, random_env_model
+from qcombs.linalg import permute_wires
+from qcombs.pauli import pauli_basis, pauli_matrix
 from qcombs.pec import (
     BasisOpSet,
     SingularNoiseError,
     _reset_channel,
     _rotation,
     _STATES,
+    _term_values,
     decompose_inverse,
     default_basis,
     pec_correct_exact,
@@ -229,6 +235,81 @@ def test_exact_correction_single_tooth():
     rho = np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex)
     got = pec_correct_exact(comb, decomp, [], rho, X)
     assert got == pytest.approx(np.trace(X @ rho).real, abs=1e-12)
+
+
+def test_exact_correction_four_teeth():
+    rng = np.random.default_rng(61)
+    model = random_env_model(teeth=4, rng=rng, interaction_strength=0.3)
+    comb = comb_from_env_model(model)
+    decomp = decompose_inverse(comb)
+    layers = [random_channel(2, rng=rng) for _ in range(3)]
+    rho = random_density_matrix(2, rng)
+    for obs in (X, Z):
+        got = pec_correct_exact(comb, decomp, layers, rho, obs)
+        assert got == pytest.approx(ideal_value(layers, rho, obs), abs=1e-8)
+
+
+def test_exact_correction_two_qubit_system():
+    rng = np.random.default_rng(67)
+    model = random_env_model(teeth=2, n_sys_qubits=2, rng=rng, interaction_strength=0.3)
+    comb = comb_from_env_model(model)
+    decomp = decompose_inverse(comb)
+    assert len(decomp.basis) == 256
+    layer = random_channel(4, rng=rng)
+    rho = random_density_matrix(4, rng)
+    for label in ("ZI", "XY"):
+        obs = pauli_matrix(label)
+        got = pec_correct_exact(comb, decomp, [layer], rho, obs)
+        assert got == pytest.approx(ideal_value([layer], rho, obs), abs=1e-8)
+
+
+def reference_term_values(comb, ops, layers, rho, observable):
+    # One comb closure per slot pattern: the definition the single
+    # contraction in _term_values must reproduce.
+    n_ops = len(ops)
+    values = np.zeros((n_ops,) * comb.teeth)
+    for combo in itertools.product(range(n_ops), repeat=comb.teeth - 1):
+        dressed = [compose(layers[m], ops[combo[m]]) for m in range(comb.teeth - 1)]
+        state = apply_comb(comb, dressed, rho)
+        for last in range(n_ops):
+            final = apply(ops[last], state)
+            values[combo + (last,)] = np.trace(observable @ final).real
+    return values
+
+
+@pytest.mark.parametrize("teeth", [1, 2, 3])
+def test_term_values_match_pattern_loop(teeth):
+    rng = np.random.default_rng(70 + teeth)
+    for _ in range(2):
+        strength = rng.uniform(0.2, 0.8)
+        model = random_env_model(teeth=teeth, rng=rng, interaction_strength=strength)
+        comb = comb_from_env_model(model)
+        decomp = decompose_inverse(comb)
+        layers = [random_channel(2, rng=rng) for _ in range(teeth - 1)]
+        rho = random_density_matrix(2, rng)
+        obs = pauli_matrix(str(rng.choice(list("IXYZ"))))
+        plain = list(decomp.basis.ops)
+        transposed = [
+            Channel(choi=permute_wires(op.choi, [2, 2], [1, 0]), d_in=2, d_out=2)
+            for op in plain
+        ]
+        for insertion, ops in (("plain", plain), ("transpose", transposed)):
+            got = _term_values(comb, decomp, layers, rho, obs, insertion)
+            want = reference_term_values(comb, ops, layers, rho, obs)
+            assert got.shape == (16,) * teeth
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_term_values_reject_wrong_shapes():
+    comb = markovian_comb([depolarizing_channel(0.2), depolarizing_channel(0.2)])
+    decomp = decompose_inverse(comb)
+    layer = identity_channel(2)
+    with pytest.raises(ValueError, match="input state shape"):
+        pec_correct_exact(comb, decomp, [layer], np.eye(3) / 3, Z)
+    with pytest.raises(ValueError, match="observable shape"):
+        pec_correct_exact(comb, decomp, [layer], np.eye(2) / 2, np.eye(3))
+    with pytest.raises(ValueError, match="observable shape"):
+        pec_sample(comb, decomp, [layer], np.eye(2) / 2, np.ones(4), shots=10)
 
 
 def test_transpose_insertion_breaks_cancellation():
