@@ -13,11 +13,14 @@ trace preservation is Tr_out[choi] = identity on the input wire.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .linalg import (
+    apply_on,
     choi_to_superop,
+    is_hermitian,
     partial_trace,
     permute_wires,
     psd_check,
@@ -60,9 +63,8 @@ class Channel:
 
     def validate(self, tol: float = 1e-9) -> None:
         """Raise ValueError unless the map is CPTP within tolerance."""
-        herm = np.linalg.norm(self.choi - self.choi.conj().T)
-        if herm > tol * max(np.linalg.norm(self.choi), 1.0):
-            raise ValueError(f"Choi matrix is not Hermitian (deviation {herm:.3e})")
+        if not is_hermitian(self.choi, tol=tol):
+            raise ValueError("Choi matrix is not Hermitian")
         rep = psd_check(self.choi, tol=tol)
         if not rep.is_psd:
             raise ValueError(
@@ -195,26 +197,17 @@ def from_chi(chi: np.ndarray) -> Channel:
 def apply_channel_on(rho: np.ndarray, dims, targets, channel: Channel) -> np.ndarray:
     """Act with a channel on selected wires of a joint density matrix.
 
-    The channel must preserve the dimension of the chosen wires.  Wires
-    come back in their original order.
+    The channel must preserve the dimension of the chosen wires.  Its
+    superoperator acts on their row and column indices together, and
+    wires come back in their original order.
     """
     dims = list(dims)
     targets = list(targets)
-    d_t = 1
-    for t in targets:
-        d_t *= dims[t]
+    d_t = prod(dims[t] for t in targets)
     if channel.d_in != d_t or channel.d_out != d_t:
         raise ValueError("channel dimension does not match target wires")
-    rest = [i for i in range(len(dims)) if i not in targets]
-    cur = targets + rest
-    moved = permute_wires(rho, dims, cur)
-    d_r = moved.shape[0] // d_t
-    four = moved.reshape(d_t, d_r, d_t, d_r)
-    c = channel.choi.reshape(d_t, d_t, d_t, d_t)
-    out = np.einsum("aibj,irjs->arbs", c, four).reshape(moved.shape)
-    cur_dims = [dims[i] for i in cur]
-    back = [cur.index(i) for i in range(len(dims))]
-    return permute_wires(out, cur_dims, back)
+    s = choi_to_superop(channel.choi, d_t, d_t)
+    return apply_on(rho, dims + dims, targets + [t + len(dims) for t in targets], s)
 
 
 def random_unitary(d: int, rng: np.random.Generator | None = None) -> np.ndarray:

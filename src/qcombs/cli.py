@@ -45,7 +45,7 @@ from .combs import (
     slot_channel,
     validate_comb,
 )
-from .pauli import pauli_labels
+from .pauli import offdiag_mass, pauli_labels, pauli_matrix
 from .pec import SingularNoiseError, decompose_inverse, pec_correct_exact, pec_sample
 from .twirl import (
     PauliDiagTable,
@@ -73,22 +73,14 @@ _STATES = {
     "mixed": np.eye(2, dtype=complex) / 2,
 }
 
+_OBSERVABLES = {name: pauli_matrix(name.upper()) for name in "ixyz"}
+
 _UNITARIES = {
-    "i": np.eye(2, dtype=complex),
-    "id": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    **_OBSERVABLES,
+    "id": _OBSERVABLES["i"],
     "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     "s": np.array([[1, 0], [0, 1j]], dtype=complex),
     "t": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-}
-
-_OBSERVABLES = {
-    "i": np.eye(2, dtype=complex),
-    "x": _UNITARIES["x"],
-    "y": _UNITARIES["y"],
-    "z": _UNITARIES["z"],
 }
 
 
@@ -161,8 +153,18 @@ def _table_from_payload(payload, teeth: int, n_qubits: int) -> PauliDiagTable:
     probs = {}
     for key, p in payload["probs"].items():
         parts = tuple(key.split(":"))
+        if len(parts) != teeth or any(len(lbl) != n_qubits for lbl in parts):
+            raise CliError(f"table key {key!r} needs {teeth} labels of {n_qubits} qubits")
         probs[parts] = float(p)
     return PauliDiagTable(probs=probs, teeth=teeth, n_qubits=n_qubits)
+
+
+_PAYLOAD_FIELDS = {
+    "env_model": ("d_env", "env_init", "interactions"),
+    "markovian": ("channels",),
+    "pauli_correlated": ("probs",),
+    "choi_explicit": ("choi_op",),
+}
 
 
 def load_spec(arg: str):
@@ -171,9 +173,16 @@ def load_spec(arg: str):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CliError("process spec must be an object with a 'kind' field")
     kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _PAYLOAD_FIELDS:
+        raise CliError(f"unknown spec kind {kind!r}")
     teeth = int(doc.get("teeth", 0))
     d_sys = int(doc.get("d_sys", 2))
     payload = doc.get("payload", {})
+    if not isinstance(payload, dict):
+        raise CliError("spec payload must be an object")
+    missing = [name for name in _PAYLOAD_FIELDS[kind] if name not in payload]
+    if missing:
+        raise CliError(f"{kind} spec payload lacks {', '.join(missing)}")
     if kind == "env_model":
         model = EnvModel(
             d_sys=d_sys,
@@ -191,18 +200,21 @@ def load_spec(arg: str):
             raise CliError(f"spec says {teeth} teeth but lists {comb.teeth} channels")
         return comb, None, None, doc
     if kind == "pauli_correlated":
+        if not isinstance(payload["probs"], dict) or not payload["probs"]:
+            raise CliError("pauli_correlated probs must be a non-empty object")
         if not teeth:
             first = next(iter(payload["probs"]))
             teeth = len(first.split(":"))
         n_qubits = max(d_sys.bit_length() - 1, 1)
         table = _table_from_payload(payload, teeth, n_qubits)
         return comb_from_pauli_table(table), None, table, doc
-    if kind == "choi_explicit":
-        m = decode_matrix(payload["choi_op"])
-        if not teeth:
-            raise CliError("choi_explicit specs must state the number of teeth")
-        return Comb(choi_op=m, teeth=teeth, d_sys=d_sys), None, None, doc
-    raise CliError(f"unknown spec kind {kind!r}")
+    m = decode_matrix(payload["choi_op"])
+    if not teeth:
+        raise CliError("choi_explicit specs must state the number of teeth")
+    d = d_sys ** (2 * teeth)
+    if m.shape != (d, d):
+        raise CliError(f"choi_op must be {d}x{d} for {teeth} teeth of dimension {d_sys}")
+    return Comb(choi_op=m, teeth=teeth, d_sys=d_sys), None, None, doc
 
 
 def _parse_matrix(arg: str, named: dict, d: int, what: str) -> np.ndarray:
@@ -279,7 +291,7 @@ def cmd_chi(args) -> int:
     chi = comb_chi(comb)
     n_total = int(np.log2(comb.d_sys)) * comb.teeth
     diag = np.real(np.diag(chi))
-    off = float(np.abs(chi).sum() - np.abs(np.diag(chi)).sum())
+    off = offdiag_mass(chi)
     _emit(
         {
             "teeth": comb.teeth,
@@ -294,6 +306,8 @@ def cmd_chi(args) -> int:
 
 
 def cmd_twirl(args) -> int:
+    if args.samples < 0:
+        raise CliError(f"--samples must be 0 (exact) or positive, got {args.samples}")
     comb, _, _, _ = load_spec(args.spec)
     if args.samples:
         rng = np.random.default_rng(args.seed)
@@ -367,15 +381,11 @@ def _write_alpha_csv(path: str, decomp) -> None:
 
 def cmd_vcp(args) -> int:
     comb, model, table, doc = load_spec(args.spec)
-    if table is None and model is None:
-        twirled_table = extract_pauli_diag(twirl_comb(comb))
-        table = twirled_table
+    derived = table is None and model is None
+    if derived:
+        table = extract_pauli_diag(twirl_comb(comb))
+    if model is None:
         model = env_model_from_pauli_table(table)
-        derived = True
-    else:
-        derived = False
-        if model is None:
-            model = env_model_from_pauli_table(table)
     model2 = model
     if args.spec2:
         _, model2, table2, _ = load_spec(args.spec2)

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, apply_channel_on, random_density_matrix, random_unitary
+from .channels import Channel, apply, apply_channel_on, random_density_matrix, random_unitary
 from .linalg import (
-    embed,
+    conjugate_on,
+    is_hermitian,
     max_entangled,
     partial_trace,
     permute_wires,
@@ -74,6 +75,12 @@ class EnvModel:
         object.__setattr__(self, "env_init", np.asarray(self.env_init, dtype=complex))
         if self.env_init.shape != (self.d_env, self.d_env):
             raise ValueError("environment state has the wrong shape")
+        rep = psd_check(self.env_init)
+        if not (is_hermitian(self.env_init, tol=1e-9) and rep.is_psd):
+            raise ValueError(
+                f"environment state is not Hermitian and positive "
+                f"(min eigenvalue {rep.min_eigenvalue:.3e})"
+            )
         if abs(np.trace(self.env_init) - 1.0) > 1e-9:
             raise ValueError("environment state must have unit trace")
         d = self.d_sys * self.d_env
@@ -99,9 +106,8 @@ def comb_from_env_model(model: EnvModel, validate: bool = True) -> Comb:
     bell = np.outer(max_entangled(d), max_entangled(d).conj())
     full = tensor(*([bell] * m_teeth), model.env_init)
     dims = [d] * (2 * m_teeth) + [de]
-    for m in range(m_teeth):
-        u = embed(model.interactions[m], dims, [2 * m + 1, 2 * m_teeth])
-        full = u @ full @ u.conj().T
+    for m, u in enumerate(model.interactions):
+        full = conjugate_on(full, dims, [2 * m + 1, 2 * m_teeth], u)
     choi_op = partial_trace(full, dims, keep=range(2 * m_teeth))
     comb = Comb(choi_op=choi_op, teeth=m_teeth, d_sys=d)
     if validate:
@@ -149,9 +155,7 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     """
     d = comb.d_sys
     rep = psd_check(comb.choi_op, tol=tol)
-    herm_ok = np.linalg.norm(comb.choi_op - comb.choi_op.conj().T) <= tol * max(
-        np.linalg.norm(comb.choi_op), 1.0
-    )
+    herm_ok = is_hermitian(comb.choi_op, tol=tol)
     residuals = []
     cur = comb.choi_op
     for m in range(comb.teeth, 0, -1):
@@ -215,14 +219,46 @@ def comb_chi(comb: Comb) -> np.ndarray:
     return chi_from_choi(comb_choi_state(comb))
 
 
-def _check_layers(comb: Comb, layers) -> list[Channel]:
+def _check_layers(process: Comb | EnvModel, layers) -> list[Channel]:
     layers = list(layers)
-    if len(layers) != comb.teeth - 1:
-        raise ValueError(f"expected {comb.teeth - 1} slot channels, got {len(layers)}")
+    if len(layers) != process.teeth - 1:
+        raise ValueError(f"expected {process.teeth - 1} slot channels, got {len(layers)}")
     for ch in layers:
-        if ch.d_in != comb.d_sys or ch.d_out != comb.d_sys:
-            raise ValueError("slot channel dimension does not match the comb")
+        if ch.d_in != process.d_sys or ch.d_out != process.d_sys:
+            raise ValueError("slot channel dimension does not match the process")
     return layers
+
+
+def _plug_tensor(comb: Comb) -> np.ndarray:
+    """The comb operator with its indices grouped plug by plug.
+
+    Axes: (in_1 row, in_1 col), then per slot (in_{m+1} row, out_m row,
+    in_{m+1} col, out_m col), then (out_M row, out_M col), each group
+    flattened.  Closing the comb is the link product Tr[C S] with S the
+    transposed plugs, so a state or Choi matrix contracts in as stored.
+    """
+    d, m_teeth = comb.d_sys, comb.teeth
+    # Axes 0..2M-1 are the row indices of wires (in_1, out_1, ..., out_M)
+    # and 2M..4M-1 their column indices.
+    rows, cols = list(range(2 * m_teeth)), list(range(2 * m_teeth, 4 * m_teeth))
+    order = [rows[0], cols[0]]
+    for m in range(1, m_teeth):
+        order += [rows[2 * m], rows[2 * m - 1], cols[2 * m], cols[2 * m - 1]]
+    order += [rows[-1], cols[-1]]
+    t = comb.choi_op.reshape((d,) * (4 * m_teeth)).transpose(order)
+    return t.reshape((d * d,) + (d**4,) * (m_teeth - 1) + (d * d,))
+
+
+def output_channel(comb: Comb, layers) -> Channel:
+    """The in_1 to out_M channel obtained by fixing the slot contents."""
+    layers = _check_layers(comb, layers)
+    d = comb.d_sys
+    t = _plug_tensor(comb)
+    for layer in layers:
+        t = np.tensordot(t, layer.choi.reshape(-1), axes=(1, 0))
+    # t[(i, j), (a, b)] is the Choi entry for out_M = (a, b), in_1 = (i, j).
+    choi = t.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    return Channel(choi=choi, d_in=d, d_out=d)
 
 
 def apply_comb(comb: Comb, layers, rho: np.ndarray) -> np.ndarray:
@@ -232,46 +268,9 @@ def apply_comb(comb: Comb, layers, rho: np.ndarray) -> np.ndarray:
     based), and the returned density matrix lives on the final output
     wire.
     """
-    layers = _check_layers(comb, layers)
-    d = comb.d_sys
-    if rho.shape != (d, d):
+    if rho.shape != (comb.d_sys, comb.d_sys):
         raise ValueError("input state dimension does not match the comb")
-    m_teeth = comb.teeth
-    plugs = [rho.T]
-    plug_wires = ["in1"]
-    for m, ch in enumerate(layers, start=1):
-        plugs.append(ch.choi.T)
-        plug_wires += [f"in{m + 1}", f"out{m}"]
-    plugs.append(np.eye(d))
-    plug_wires.append(f"out{m_teeth}")
-    sigma = tensor(*plugs)
-    canonical = [w for m in range(1, m_teeth + 1) for w in (f"in{m}", f"out{m}")]
-    perm = [plug_wires.index(w) for w in canonical]
-    sigma = permute_wires(sigma, [d] * (2 * m_teeth), perm)
-    prod = comb.choi_op @ sigma
-    return partial_trace(prod, comb.wire_dims, keep=[2 * m_teeth - 1])
-
-
-def output_channel(comb: Comb, layers) -> Channel:
-    """The in_1 to out_M channel obtained by fixing the slot contents."""
-    layers = _check_layers(comb, layers)
-    d = comb.d_sys
-    m_teeth = comb.teeth
-    plugs = [np.eye(d)]
-    plug_wires = ["in1"]
-    for m, ch in enumerate(layers, start=1):
-        plugs.append(ch.choi.T)
-        plug_wires += [f"in{m + 1}", f"out{m}"]
-    plugs.append(np.eye(d))
-    plug_wires.append(f"out{m_teeth}")
-    sigma = tensor(*plugs)
-    canonical = [w for m in range(1, m_teeth + 1) for w in (f"in{m}", f"out{m}")]
-    perm = [plug_wires.index(w) for w in canonical]
-    sigma = permute_wires(sigma, [d] * (2 * m_teeth), perm)
-    prod = comb.choi_op @ sigma
-    reduced = partial_trace(prod, comb.wire_dims, keep=[0, 2 * m_teeth - 1])
-    choi = permute_wires(reduced, [d, d], [1, 0])
-    return Channel(choi=choi, d_in=d, d_out=d)
+    return apply(output_channel(comb, layers), rho)
 
 
 def simulate_env_model(model: EnvModel, layers, rho: np.ndarray) -> np.ndarray:
@@ -282,9 +281,7 @@ def simulate_env_model(model: EnvModel, layers, rho: np.ndarray) -> np.ndarray:
     on the system wire in between, and the environment is discarded at
     the end.
     """
-    layers = list(layers)
-    if len(layers) != model.teeth - 1:
-        raise ValueError(f"expected {model.teeth - 1} slot channels")
+    layers = _check_layers(model, layers)
     dims = [model.d_sys, model.d_env]
     state = tensor(rho, model.env_init)
     for m, u in enumerate(model.interactions):

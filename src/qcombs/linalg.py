@@ -103,6 +103,33 @@ def embed(op: np.ndarray, dims, targets) -> np.ndarray:
     return permute_wires(big, cur_dims, perm)
 
 
+def apply_on(m: np.ndarray, dims, axes, op: np.ndarray) -> np.ndarray:
+    """``op @ x`` on the listed axes of ``m`` viewed with axis sizes ``dims``.
+
+    ``op`` is a square matrix on those axes in the listed order, first
+    slowest, contracted in with one tensordot; the result keeps the
+    shape and axis order of ``m``.  A matrix on wires of sizes ``w`` is
+    viewed with ``dims = w + w``: row indices, then column indices.
+    """
+    dims, axes = list(dims), list(axes)
+    sub = [dims[a] for a in axes]
+    k = len(axes)
+    op_t = np.reshape(op, sub + sub)
+    out = np.tensordot(op_t, np.reshape(m, dims), axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, range(k), axes).reshape(np.shape(m))
+
+
+def conjugate_on(rho: np.ndarray, dims, targets, u: np.ndarray) -> np.ndarray:
+    """``u rho u^dag`` with ``u`` acting on the wires ``targets`` only.
+
+    ``u`` multiplies their row indices and ``u.conj()`` their column indices.
+    """
+    n = len(dims)
+    full = list(dims) * 2
+    half = apply_on(rho, full, targets, u)
+    return apply_on(half, full, [t + n for t in targets], np.conj(u))
+
+
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     scale = max(np.linalg.norm(m), 1.0)
     return np.linalg.norm(m - m.conj().T) <= tol * scale

@@ -83,6 +83,11 @@ def chi_from_choi(choi: np.ndarray) -> np.ndarray:
     return b.conj().T @ choi @ b / d**2
 
 
+def offdiag_mass(chi: np.ndarray) -> float:
+    """Summed magnitude of the off-diagonal entries; zero for Pauli channels."""
+    return float(np.abs(chi).sum() - np.abs(np.diag(chi)).sum())
+
+
 def choi_from_chi(chi: np.ndarray) -> np.ndarray:
     n = _qubits_from_dim(chi.shape[0])
     b = _vec_basis(n)

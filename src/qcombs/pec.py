@@ -30,8 +30,8 @@ from .channels import (
     to_ptm,
     unitary_channel,
 )
-from .combs import Comb, _check_layers, choi_channel
-from .linalg import partial_trace, permute_wires, psd_check
+from .combs import Comb, _check_layers, _plug_tensor, choi_channel
+from .linalg import apply_on, partial_trace, permute_wires, psd_check
 from .pauli import pauli_matrix
 
 PTM_CONDITION_CUTOFF = 1e10
@@ -241,9 +241,7 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
 
     recon = alpha
     for ax in range(m_teeth):
-        moved = np.moveaxis(recon, ax, 0)
-        flat = moved.reshape(len(basis), -1)
-        recon = np.moveaxis((w.T @ flat).reshape(moved.shape), 0, ax)
+        recon = apply_on(recon, recon.shape, [ax], w.T)
     residual = float(np.linalg.norm(recon - y))
 
     return QuasiProbDecomposition(
@@ -290,29 +288,18 @@ def _term_values(
     """
     ops = _insertion_ops(decomp, insertion)
     layers = _check_layers(comb, layers)
-    d, m_teeth = comb.d_sys, comb.teeth
+    d = comb.d_sys
     for name, mat in (("input state", rho), ("observable", observable)):
         if np.shape(mat) != (d, d):
             raise ValueError(
                 f"{name} shape {np.shape(mat)} does not match the comb's "
                 f"system dimension {d}"
             )
-    # Axes 0..2M-1 are the row indices of wires (in_1, out_1, ..., out_M)
-    # and 2M..4M-1 their column indices.  Group them plug by plug.
-    rows, cols = list(range(2 * m_teeth)), list(range(2 * m_teeth, 4 * m_teeth))
-    order = [rows[0], cols[0]]
-    for m in range(1, m_teeth):
-        order += [rows[2 * m], rows[2 * m - 1], cols[2 * m], cols[2 * m - 1]]
-    order += [rows[-1], cols[-1]]
-    t = comb.choi_op.reshape((d,) * (4 * m_teeth)).transpose(order)
-    t = t.reshape((d * d,) + (d**4,) * (m_teeth - 1) + (d * d,))
-
-    # Tr[C S] pairs C[i, j] with S[j, i].  The input and slot plugs are
-    # rho^T and transposed Choi matrices, so rho and the Choi matrices
-    # enter as stored, while op^dag(O) enters transposed ("nij" below).
-    # Each step contracts the leading plug axis and appends one axis
-    # indexing the operation inserted at that tooth.
-    values = np.tensordot(rho.reshape(-1), t, axes=(0, 0))
+    # rho and the Choi matrices enter as stored, while op^dag(O) enters
+    # transposed ("nij" below), as the effect plug on out_M.  Each step
+    # contracts the leading plug axis and appends one axis indexing the
+    # operation inserted at that tooth.
+    values = np.tensordot(rho.reshape(-1), _plug_tensor(comb), axes=(0, 0))
     for layer in layers:
         slot = np.array([compose(layer, op).choi.reshape(-1) for op in ops])
         values = np.tensordot(values, slot, axes=(0, 1))

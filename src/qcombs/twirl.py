@@ -16,7 +16,7 @@ import numpy as np
 from .channels import Channel, apply, unitary_channel
 from .combs import Comb, comb_chi, markovian_comb
 from .linalg import tensor
-from .pauli import label_index, pauli_basis, pauli_labels
+from .pauli import label_index, offdiag_mass, pauli_basis, pauli_labels
 
 _NEG_CLAMP = 1e-10
 _SUM_SLACK = 1e-8
@@ -125,7 +125,7 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
     """
     chi = comb_chi(comb)
     diag = np.real(np.diag(chi))
-    off_mass = float(np.abs(chi).sum() - np.abs(np.diag(chi)).sum())
+    off_mass = offdiag_mass(chi)
     if max_offdiag_mass is not None and off_mass > max_offdiag_mass:
         raise ValueError(
             f"process matrix has off-diagonal mass {off_mass:.3e}; "
@@ -184,19 +184,24 @@ def apply_correlated_pauli(table: PauliDiagTable, layers, rho: np.ndarray) -> np
     Walks the table entry by entry, conjugating by the per-tooth Paulis
     and running the slot channels in between.
     """
+    return _pauli_mixture(table, table.probs, layers, rho)
+
+
+def _pauli_mixture(table: PauliDiagTable, weights, layers, rho: np.ndarray) -> np.ndarray:
+    """:func:`apply_correlated_pauli` with ``weights`` in place of the table's probabilities."""
     layers = list(layers)
     if len(layers) != table.teeth - 1:
         raise ValueError(f"expected {table.teeth - 1} slot channels")
     singles = pauli_basis(table.n_qubits)
     out = np.zeros_like(rho, dtype=complex)
-    for key, p in table.probs.items():
+    for key, w in weights.items():
         cur = rho
         for m, lbl in enumerate(key):
             g = singles[label_index(lbl)]
             cur = g @ cur @ g
             if m < len(layers):
                 cur = apply(layers[m], cur)
-        out += p * cur
+        out += w * cur
     return out
 
 

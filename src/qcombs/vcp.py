@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    apply,
-    apply_channel_on,
-    completely_depolarizing,
-)
-from .combs import EnvModel
-from .linalg import embed, partial_trace, permutation_matrix, tensor
-from .pauli import label_index, pauli_basis
-from .twirl import PauliDiagTable
+from .channels import Channel, apply_channel_on, completely_depolarizing
+from .combs import EnvModel, _check_layers
+from .linalg import conjugate_on, partial_trace, permutation_matrix, tensor
+from .twirl import PauliDiagTable, _pauli_mixture
 
 
 @dataclass(frozen=True)
@@ -91,10 +85,10 @@ def vcp_channel(noise: Channel, rho: np.ndarray, copies: int = 2) -> VcpResult:
     dims = [2, d, d]
     state = tensor(np.full((2, 2), 0.5, dtype=complex), rho, np.eye(d) / d)
     cswap = _cswap(d)
-    state = cswap @ state @ cswap.conj().T
+    state = conjugate_on(state, dims, [0, 1, 2], cswap)
     state = apply_channel_on(state, dims, [1], noise)
     state = apply_channel_on(state, dims, [2], noise)
-    state = cswap @ state @ cswap.conj().T
+    state = conjugate_on(state, dims, [0, 1, 2], cswap)
     tau = partial_trace(state, dims, keep=[0, 1])
     return _branches(tau, d)
 
@@ -113,9 +107,7 @@ def vcp_comb(
     d = copy1.d_sys
     if rho.shape != (d, d):
         raise ValueError("state dimension does not match the process")
-    layers = list(layers)
-    if len(layers) != copy1.teeth - 1:
-        raise ValueError(f"expected {copy1.teeth - 1} slot channels")
+    layers = _check_layers(copy1, layers)
     dims = [2, d, d, copy1.d_env, copy2.d_env]
     state = tensor(
         np.full((2, 2), 0.5, dtype=complex),
@@ -124,34 +116,19 @@ def vcp_comb(
         copy1.env_init,
         copy2.env_init,
     )
-    cswap = embed(_cswap(d), dims, [0, 1, 2])
+    cswap = _cswap(d)
     scrambler = completely_depolarizing(d)
-    state = cswap @ state @ cswap.conj().T
+    state = conjugate_on(state, dims, [0, 1, 2], cswap)
     for m in range(copy1.teeth):
-        u1 = embed(copy1.interactions[m], dims, [1, 3])
-        u2 = embed(copy2.interactions[m], dims, [2, 4])
-        state = u2 @ u1 @ state @ u1.conj().T @ u2.conj().T
-        state = cswap @ state @ cswap.conj().T
+        state = conjugate_on(state, dims, [1, 3], copy1.interactions[m])
+        state = conjugate_on(state, dims, [2, 4], copy2.interactions[m])
+        state = conjugate_on(state, dims, [0, 1, 2], cswap)
         if m < len(layers):
             state = apply_channel_on(state, dims, [1], layers[m])
             state = apply_channel_on(state, dims, [2], scrambler)
-            state = cswap @ state @ cswap.conj().T
+            state = conjugate_on(state, dims, [0, 1, 2], cswap)
     tau = partial_trace(state, dims, keep=[0, 1])
     return _branches(tau, d)
-
-
-def _weighted_pauli_action(weights, table: PauliDiagTable, layers, rho):
-    singles = pauli_basis(table.n_qubits)
-    out = np.zeros_like(rho, dtype=complex)
-    for key, w in weights.items():
-        cur = rho
-        for m, lbl in enumerate(key):
-            g = singles[label_index(lbl)]
-            cur = g @ cur @ g
-            if m < len(layers):
-                cur = apply(layers[m], cur)
-        out += w * cur
-    return out
 
 
 def reference_purified(
@@ -163,9 +140,6 @@ def reference_purified(
     renormalizes; the physical (+ branch) state mixes the raw and the
     squared weights.
     """
-    layers = list(layers)
-    if len(layers) != table.teeth - 1:
-        raise ValueError(f"expected {table.teeth - 1} slot channels")
     p2 = sum(p * p for p in table.probs.values())
     if which == "virtual":
         weights = {k: p * p / p2 for k, p in table.probs.items()}
@@ -173,4 +147,4 @@ def reference_purified(
         weights = {k: (p + p * p) / (1.0 + p2) for k, p in table.probs.items()}
     else:
         raise ValueError(f"unknown target {which!r}")
-    return _weighted_pauli_action(weights, table, layers, rho)
+    return _pauli_mixture(table, weights, layers, rho)

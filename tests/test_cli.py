@@ -124,6 +124,58 @@ def test_teeth_mismatch_is_exit_2(capsys):
     assert main(["validate", spec]) == 2
 
 
+def _spec_without(path, field):
+    doc = json.loads(Path(path).read_text())
+    del doc["payload"][field]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", _spec_without(ENV_RANDOM, "d_env")),
+        ("validate", _spec_without(ENV_RANDOM, "env_init")),
+        ("validate", _spec_without(ENV_RANDOM, "interactions")),
+        ("validate", _spec_without(MARKOVIAN, "channels")),
+        ("validate", _spec_without(PAULI, "probs")),
+        ("validate", _spec_without(CHOI, "choi_op")),
+        ("twirl", PAULI, "--samples", "-3"),
+        ("validate", json.dumps(
+            {"kind": "pauli_correlated", "payload": {"probs": {"I:I": 0.5, "X": 0.5}}}
+        )),
+        ("validate", json.dumps(
+            {"kind": "choi_explicit", "teeth": 2, "payload": {"choi_op": np.eye(4).tolist()}}
+        )),
+    ],
+    ids=[
+        "no_d_env", "no_env_init", "no_interactions", "no_channels", "no_probs",
+        "no_choi_op", "negative_samples", "short_table_key", "wrong_choi_shape",
+    ],
+)
+def test_malformed_spec_is_exit_2(capsys, argv):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "twirl"])
+def test_unphysical_environment_state_is_exit_1(capsys, command):
+    cx = np.kron(np.eye(2), np.diag([1, 0])) + np.kron([[0, 1], [1, 0]], np.diag([0, 1]))
+    spec = json.dumps(
+        {
+            "kind": "env_model",
+            "teeth": 1,
+            "d_sys": 2,
+            "payload": {"d_env": 2, "env_init": [[2, 0], [0, -1]], "interactions": [cx.tolist()]},
+        }
+    )
+    assert main([command, spec]) == 1
+    captured = capsys.readouterr()
+    assert "environment state" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("shots", ["1", "-3"])
 def test_pec_bad_shot_count_is_exit_2(capsys, shots):
     assert main(["pec", MARKOVIAN, "--shots", shots]) == 2

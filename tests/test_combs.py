@@ -66,6 +66,39 @@ def test_comb_matches_direct_simulation(teeth, d_env):
     assert np.abs(got - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("strength", [0.1, 0.6, None])
+@pytest.mark.parametrize("n_env", [1, 2])
+@pytest.mark.parametrize("teeth", [1, 2, 3, 4])
+def test_closed_comb_sweep_against_oracle(teeth, n_env, strength):
+    """apply_comb and output_channel of a built comb against direct simulation.
+
+    ``strength=None`` draws Haar interactions.  The output channel is
+    compared through its Choi matrix, simulated basis element by basis
+    element, so it is checked on every input and not just one state.
+    """
+    rng = np.random.default_rng([teeth, n_env, int(100 * (strength or 0))])
+    model = random_env_model(teeth, n_env_qubits=n_env, rng=rng, interaction_strength=strength)
+    comb = comb_from_env_model(model)
+    layers = [random_channel(2, rng=rng) for _ in range(teeth - 1)]
+    rho = random_density_matrix(2, rng)
+    want = simulate_env_model(model, layers, rho)
+    assert np.abs(apply_comb(comb, layers, rho) - want).max() < 1e-12
+    oracle_choi = sum(
+        tensor(simulate_env_model(model, layers, unit), unit)
+        for unit in (np.outer(a, b) for a in np.eye(2) for b in np.eye(2))
+    )
+    assert np.abs(output_channel(comb, layers).choi - oracle_choi).max() < 1e-12
+
+
+def test_env_model_rejects_unphysical_environment_state():
+    cx = tensor(np.eye(2), np.diag([1.0, 0.0])) + tensor(
+        np.array([[0, 1], [1, 0]]), np.diag([0.0, 1.0])
+    )
+    for env_init in (np.diag([2.0, -1.0]), np.array([[0.5, 0.5], [0.0, 0.5]])):
+        with pytest.raises(ValueError, match="environment state"):
+            EnvModel(d_sys=2, d_env=2, env_init=env_init, interactions=(cx,))
+
+
 def test_trivial_environment_reduces_to_markovian():
     rng = np.random.default_rng(1)
     us = [random_unitary(2, rng) for _ in range(2)]

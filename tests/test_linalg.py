@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qcombs.linalg import (
+    apply_on,
     choi_to_superop,
+    conjugate_on,
     embed,
     is_hermitian,
     max_entangled,
@@ -145,6 +147,30 @@ def test_embed_two_targets_reordered():
     paired = op @ np.kron(vc, va)
     expect = np.einsum("ca,b->abc", paired.reshape(2, 2), vb).reshape(-1, 1)
     assert np.allclose(out, expect)
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [[0], [2], [3], [0, 1], [2, 0], [3, 1], [1, 3], [0, 1, 2], [2, 0, 3], [3, 1, 0]],
+)
+def test_apply_on_matches_embedded_operator(targets):
+    """apply_on against the dense reference embed(op) on rows and columns."""
+    rng = np.random.default_rng(targets)
+    for _ in range(3):
+        dims = [int(x) for x in rng.integers(2, 6, size=4)]
+        n, d = len(dims), int(np.prod(dims))
+        d_t = int(np.prod([dims[t] for t in targets]))
+        op, m = rand_matrix(rng, d_t), rand_matrix(rng, d)
+        big = embed(op, dims, targets)
+        cols = [t + n for t in targets]
+        assert np.abs(apply_on(m, dims + dims, targets, op) - big @ m).max() < 1e-12
+        assert np.abs(apply_on(m, dims + dims, cols, op) - m @ big.T).max() < 1e-12
+        v = m[:, 0]
+        assert np.abs(apply_on(v, dims, targets, op) - big @ v).max() < 1e-12
+        expect = big @ m @ big.conj().T
+        assert np.abs(conjugate_on(m, dims, targets, op) - expect).max() < 1e-12 * max(
+            np.abs(expect).max(), 1.0
+        )
 
 
 def test_is_hermitian():

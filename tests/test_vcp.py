@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcombs.channels import identity_channel, pauli_channel, random_channel
+from qcombs.channels import random_density_matrix
 from qcombs.linalg import psd_check
 from qcombs.twirl import PauliDiagTable, env_model_from_pauli_table
 from qcombs.vcp import VcpResult, reference_purified, vcp_channel, vcp_comb
@@ -89,6 +90,20 @@ def test_comb_protocol_matches_reference(seed, teeth, entries):
     for which, got in (("virtual", res.virtual_state), ("physical", res.physical_state)):
         expected = reference_purified(table, layers, RHO, which=which)
         assert np.linalg.norm(got - expected) < 1e-9
+
+
+@pytest.mark.parametrize("teeth,entries", [(1, 2), (1, 4), (2, 3), (2, 7), (3, 5), (3, 9)])
+def test_pointer_dilation_sweep_matches_reference(teeth, entries):
+    """vcp_comb on pointer dilations against the closed form, to 1e-12."""
+    rng = np.random.default_rng([teeth, entries])
+    table = random_table(rng, teeth, entries)
+    model = env_model_from_pauli_table(table)
+    layers = [random_channel(2, rng=rng) for _ in range(teeth - 1)]
+    rho = random_density_matrix(2, rng)
+    res = vcp_comb(model, model, layers, rho)
+    for which, got in (("virtual", res.virtual_state), ("physical", res.physical_state)):
+        expected = reference_purified(table, layers, rho, which=which)
+        assert np.abs(got - expected).max() < 1e-12
 
 
 def test_gap_equals_collision_probability():
