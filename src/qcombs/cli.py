@@ -45,7 +45,7 @@ from .combs import (
     slot_channel,
     validate_comb,
 )
-from .pauli import offdiag_mass, pauli_labels, pauli_matrix
+from .pauli import PAULI_LETTERS, offdiag_mass, pauli_labels, pauli_matrix
 from .pec import SingularNoiseError, decompose_inverse, pec_correct_exact, pec_sample
 from .twirl import (
     PauliDiagTable,
@@ -122,6 +122,30 @@ def _load_json(arg: str):
         raise CliError(f"invalid JSON in {arg!r}: {exc}") from exc
 
 
+def _number(x, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise CliError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
+def _integer(x, what: str, minimum: int) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < minimum:
+        raise CliError(f"{what} must be an integer of at least {minimum}, got {x!r}")
+    return x
+
+
+def _nonempty(x, kind: type, what: str):
+    if not isinstance(x, kind) or not x:
+        raise CliError(f"{what} must be a non-empty {'list' if kind is list else 'object'}")
+    return x
+
+
+def _pauli_label(label: str, n_qubits: int, what: str) -> str:
+    if len(label) != n_qubits or any(ch not in PAULI_LETTERS for ch in label):
+        raise CliError(f"{what}: {label!r} is not a {n_qubits}-qubit label over IXYZ")
+    return label
+
+
 def _channel_from_json(doc) -> Channel:
     if isinstance(doc, list):
         return unitary_channel(decode_matrix(doc))
@@ -130,19 +154,26 @@ def _channel_from_json(doc) -> Channel:
     if "unitary" in doc:
         return unitary_channel(decode_matrix(doc["unitary"]))
     if "kraus" in doc:
-        return from_kraus([decode_matrix(k) for k in doc["kraus"]])
+        return from_kraus([decode_matrix(k) for k in _nonempty(doc["kraus"], list, "kraus")])
     if "choi" in doc:
         m = decode_matrix(doc["choi"])
         d = int(round(np.sqrt(m.shape[0])))
         return Channel(choi=m, d_in=d, d_out=d)
     if "name" in doc:
+        if not isinstance(doc["name"], str):
+            raise CliError(f"channel name must be a string, got {doc['name']!r}")
         name = doc["name"].lower()
         if name == "depolarizing":
-            return depolarizing_channel(float(doc.get("p", 0.0)))
+            return depolarizing_channel(_number(doc.get("p", 0.0), "depolarizing p"))
         if name == "identity":
-            return identity_channel(int(doc.get("d", 2)))
+            return identity_channel(_integer(doc.get("d", 2), "identity d", 1))
         if name == "pauli":
-            return pauli_channel({k: float(v) for k, v in doc["probs"].items()})
+            probs = _nonempty(doc.get("probs"), dict, "pauli channel probs")
+            n = len(next(iter(probs)))
+            return pauli_channel({
+                _pauli_label(k, n, "pauli channel"): _number(v, f"probability of {k!r}")
+                for k, v in probs.items()
+            })
         if name in _UNITARIES:
             return unitary_channel(_UNITARIES[name])
         raise CliError(f"unknown channel name {doc['name']!r}")
@@ -153,9 +184,11 @@ def _table_from_payload(payload, teeth: int, n_qubits: int) -> PauliDiagTable:
     probs = {}
     for key, p in payload["probs"].items():
         parts = tuple(key.split(":"))
-        if len(parts) != teeth or any(len(lbl) != n_qubits for lbl in parts):
+        if len(parts) != teeth:
             raise CliError(f"table key {key!r} needs {teeth} labels of {n_qubits} qubits")
-        probs[parts] = float(p)
+        for lbl in parts:
+            _pauli_label(lbl, n_qubits, f"table key {key!r}")
+        probs[parts] = _number(p, f"probability of {key!r}")
     return PauliDiagTable(probs=probs, teeth=teeth, n_qubits=n_qubits)
 
 
@@ -175,8 +208,8 @@ def load_spec(arg: str):
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in _PAYLOAD_FIELDS:
         raise CliError(f"unknown spec kind {kind!r}")
-    teeth = int(doc.get("teeth", 0))
-    d_sys = int(doc.get("d_sys", 2))
+    teeth = _integer(doc.get("teeth", 0), "teeth", 0)
+    d_sys = _integer(doc.get("d_sys", 2), "d_sys", 1)
     payload = doc.get("payload", {})
     if not isinstance(payload, dict):
         raise CliError("spec payload must be an object")
@@ -184,28 +217,34 @@ def load_spec(arg: str):
     if missing:
         raise CliError(f"{kind} spec payload lacks {', '.join(missing)}")
     if kind == "env_model":
+        d_env = _integer(payload["d_env"], "d_env", 1)
+        env_init = decode_matrix(payload["env_init"])
+        interactions = _nonempty(payload["interactions"], list, "interactions")
+        interactions = [decode_matrix(u) for u in interactions]
+        d = d_sys * d_env
+        if env_init.shape != (d_env, d_env) or any(u.shape != (d, d) for u in interactions):
+            raise CliError(f"env_init must be {d_env}x{d_env} and each interaction {d}x{d}")
         model = EnvModel(
-            d_sys=d_sys,
-            d_env=int(payload["d_env"]),
-            env_init=decode_matrix(payload["env_init"]),
-            interactions=tuple(decode_matrix(u) for u in payload["interactions"]),
+            d_sys=d_sys, d_env=d_env, env_init=env_init, interactions=tuple(interactions)
         )
         if teeth and teeth != model.teeth:
             raise CliError(f"spec says {teeth} teeth but lists {model.teeth} interactions")
         return comb_from_env_model(model, validate=False), model, None, doc
     if kind == "markovian":
-        chans = [_channel_from_json(c) for c in payload["channels"]]
+        chans = _nonempty(payload["channels"], list, "channels")
+        chans = [_channel_from_json(c) for c in chans]
         comb = markovian_comb(chans)
         if teeth and teeth != comb.teeth:
             raise CliError(f"spec says {teeth} teeth but lists {comb.teeth} channels")
         return comb, None, None, doc
     if kind == "pauli_correlated":
-        if not isinstance(payload["probs"], dict) or not payload["probs"]:
-            raise CliError("pauli_correlated probs must be a non-empty object")
+        _nonempty(payload["probs"], dict, "pauli_correlated probs")
         if not teeth:
             first = next(iter(payload["probs"]))
             teeth = len(first.split(":"))
-        n_qubits = max(d_sys.bit_length() - 1, 1)
+        n_qubits = d_sys.bit_length() - 1
+        if d_sys < 2 or 2**n_qubits != d_sys:
+            raise CliError(f"pauli_correlated d_sys must be a power of two, got {d_sys}")
         table = _table_from_payload(payload, teeth, n_qubits)
         return comb_from_pauli_table(table), None, table, doc
     m = decode_matrix(payload["choi_op"])

@@ -28,7 +28,7 @@ from .linalg import (
     psd_check,
     tensor,
 )
-from .pauli import chi_from_choi
+from .pauli import chi_from_choi, choi_from_chi
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +186,14 @@ def choi_channel(comb: Comb) -> Channel:
     the form on which Pauli twirling and quasi-probability decompositions
     operate.
     """
-    m_teeth = comb.teeth
-    order = [2 * m + 1 for m in range(m_teeth)] + [2 * m for m in range(m_teeth)]
-    choi = permute_wires(comb.choi_op, comb.wire_dims, order)
-    d_tot = comb.d_sys**m_teeth
+    choi = permute_wires(comb.choi_op, comb.wire_dims, _channel_order(comb.teeth))
+    d_tot = comb.d_sys**comb.teeth
     return Channel(choi=choi, d_in=d_tot, d_out=d_tot)
+
+
+def _channel_order(teeth: int) -> list[int]:
+    """Comb wires in :func:`choi_channel` order: (out_1..out_M, in_1..in_M)."""
+    return [2 * m + 1 for m in range(teeth)] + [2 * m for m in range(teeth)]
 
 
 def slot_channel(comb: Comb) -> Channel:
@@ -217,6 +220,17 @@ def comb_choi_state(comb: Comb) -> np.ndarray:
 def comb_chi(comb: Comb) -> np.ndarray:
     """Process matrix of the channel form over the multi-qubit Pauli basis."""
     return chi_from_choi(comb_choi_state(comb))
+
+
+def comb_from_chi(chi: np.ndarray, teeth: int, d_sys: int) -> Comb:
+    """The comb whose channel form has process matrix ``chi``.
+
+    Inverse of :func:`comb_chi`: builds the channel-form Choi matrix and
+    moves its wires back to (in_1, out_1, ..., in_M, out_M).
+    """
+    inverse = np.argsort(_channel_order(teeth))
+    choi_op = permute_wires(choi_from_chi(chi), [d_sys] * (2 * teeth), inverse)
+    return Comb(choi_op=choi_op, teeth=teeth, d_sys=d_sys)
 
 
 def _check_layers(process: Comb | EnvModel, layers) -> list[Channel]:

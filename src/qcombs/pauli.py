@@ -10,7 +10,7 @@ Index conventions used throughout:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt
 
 import numpy as np
@@ -50,6 +50,15 @@ def pauli_matrix(label: str) -> np.ndarray:
 def pauli_basis(n: int) -> tuple[np.ndarray, ...]:
     """The 4**n Pauli matrices for n qubits, in label order."""
     return tuple(pauli_matrix(lbl) for lbl in pauli_labels(n))
+
+
+# +1 where single-qubit Paulis commute, -1 where they anticommute, in IXYZ order.
+_COMMUTE = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float)
+
+
+def commutation_signs(n: int) -> np.ndarray:
+    """Signs s[a, b] with G_a G_b G_a = s[a, b] G_b, for n-qubit labels."""
+    return reduce(np.kron, [_COMMUTE] * n, np.ones((1, 1)))
 
 
 @lru_cache(maxsize=None)

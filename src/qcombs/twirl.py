@@ -13,10 +13,10 @@ from math import fsum, log2
 
 import numpy as np
 
-from .channels import Channel, apply, unitary_channel
-from .combs import Comb, comb_chi, markovian_comb
+from .channels import Channel, apply, from_chi, to_chi
+from .combs import Comb, comb_chi, comb_from_chi
 from .linalg import tensor
-from .pauli import label_index, offdiag_mass, pauli_basis, pauli_labels
+from .pauli import commutation_signs, label_index, offdiag_mass, pauli_basis, pauli_labels
 
 _NEG_CLAMP = 1e-10
 _SUM_SLACK = 1e-8
@@ -68,51 +68,44 @@ def twirl_comb(comb: Comb) -> Comb:
     """Exact twirl: average the comb over per-tooth Pauli frames.
 
     Tooth m is conjugated by the same Pauli on its input and output
-    wire, and the average runs over all 4**(n*teeth) label tuples.
+    wire.  A frame P multiplies chi[a, b] of the channel form by
+    s(P, a) s(P, b), the signs with which P commutes with G_a and G_b,
+    and the mean of that product over all 4**(n*teeth) frames is one on
+    the diagonal and zero off it.  So the twirl keeps the diagonal of
+    :func:`comb_chi`.
     """
-    n = _qubits(comb.d_sys)
-    singles = pauli_basis(n)
-    acc = np.zeros_like(comb.choi_op)
-    labels = pauli_labels(n * comb.teeth)
-    for lbl in labels:
-        per_tooth = [lbl[m * n : (m + 1) * n] for m in range(comb.teeth)]
-        w = tensor(*(
-            g
-            for tooth_lbl in per_tooth
-            for g in (singles[label_index(tooth_lbl)],) * 2
-        ))
-        acc += w @ comb.choi_op @ w
-    return Comb(choi_op=acc / len(labels), teeth=comb.teeth, d_sys=comb.d_sys)
+    return comb_from_chi(np.diag(np.diag(comb_chi(comb))), comb.teeth, comb.d_sys)
 
 
 def sampled_twirl(
     comb: Comb, samples: int, rng: np.random.Generator | None = None
 ) -> Comb:
-    """Monte Carlo estimate of :func:`twirl_comb` from random frames."""
+    """Monte Carlo estimate of :func:`twirl_comb` from random frames.
+
+    Each draw picks one Pauli per tooth.  Frame f multiplies chi[a, b] by
+    signs[f, a] * signs[f, b], so the average over the draws multiplies
+    chi by signs^T diag(counts) signs / samples, with counts[f] the
+    number of draws of frame f.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = rng or np.random.default_rng()
     n = _qubits(comb.d_sys)
-    singles = pauli_basis(n)
-    n_labels = 4**n
-    acc = np.zeros_like(comb.choi_op)
-    for _ in range(samples):
-        draw = rng.integers(0, n_labels, size=comb.teeth)
-        w = tensor(*(g for a in draw for g in (singles[a],) * 2))
-        acc += w @ comb.choi_op @ w
-    return Comb(choi_op=acc / samples, teeth=comb.teeth, d_sys=comb.d_sys)
+    draws = np.array([rng.integers(0, 4**n, size=comb.teeth) for _ in range(samples)])
+    # A frame's label index joins its per-tooth labels in tooth order.
+    frames = draws @ (4**n) ** np.arange(comb.teeth - 1, -1, -1)
+    counts = np.bincount(frames, minlength=4 ** (n * comb.teeth))
+    signs = commutation_signs(n * comb.teeth)
+    chi = comb_chi(comb) * (signs.T @ (counts[:, None] * signs) / samples)
+    return comb_from_chi(chi, comb.teeth, comb.d_sys)
 
 
 def twirl_channel(channel: Channel) -> Channel:
-    """Full Pauli twirl of a channel on qubits, P E P averaged over P."""
-    if channel.d_in != channel.d_out:
-        raise ValueError("can only twirl maps with matching dimensions")
-    n = _qubits(channel.d_in)
-    acc = np.zeros_like(channel.choi)
-    for g in pauli_basis(n):
-        w = tensor(g, g)
-        acc += w @ channel.choi @ w
-    return Channel(choi=acc / 4**n, d_in=channel.d_in, d_out=channel.d_out)
+    """Full Pauli twirl of a channel on qubits, P E P averaged over P.
+
+    As for :func:`twirl_comb`, this keeps the diagonal of the process matrix.
+    """
+    return from_chi(np.diag(np.diag(to_chi(channel))))
 
 
 def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDiagTable:
@@ -141,14 +134,15 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
 
 
 def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
-    """Comb of the correlated Pauli process described by a table."""
-    singles = pauli_basis(table.n_qubits)
-    acc = None
-    for key, p in table.probs.items():
-        teeth = [unitary_channel(singles[label_index(lbl)]) for lbl in key]
-        term = markovian_comb(teeth).choi_op
-        acc = p * term if acc is None else acc + p * term
-    return Comb(choi_op=acc, teeth=table.teeth, d_sys=2**table.n_qubits)
+    """Comb of the correlated Pauli process described by a table.
+
+    Its channel form has a diagonal process matrix holding the table's
+    probabilities, indexed by the per-tooth labels joined in tooth order.
+    """
+    p = np.zeros(4 ** (table.n_qubits * table.teeth))
+    for key, w in table.probs.items():
+        p[label_index("".join(key))] = w
+    return comb_from_chi(np.diag(p), table.teeth, 2**table.n_qubits)
 
 
 def env_model_from_pauli_table(table: PauliDiagTable):

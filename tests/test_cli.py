@@ -159,6 +159,67 @@ def test_malformed_spec_is_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+def _inline(kind, payload, **fields):
+    return json.dumps({"kind": kind, **fields, "payload": payload})
+
+
+_ENV_PAYLOAD = {"d_env": 2, "env_init": [[1, 0], [0, 0]], "interactions": [np.eye(4).tolist()]}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (_inline("markovian", {"channels": 5}), "channels must be a non-empty list"),
+        (_inline("markovian", {"channels": []}), "channels must be a non-empty list"),
+        (_inline("markovian", {"channels": [{"kraus": 5}]}), "kraus must be"),
+        (_inline("markovian", {"channels": [{"name": 5}]}), "name must be a string"),
+        (_inline("markovian", {"channels": [{"name": "depolarizing", "p": [1]}]}),
+         "p must be a number"),
+        (_inline("markovian", {"channels": [{"name": "pauli", "probs": 5}]}),
+         "probs must be a non-empty object"),
+        (_inline("pauli_correlated", {"probs": {"X:I": [1]}}), "must be a number"),
+        (_inline("env_model", {**_ENV_PAYLOAD, "d_env": "2"}), "d_env must be an integer"),
+        (_inline("env_model", {**_ENV_PAYLOAD, "interactions": 5}),
+         "interactions must be a non-empty list"),
+    ],
+    ids=[
+        "channels_int", "channels_empty", "kraus_int", "name_int", "depolarizing_p_list",
+        "pauli_probs_int", "probability_list", "d_env_string", "interactions_int",
+    ],
+)
+def test_wrong_typed_payload_is_exit_2(capsys, spec, message):
+    assert main(["validate", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (_inline("markovian", {"channels": [{"name": "x"}]}, teeth="two"),
+         "teeth must be an integer"),
+        (_inline("env_model", {**_ENV_PAYLOAD, "interactions": [np.eye(2).tolist()]}),
+         "each interaction 4x4"),
+        (_inline("env_model", {**_ENV_PAYLOAD, "env_init": [[1]]}), "env_init must be 2x2"),
+        (_inline("pauli_correlated", {"probs": {"Q:I": 1.0}}), "'Q' is not a 1-qubit label"),
+        (_inline("markovian", {"channels": [{"name": "pauli", "probs": {"I": 0.5, "Q": 0.5}}]}),
+         "'Q' is not a 1-qubit label"),
+        (_inline("pauli_correlated", {"probs": {"X:I": 1.0}}, d_sys=3),
+         "d_sys must be a power of two"),
+    ],
+    ids=[
+        "teeth_word", "interaction_shape", "env_init_shape", "table_letter",
+        "pauli_channel_letter", "table_d_sys_3",
+    ],
+)
+def test_malformed_spec_value_is_exit_2(capsys, spec, message):
+    assert main(["validate", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["oracle", "twirl"])
 def test_unphysical_environment_state_is_exit_1(capsys, command):
     cx = np.kron(np.eye(2), np.diag([1, 0])) + np.kron([[0, 1], [1, 0]], np.diag([0, 1]))

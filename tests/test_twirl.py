@@ -12,12 +12,15 @@ from qcombs.channels import (
 )
 from qcombs.combs import (
     apply_comb,
+    comb_chi,
+    comb_from_chi,
     comb_from_env_model,
     markovian_comb,
     random_env_model,
     validate_comb,
 )
-from qcombs.pauli import label_index, pauli_basis
+from qcombs.linalg import tensor
+from qcombs.pauli import label_index, pauli_basis, pauli_labels
 from qcombs.twirl import (
     PauliDiagTable,
     apply_correlated_pauli,
@@ -325,3 +328,102 @@ def test_table_clamps_tiny_negatives_and_renormalizes():
     assert table.prob(("X",)) == 0.0
     assert table.prob(("I",)) == pytest.approx(1.0)
     assert sum(table.probs.values()) == pytest.approx(1.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the frame loops they replaced
+#
+# The loops below average explicit frame conjugations and are kept here
+# only as references for the closed forms on the process matrix.
+
+
+def _loop_twirl_comb(comb):
+    n = comb.d_sys.bit_length() - 1
+    singles = pauli_basis(n)
+    acc = np.zeros_like(comb.choi_op)
+    labels = pauli_labels(n * comb.teeth)
+    for lbl in labels:
+        per_tooth = [lbl[m * n : (m + 1) * n] for m in range(comb.teeth)]
+        w = tensor(*(
+            g
+            for tooth_lbl in per_tooth
+            for g in (singles[label_index(tooth_lbl)],) * 2
+        ))
+        acc += w @ comb.choi_op @ w
+    return acc / len(labels)
+
+
+def _loop_sampled_twirl(comb, samples, rng):
+    n = comb.d_sys.bit_length() - 1
+    singles = pauli_basis(n)
+    acc = np.zeros_like(comb.choi_op)
+    for _ in range(samples):
+        draw = rng.integers(0, 4**n, size=comb.teeth)
+        w = tensor(*(g for a in draw for g in (singles[a],) * 2))
+        acc += w @ comb.choi_op @ w
+    return acc / samples
+
+
+def _loop_twirl_channel(channel):
+    n = channel.d_in.bit_length() - 1
+    acc = np.zeros_like(channel.choi)
+    for g in pauli_basis(n):
+        w = tensor(g, g)
+        acc += w @ channel.choi @ w
+    return acc / 4**n
+
+
+def _loop_comb_from_pauli_table(table):
+    singles = pauli_basis(table.n_qubits)
+    acc = 0
+    for key, p in table.probs.items():
+        teeth = [unitary_channel(singles[label_index(lbl)]) for lbl in key]
+        acc = acc + p * markovian_comb(teeth).choi_op
+    return acc
+
+
+# (teeth, system qubits, interaction strength; None is Haar), one environment qubit.
+CLOSED_FORM_CASES = [
+    (m, n_sys, strength)
+    for m in (1, 2, 3)
+    for n_sys in (1, 2)
+    for strength in (None, 0.3)
+    if n_sys == 1 or m <= 2
+] + [(4, 1, None)]
+
+
+def _sweep_comb(m, n_sys, strength):
+    rng = np.random.default_rng(1000 + 10 * m + n_sys)
+    model = random_env_model(
+        teeth=m, n_sys_qubits=n_sys, rng=rng, interaction_strength=strength
+    )
+    return comb_from_env_model(model)
+
+
+@pytest.mark.parametrize("m, n_sys, strength", CLOSED_FORM_CASES)
+def test_closed_form_twirls_match_frame_loops(m, n_sys, strength):
+    comb = _sweep_comb(m, n_sys, strength)
+    exact = twirl_comb(comb)
+    assert np.abs(exact.choi_op - _loop_twirl_comb(comb)).max() < 1e-12
+    if m < 4:
+        for samples in (1, 7, 64):
+            got = sampled_twirl(comb, samples, rng=np.random.default_rng(samples))
+            ref = _loop_sampled_twirl(comb, samples, np.random.default_rng(samples))
+            assert np.abs(got.choi_op - ref).max() < 1e-12
+    table = extract_pauli_diag(exact)
+    rebuilt = comb_from_pauli_table(table)
+    assert np.abs(rebuilt.choi_op - _loop_comb_from_pauli_table(table)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_closed_form_channel_twirl_matches_frame_loop(d):
+    ch = random_channel(d, rng=np.random.default_rng(40 + d))
+    assert np.abs(twirl_channel(ch).choi - _loop_twirl_channel(ch)).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, n_sys, strength", CLOSED_FORM_CASES)
+def test_comb_from_chi_inverts_comb_chi(m, n_sys, strength):
+    comb = _sweep_comb(m, n_sys, strength)
+    back = comb_from_chi(comb_chi(comb), comb.teeth, comb.d_sys)
+    assert (back.teeth, back.d_sys) == (comb.teeth, comb.d_sys)
+    assert np.abs(back.choi_op - comb.choi_op).max() < 1e-12
