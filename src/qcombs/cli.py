@@ -146,18 +146,30 @@ def _pauli_label(label: str, n_qubits: int, what: str) -> str:
     return label
 
 
+def _unitary_from_json(rows) -> Channel:
+    u = decode_matrix(rows)
+    if u.shape[0] != u.shape[1]:
+        raise CliError(f"unitary must be a square matrix, got shape {u.shape}")
+    return unitary_channel(u)
+
+
 def _channel_from_json(doc) -> Channel:
     if isinstance(doc, list):
-        return unitary_channel(decode_matrix(doc))
+        return _unitary_from_json(doc)
     if not isinstance(doc, dict):
         raise CliError("channel spec must be a matrix or an object")
     if "unitary" in doc:
-        return unitary_channel(decode_matrix(doc["unitary"]))
+        return _unitary_from_json(doc["unitary"])
     if "kraus" in doc:
-        return from_kraus([decode_matrix(k) for k in _nonempty(doc["kraus"], list, "kraus")])
+        ops = [decode_matrix(k) for k in _nonempty(doc["kraus"], list, "kraus")]
+        if any(k.shape != ops[0].shape for k in ops):
+            raise CliError(f"kraus operators must share one shape, got {[k.shape for k in ops]}")
+        return from_kraus(ops)
     if "choi" in doc:
         m = decode_matrix(doc["choi"])
         d = int(round(np.sqrt(m.shape[0])))
+        if m.shape != (d * d, d * d):
+            raise CliError(f"choi must be a d^2 x d^2 matrix, got shape {m.shape}")
         return Channel(choi=m, d_in=d, d_out=d)
     if "name" in doc:
         if not isinstance(doc["name"], str):
@@ -233,6 +245,11 @@ def load_spec(arg: str):
     if kind == "markovian":
         chans = _nonempty(payload["channels"], list, "channels")
         chans = [_channel_from_json(c) for c in chans]
+        dims = sorted({(c.d_in, c.d_out) for c in chans})
+        if len(dims) != 1 or dims[0][0] != dims[0][1]:
+            raise CliError(
+                f"markovian channels must all map one system to itself, got (d_in, d_out) {dims}"
+            )
         comb = markovian_comb(chans)
         if teeth and teeth != comb.teeth:
             raise CliError(f"spec says {teeth} teeth but lists {comb.teeth} channels")

@@ -15,12 +15,13 @@ channel from in_1 to out_M.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .channels import Channel, apply, apply_channel_on, random_density_matrix, random_unitary
 from .linalg import (
-    conjugate_on,
+    apply_on,
     is_hermitian,
     max_entangled,
     partial_trace,
@@ -98,17 +99,24 @@ class EnvModel:
 def comb_from_env_model(model: EnvModel, validate: bool = True) -> Comb:
     """Choi operator of the process generated by an environment dilation.
 
-    Each tooth is fed half of an unnormalized maximally entangled pair;
-    the carrier halves interact with the environment in sequence and the
-    environment is traced out at the end.
+    Each tooth is fed half of an unnormalized maximally entangled pair,
+    and ``env_init = sum_j w_j v_j v_j^dag`` is purified into a vector on
+    (environment, purifier) whose columns are sqrt|w_j| v_j.  The
+    interactions act in sequence on (out_m, environment) of this one
+    state vector.  Tracing out environment and purifier is then the
+    matrix product ``a diag(sign w) a^dag``, with ``a`` the vector viewed
+    as wires by (environment, purifier); the signs reproduce exactly an
+    ``env_init`` whose eigenvalues dip below zero within tolerance.
     """
     d, de, m_teeth = model.d_sys, model.d_env, model.teeth
-    bell = np.outer(max_entangled(d), max_entangled(d).conj())
-    full = tensor(*([bell] * m_teeth), model.env_init)
-    dims = [d] * (2 * m_teeth) + [de]
+    w, v = np.linalg.eigh(model.env_init)
+    k = v * np.sqrt(np.abs(w))
+    psi = reduce(np.kron, [max_entangled(d)] * m_teeth + [k.reshape(-1)])
+    dims = [d] * (2 * m_teeth) + [de, de]
     for m, u in enumerate(model.interactions):
-        full = conjugate_on(full, dims, [2 * m + 1, 2 * m_teeth], u)
-    choi_op = partial_trace(full, dims, keep=range(2 * m_teeth))
+        psi = apply_on(psi, dims, [2 * m + 1, 2 * m_teeth], u)
+    a = psi.reshape(d ** (2 * m_teeth), de * de)
+    choi_op = (a * np.tile(np.sign(w), de)) @ a.conj().T
     comb = Comb(choi_op=choi_op, teeth=m_teeth, d_sys=d)
     if validate:
         report = validate_comb(comb)

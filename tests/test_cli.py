@@ -207,10 +207,22 @@ def test_wrong_typed_payload_is_exit_2(capsys, spec, message):
          "'Q' is not a 1-qubit label"),
         (_inline("pauli_correlated", {"probs": {"X:I": 1.0}}, d_sys=3),
          "d_sys must be a power of two"),
+        (_inline("markovian", {"channels": [{"choi": np.eye(3).tolist()}]}),
+         "choi must be a d^2 x d^2 matrix"),
+        (_inline("markovian", {"channels": [{"name": "identity", "d": 2},
+                                            {"name": "identity", "d": 3}]}),
+         "markovian channels must all map one system to itself"),
+        (_inline("markovian", {"channels": [{"kraus": [np.eye(2).tolist(), np.eye(3).tolist()]}]}),
+         "kraus operators must share one shape"),
+        (_inline("markovian", {"channels": [{"unitary": [[1, 0, 0], [0, 1, 0]]}]}),
+         "unitary must be a square matrix"),
+        (_inline("markovian", {"channels": [[[1, 0, 0], [0, 1, 0]]]}),
+         "unitary must be a square matrix"),
     ],
     ids=[
         "teeth_word", "interaction_shape", "env_init_shape", "table_letter",
-        "pauli_channel_letter", "table_d_sys_3",
+        "pauli_channel_letter", "table_d_sys_3", "choi_size", "mixed_dimensions",
+        "kraus_shapes", "unitary_not_square", "bare_matrix_not_square",
     ],
 )
 def test_malformed_spec_value_is_exit_2(capsys, spec, message):

@@ -28,6 +28,7 @@ from qcombs.combs import (
     validate_comb,
 )
 from qcombs.linalg import (
+    conjugate_on,
     max_entangled,
     partial_trace,
     permutation_matrix,
@@ -36,6 +37,7 @@ from qcombs.linalg import (
 )
 from qcombs.channels import apply_channel_on
 from qcombs.pauli import pauli_basis
+from qcombs.twirl import PauliDiagTable, env_model_from_pauli_table
 
 
 def test_comb_shape_validation():
@@ -97,6 +99,89 @@ def test_env_model_rejects_unphysical_environment_state():
     for env_init in (np.diag([2.0, -1.0]), np.array([[0.5, 0.5], [0.0, 0.5]])):
         with pytest.raises(ValueError, match="environment state"):
             EnvModel(d_sys=2, d_env=2, env_init=env_init, interactions=(cx,))
+
+
+def _dense_comb_reference(model):
+    """The comb by evolving the full bell-pairs-plus-environment density matrix.
+
+    Every tooth's pair and ``env_init`` form one (d^(2M) d_env)^2 matrix;
+    each interaction conjugates it on (out_m, environment), and the
+    environment is traced out at the end.
+    """
+    d, de, m_teeth = model.d_sys, model.d_env, model.teeth
+    bell = np.outer(max_entangled(d), max_entangled(d).conj())
+    full = tensor(*([bell] * m_teeth), model.env_init)
+    dims = [d] * (2 * m_teeth) + [de]
+    for m, u in enumerate(model.interactions):
+        full = conjugate_on(full, dims, [2 * m + 1, 2 * m_teeth], u)
+    return partial_trace(full, dims, keep=range(2 * m_teeth))
+
+
+@pytest.mark.parametrize("strength", [0.1, 0.6, None])
+@pytest.mark.parametrize("n_env", [1, 2])
+@pytest.mark.parametrize("teeth", [1, 2, 3, 4])
+def test_purified_comb_matches_dense_reference(teeth, n_env, strength):
+    rng = np.random.default_rng([teeth, n_env, int(100 * (strength or 0)), 5])
+    model = random_env_model(teeth, n_env_qubits=n_env, rng=rng, interaction_strength=strength)
+    got = comb_from_env_model(model).choi_op
+    assert np.abs(got - _dense_comb_reference(model)).max() < 1e-12
+
+
+def _with_env_init(model, env_init):
+    return EnvModel(
+        d_sys=model.d_sys, d_env=model.d_env, env_init=env_init, interactions=model.interactions
+    )
+
+
+def _special_env_models():
+    rng = np.random.default_rng(55)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    pure = _with_env_init(random_env_model(3, n_env_qubits=2, rng=rng), np.outer(psi, psi.conj()))
+    table = PauliDiagTable(
+        probs={
+            ("I", "I", "I", "I"): 0.8,
+            ("X", "I", "Z", "I"): 0.06,
+            ("Z", "Z", "I", "Y"): 0.05,
+            ("I", "Y", "Y", "X"): 0.05,
+            ("Y", "X", "I", "Z"): 0.04,
+        },
+        teeth=4,
+        n_qubits=1,
+    )
+    pointer = env_model_from_pauli_table(table)
+    # An eigenvalue below zero within EnvModel's tolerance: only signed
+    # weights reproduce this env_init to 1e-12, clipped ones miss by ~1e-10.
+    signed = _with_env_init(random_env_model(3, rng=rng), np.diag([1 + 1e-10, -1e-10]))
+    return {"pure": pure, "pointer": pointer, "signed": signed}
+
+
+@pytest.mark.parametrize("case", ["pure", "pointer", "signed"])
+def test_purified_comb_special_environment_states(case):
+    model = _special_env_models()[case]
+    comb = comb_from_env_model(model)
+    assert np.abs(comb.choi_op - _dense_comb_reference(model)).max() < 1e-12
+    rng = np.random.default_rng(9)
+    layers = [random_channel(2, rng=rng) for _ in range(model.teeth - 1)]
+    rho = random_density_matrix(2, rng)
+    want = simulate_env_model(model, layers, rho)
+    assert np.abs(apply_comb(comb, layers, rho) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("strength", [0.3, None])
+def test_five_tooth_comb_against_oracle(strength):
+    rng = np.random.default_rng([5, int(100 * (strength or 0))])
+    model = random_env_model(5, rng=rng, interaction_strength=strength)
+    comb = comb_from_env_model(model, validate=False)
+    layers = [random_channel(2, rng=rng) for _ in range(4)]
+    rho = random_density_matrix(2, rng)
+    want = simulate_env_model(model, layers, rho)
+    assert np.abs(apply_comb(comb, layers, rho) - want).max() < 1e-12
+    oracle_choi = sum(
+        tensor(simulate_env_model(model, layers, unit), unit)
+        for unit in (np.outer(a, b) for a in np.eye(2) for b in np.eye(2))
+    )
+    assert np.abs(output_channel(comb, layers).choi - oracle_choi).max() < 1e-12
 
 
 def test_trivial_environment_reduces_to_markovian():
