@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -170,7 +171,9 @@ def _channel_from_json(doc) -> Channel:
         d = int(round(np.sqrt(m.shape[0])))
         if m.shape != (d * d, d * d):
             raise CliError(f"choi must be a d^2 x d^2 matrix, got shape {m.shape}")
-        return Channel(choi=m, d_in=d, d_out=d)
+        channel = Channel(choi=m, d_in=d, d_out=d)
+        channel.validate()
+        return channel
     if "name" in doc:
         if not isinstance(doc["name"], str):
             raise CliError(f"channel name must be a string, got {doc['name']!r}")
@@ -293,6 +296,12 @@ def _parse_layer(arg: str) -> Channel:
 def _resolve_layers(args, comb: Comb) -> list[Channel]:
     slots = comb.teeth - 1
     given = [_parse_layer(a) for a in (args.layer or [])]
+    for layer in given:
+        if (layer.d_in, layer.d_out) != (comb.d_sys, comb.d_sys):
+            raise CliError(
+                f"--layer must map the {comb.d_sys}-level system to itself, "
+                f"got d_in={layer.d_in}, d_out={layer.d_out}"
+            )
     if not given:
         return [identity_channel(comb.d_sys) for _ in range(slots)]
     if len(given) == 1 and slots > 1:
@@ -569,7 +578,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            raise CliError(f"--tol must be a finite positive number, got {args.tol}")
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # interpreter's final flush fails quietly too (see the SIGPIPE note
+        # in the Python docs of the signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

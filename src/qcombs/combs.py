@@ -27,6 +27,7 @@ from .linalg import (
     partial_trace,
     permute_wires,
     psd_check,
+    psd_check_factored,
     tensor,
 )
 from .pauli import chi_from_choi, choi_from_chi
@@ -37,12 +38,15 @@ class Comb:
     """A deterministic quantum process with ``teeth`` interventions slots.
 
     ``choi_op`` lives on wires (in_1, out_1, ..., in_M, out_M), leftmost
-    slowest, every wire of dimension ``d_sys``.
+    slowest, every wire of dimension ``d_sys``.  ``factor``, when given,
+    is a pair ``(a, s)`` with ``a`` of shape (d_sys**(2M), r) and real
+    signs ``s`` of length r such that ``choi_op = a diag(s) a^dag``.
     """
 
     choi_op: np.ndarray
     teeth: int
     d_sys: int
+    factor: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         d = self.d_sys ** (2 * self.teeth)
@@ -51,6 +55,13 @@ class Comb:
                 f"comb operator shape {self.choi_op.shape} does not match "
                 f"{self.teeth} teeth of dimension {self.d_sys}"
             )
+        if self.factor is not None:
+            a, s = self.factor
+            if a.ndim != 2 or a.shape[0] != d or s.shape != (a.shape[1],):
+                raise ValueError(
+                    f"comb factor shapes {a.shape} and {s.shape} do not match "
+                    f"a ({d}, r) factor with r signs"
+                )
 
     @property
     def wire_dims(self) -> list[int]:
@@ -106,7 +117,8 @@ def comb_from_env_model(model: EnvModel, validate: bool = True) -> Comb:
     state vector.  Tracing out environment and purifier is then the
     matrix product ``a diag(sign w) a^dag``, with ``a`` the vector viewed
     as wires by (environment, purifier); the signs reproduce exactly an
-    ``env_init`` whose eigenvalues dip below zero within tolerance.
+    ``env_init`` whose eigenvalues dip below zero within tolerance.  The
+    pair ``(a, sign)`` stays on the comb as its ``factor``.
     """
     d, de, m_teeth = model.d_sys, model.d_env, model.teeth
     w, v = np.linalg.eigh(model.env_init)
@@ -116,8 +128,8 @@ def comb_from_env_model(model: EnvModel, validate: bool = True) -> Comb:
     for m, u in enumerate(model.interactions):
         psi = apply_on(psi, dims, [2 * m + 1, 2 * m_teeth], u)
     a = psi.reshape(d ** (2 * m_teeth), de * de)
-    choi_op = (a * np.tile(np.sign(w), de)) @ a.conj().T
-    comb = Comb(choi_op=choi_op, teeth=m_teeth, d_sys=d)
+    s = np.tile(np.sign(w), de)
+    comb = Comb(choi_op=(a * s) @ a.conj().T, teeth=m_teeth, d_sys=d, factor=(a, s))
     if validate:
         report = validate_comb(comb)
         if not report.passes:
@@ -159,23 +171,32 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     """Check positivity and the trace hierarchy of a comb operator.
 
     The residual at level m measures, relative to the operator norm
-    scale, how far Tr_out_m[C^(m)] is from C^(m-1) (x) I.
+    scale, how far Tr_out_m[C^(m)] is from C^(m-1) (x) I.  A comb whose
+    factor has fewer columns r than the operator has rows takes its
+    spectrum and its top reduction from the factor; every other comb
+    uses the dense operator.
     """
-    d = comb.d_sys
-    rep = psd_check(comb.choi_op, tol=tol)
+    d, m_teeth = comb.d_sys, comb.teeth
     herm_ok = is_hermitian(comb.choi_op, tol=tol)
+    if comb.factor is not None and comb.factor[0].shape[1] < comb.choi_op.shape[0]:
+        a, s = comb.factor
+        rep = psd_check_factored(a, s, tol=tol)
+        # out_M is the fastest row index of a, so the view a' of shape
+        # (D/d, d r) moves it into the columns: Tr_out_M C = a' diag(tile(s, d)) a'^dag.
+        a_top = a.reshape(-1, d * a.shape[1])
+        traced = (a_top * np.tile(s, d)) @ a_top.conj().T
+    else:
+        rep = psd_check(comb.choi_op, tol=tol)
+        traced = partial_trace(comb.choi_op, comb.wire_dims, keep=range(2 * m_teeth - 1))
     residuals = []
-    cur = comb.choi_op
-    for m in range(comb.teeth, 0, -1):
-        dims = [d] * (2 * m)
-        traced = partial_trace(cur, dims, keep=range(2 * m - 1))
+    for m in range(m_teeth, 0, -1):
         lower = partial_trace(traced, [d] * (2 * m - 1), keep=range(2 * m - 2)) / d
         # At the bottom the reduction must be exactly the identity, which
         # also pins the overall normalization Tr = d**teeth.
         expected = tensor(lower, np.eye(d)) if m > 1 else np.eye(d)
         diff = np.linalg.norm(traced - expected) / max(np.linalg.norm(traced), 1.0)
         residuals.append(float(diff))
-        cur = lower
+        traced = partial_trace(lower, [d] * (2 * m - 2), keep=range(2 * m - 3))
     residuals.reverse()
     passes = bool(herm_ok and rep.is_psd and all(r <= tol for r in residuals))
     return CombValidationReport(

@@ -155,6 +155,21 @@ def psd_check(m: np.ndarray, tol: float = 1e-9) -> PsdReport:
     return PsdReport(is_psd=lo >= -tol * scale, min_eigenvalue=lo)
 
 
+def psd_check_factored(a: np.ndarray, s: np.ndarray, tol: float = 1e-9) -> PsdReport:
+    """:func:`psd_check` of ``a diag(s) a^dag`` without forming it.
+
+    ``a`` is D x r with r < D, so the matrix has a null space.  With the
+    thin QR ``a = Q R`` its nonzero spectrum is that of the r x r matrix
+    ``R diag(s) R^dag``, and the minimum eigenvalue is ``min(0, ...)`` of
+    that small spectrum.  The slack is the same trace-relative one.
+    """
+    r = np.linalg.qr(a, mode="r")
+    small = (r * s) @ r.conj().T
+    lo = min(0.0, float(np.linalg.eigvalsh(0.5 * (small + small.conj().T))[0]))
+    scale = max(abs(float(np.trace(small).real)), 1.0)
+    return PsdReport(is_psd=lo >= -tol * scale, min_eigenvalue=lo)
+
+
 def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 

@@ -6,6 +6,7 @@ part of the contract and are asserted literally.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -335,10 +336,14 @@ def test_criterion_9_cli_determinism():
         ("vcp", fixtures["pauli"]),
         ("oracle", fixtures["env_random"], "--layer", "h"),
     ]
+    # The child imports qcombs from this checkout's src, as pytest does.
+    src = str(FIXTURES.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     for argv in invocations:
         runs = [
             subprocess.run(
-                [sys.executable, "-m", "qcombs.cli", *argv], capture_output=True
+                [sys.executable, "-m", "qcombs.cli", *argv], capture_output=True, env=env
             )
             for _ in range(2)
         ]

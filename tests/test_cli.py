@@ -97,6 +97,22 @@ def test_wrong_layer_count_is_exit_2(capsys):
     assert "slot channels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, spec", [("oracle", ENV_RANDOM), ("pec", MARKOVIAN)])
+def test_wrong_layer_dimension_is_exit_2(capsys, command, spec):
+    assert main([command, spec, "--layer", json.dumps(np.eye(3).tolist())]) == 2
+    err = capsys.readouterr().err
+    assert "--layer must map the 2-level system to itself" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_non_finite_or_non_positive_tol_is_exit_2(capsys, tol):
+    assert main(["--tol", tol, "validate", ENV_RANDOM]) == 2
+    captured = capsys.readouterr()
+    assert "--tol must be a finite positive number" in captured.err
+    assert captured.out == ""
+
+
 def test_non_stochastic_table_is_exit_1(capsys):
     spec = json.dumps(
         {"kind": "pauli_correlated", "payload": {"probs": {"I:I": 0.5, "X:X": 0.3}}}
@@ -246,6 +262,32 @@ def test_unphysical_environment_state_is_exit_1(capsys, command):
     assert main([command, spec]) == 1
     captured = capsys.readouterr()
     assert "environment state" in captured.err
+    assert captured.out == ""
+
+
+_NOT_TP_CHOI = [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+_NOT_PSD_CHOI = [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["twirl", _inline("markovian", {"channels": [{"choi": _NOT_TP_CHOI}]})],
+         "not trace preserving"),
+        (["validate", _inline("markovian", {"channels": [{"choi": _NOT_PSD_CHOI}]})],
+         "not positive"),
+        (["pec", MARKOVIAN, "--layer", json.dumps({"choi": _NOT_TP_CHOI})],
+         "not trace preserving"),
+        (["oracle", ENV_RANDOM, "--layer", json.dumps({"choi": _NOT_PSD_CHOI})],
+         "not positive"),
+    ],
+    ids=["spec_not_tp", "spec_not_psd", "layer_not_tp", "layer_not_psd"],
+)
+def test_unphysical_choi_channel_is_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 
@@ -462,11 +504,20 @@ def test_oracle_cross_check(capsys):
 # determinism across processes
 
 
+def child_env(**extra):
+    """The environment for a child process, with ``src`` on its import path."""
+    env = {**os.environ, **extra}
+    src = str(FIXTURES.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_subprocess(*argv):
     return subprocess.run(
         [sys.executable, "-m", "qcombs.cli", *argv],
         capture_output=True,
         cwd=str(FIXTURES.parent),
+        env=child_env(),
     )
 
 
@@ -489,7 +540,7 @@ def test_twirl_bytes_do_not_depend_on_hash_seed():
             [sys.executable, "-m", "qcombs.cli", "twirl", ENV_RANDOM],
             capture_output=True,
             cwd=str(FIXTURES.parent),
-            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            env=child_env(PYTHONHASHSEED=hash_seed),
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
@@ -503,3 +554,19 @@ def test_default_seed_makes_repeat_runs_identical():
     second = run_subprocess("pec", PAULI, "--shots", "50")
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcombs.cli", "chi", MARKOVIAN],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=str(FIXTURES.parent),
+        env=child_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err
+    assert b"BrokenPipeError" not in err

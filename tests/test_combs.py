@@ -45,6 +45,16 @@ def test_comb_shape_validation():
         Comb(choi_op=np.eye(8), teeth=2, d_sys=2)
 
 
+@pytest.mark.parametrize(
+    "a, s",
+    [(np.ones((8, 2)), np.ones(2)), (np.ones((16, 2)), np.ones(3)), (np.ones(16), np.ones(1))],
+    ids=["rows", "signs", "vector"],
+)
+def test_comb_factor_shape_validation(a, s):
+    with pytest.raises(ValueError, match="factor shapes"):
+        Comb(choi_op=np.eye(16), teeth=2, d_sys=2, factor=(a, s))
+
+
 def test_env_model_validation():
     u = random_unitary(4, np.random.default_rng(0))
     with pytest.raises(ValueError, match="unit trace"):
@@ -153,7 +163,16 @@ def _special_env_models():
     # An eigenvalue below zero within EnvModel's tolerance: only signed
     # weights reproduce this env_init to 1e-12, clipped ones miss by ~1e-10.
     signed = _with_env_init(random_env_model(3, rng=rng), np.diag([1 + 1e-10, -1e-10]))
-    return {"pure": pure, "pointer": pointer, "signed": signed}
+    # Two-qubit system, one tooth: r = 5**2 columns are not fewer than the
+    # D = 4**2 rows, so validation takes the dense path.
+    probs = {("II",): 0.9, ("XZ",): 0.03, ("YI",): 0.03, ("ZZ",): 0.02, ("IX",): 0.02}
+    pointer_one_tooth = env_model_from_pauli_table(PauliDiagTable(probs=probs, teeth=1, n_qubits=2))
+    return {
+        "pure": pure,
+        "pointer": pointer,
+        "signed": signed,
+        "pointer_one_tooth": pointer_one_tooth,
+    }
 
 
 @pytest.mark.parametrize("case", ["pure", "pointer", "signed"])
@@ -166,6 +185,48 @@ def test_purified_comb_special_environment_states(case):
     rho = random_density_matrix(2, rng)
     want = simulate_env_model(model, layers, rho)
     assert np.abs(apply_comb(comb, layers, rho) - want).max() < 1e-12
+
+
+def _assert_validation_agrees_with_dense(comb):
+    """Validate ``comb`` and a copy without its factor; return both reports."""
+    got = validate_comb(comb)
+    want = validate_comb(Comb(choi_op=comb.choi_op, teeth=comb.teeth, d_sys=comb.d_sys))
+    assert (got.passes, got.psd_ok) == (want.passes, want.psd_ok)
+    assert abs(got.min_eigenvalue - want.min_eigenvalue) < 1e-12
+    diff = np.subtract(got.per_level_residuals, want.per_level_residuals)
+    assert np.abs(diff).max() < 1e-12
+    return got, want
+
+
+@pytest.mark.parametrize("strength", [0.1, 0.6, None])
+@pytest.mark.parametrize("n_env", [1, 2])
+@pytest.mark.parametrize("teeth", [1, 2, 3, 4, 5])
+def test_factored_validation_matches_dense(teeth, n_env, strength):
+    rng = np.random.default_rng([teeth, n_env, int(100 * (strength or 0)), 6])
+    model = random_env_model(teeth, n_env_qubits=n_env, rng=rng, interaction_strength=strength)
+    comb = comb_from_env_model(model, validate=False)
+    got, want = _assert_validation_agrees_with_dense(comb)
+    assert got.passes
+    a, _ = comb.factor
+    if a.shape[1] < a.shape[0]:
+        # A full-rank env_init of these seeds leaves the small spectrum
+        # positive, so the comb's null space sets the minimum exactly.
+        assert got.min_eigenvalue == 0.0
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("case", ["pure", "pointer", "signed", "pointer_one_tooth"])
+def test_factored_validation_special_environment_states(case):
+    comb = comb_from_env_model(_special_env_models()[case], validate=False)
+    got, want = _assert_validation_agrees_with_dense(comb)
+    assert got.passes
+    if case == "pointer_one_tooth":
+        assert comb.factor[0].shape == (16, 25)
+        assert got == want
+    if case == "signed":
+        # env_init's eigenvalue -1e-10 must come through, not be clipped.
+        assert got.min_eigenvalue < -1e-11
 
 
 @pytest.mark.parametrize("strength", [0.3, None])

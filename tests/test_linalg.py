@@ -12,6 +12,7 @@ from qcombs.linalg import (
     permutation_matrix,
     permute_wires,
     psd_check,
+    psd_check_factored,
     superop_to_choi,
     tensor,
     trace_distance,
@@ -192,6 +193,18 @@ def test_psd_check_accepts_and_rejects():
     rep_bad = psd_check(bad)
     assert not rep_bad.is_psd
     assert np.isclose(rep_bad.min_eigenvalue, -0.1)
+
+
+@pytest.mark.parametrize("signs", [[1, 1, 1], [1, -1, 1], [1, 0, 1]])
+def test_psd_check_factored_matches_dense(signs):
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    s = np.array(signs, dtype=float)
+    want = psd_check((a * s) @ a.conj().T)
+    got = psd_check_factored(a, s)
+    assert got.is_psd == want.is_psd
+    assert abs(got.min_eigenvalue - want.min_eigenvalue) < 1e-12
+    assert got.min_eigenvalue <= 0.0
 
 
 def test_psd_check_tolerates_roundoff():
