@@ -46,6 +46,7 @@ from .combs import (
     slot_channel,
     validate_comb,
 )
+from .linalg import check_state, is_hermitian
 from .pauli import PAULI_LETTERS, offdiag_mass, pauli_labels, pauli_matrix
 from .pec import SingularNoiseError, decompose_inverse, pec_correct_exact, pec_sample
 from .twirl import (
@@ -287,6 +288,21 @@ def _parse_matrix(arg: str, named: dict, d: int, what: str) -> np.ndarray:
     return m
 
 
+def _parse_state(arg: str, d: int) -> np.ndarray:
+    """An ``--input`` that must be a density matrix of the d-level system."""
+    rho = _parse_matrix(arg, _STATES, d, "input state")
+    check_state(rho, "input state")
+    return rho
+
+
+def _parse_observable(arg: str, d: int) -> np.ndarray:
+    """An ``--observable`` that must be Hermitian on the d-level system."""
+    obs = _parse_matrix(arg, _OBSERVABLES, d, "observable")
+    if not is_hermitian(obs, tol=1e-9):
+        raise ValueError("observable is not Hermitian")
+    return obs
+
+
 def _parse_layer(arg: str) -> Channel:
     if arg.lower() in _UNITARIES:
         return unitary_channel(_UNITARIES[arg.lower()])
@@ -404,8 +420,8 @@ def cmd_pec(args) -> int:
     comb, _, _, _ = load_spec(args.spec)
     decomp = decompose_inverse(comb)
     layers = _resolve_layers(args, comb)
-    rho = _parse_matrix(args.input, _STATES, comb.d_sys, "input state")
-    obs = _parse_matrix(args.observable, _OBSERVABLES, comb.d_sys, "observable")
+    rho = _parse_state(args.input, comb.d_sys)
+    obs = _parse_observable(args.observable, comb.d_sys)
     ideal_state = rho
     for lay in layers:
         ideal_state = apply(lay, ideal_state)
@@ -440,8 +456,7 @@ def _write_alpha_csv(path: str, decomp) -> None:
     for idx in np.flatnonzero(flat):
         combo = np.unravel_index(idx, shape)
         lines.append(",".join(names[c] for c in combo) + f",{float(flat[idx])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def cmd_vcp(args) -> int:
@@ -459,7 +474,7 @@ def cmd_vcp(args) -> int:
                 raise CliError("--spec2 must be an env_model or pauli_correlated spec")
             model2 = env_model_from_pauli_table(table2)
     layers = _resolve_layers(args, comb)
-    rho = _parse_matrix(args.input, _STATES, comb.d_sys, "input state")
+    rho = _parse_state(args.input, comb.d_sys)
     res = vcp_comb(model, model2, layers, rho)
     out = {
         "teeth": comb.teeth,
@@ -497,8 +512,15 @@ def _write_table_csv(path: str, table: PauliDiagTable) -> None:
             ",".join(key)
             + f",{p!r},{p * p / p2!r},{(p + p * p) / (1 + p2)!r}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_oracle(args) -> int:
@@ -506,7 +528,7 @@ def cmd_oracle(args) -> int:
     if model is None:
         raise CliError("the oracle command needs an env_model spec")
     layers = _resolve_layers(args, comb)
-    rho = _parse_matrix(args.input, _STATES, comb.d_sys, "input state")
+    rho = _parse_state(args.input, comb.d_sys)
     direct = simulate_env_model(model, layers, rho)
     via_comb = apply_comb(comb, layers, rho)
     _emit(
@@ -580,6 +602,8 @@ def main(argv=None) -> int:
     try:
         if not (np.isfinite(args.tol) and args.tol > 0):
             raise CliError(f"--tol must be a finite positive number, got {args.tol}")
+        if args.seed < 0:
+            raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -19,9 +19,10 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import Channel, apply, apply_channel_on, random_density_matrix, random_unitary
+from .channels import Channel, apply_channel_on, random_density_matrix, random_unitary
 from .linalg import (
     apply_on,
+    check_state,
     is_hermitian,
     max_entangled,
     partial_trace,
@@ -87,14 +88,7 @@ class EnvModel:
         object.__setattr__(self, "env_init", np.asarray(self.env_init, dtype=complex))
         if self.env_init.shape != (self.d_env, self.d_env):
             raise ValueError("environment state has the wrong shape")
-        rep = psd_check(self.env_init)
-        if not (is_hermitian(self.env_init, tol=1e-9) and rep.is_psd):
-            raise ValueError(
-                f"environment state is not Hermitian and positive "
-                f"(min eigenvalue {rep.min_eigenvalue:.3e})"
-            )
-        if abs(np.trace(self.env_init) - 1.0) > 1e-9:
-            raise ValueError("environment state must have unit trace")
+        check_state(self.env_init, "environment state")
         d = self.d_sys * self.d_env
         for u in self.interactions:
             if u.shape != (d, d):
@@ -272,35 +266,56 @@ def _check_layers(process: Comb | EnvModel, layers) -> list[Channel]:
     return layers
 
 
-def _plug_tensor(comb: Comb) -> np.ndarray:
-    """The comb operator with its indices grouped plug by plug.
+def _close(comb: Comb, first: np.ndarray, slots) -> np.ndarray:
+    """Link product of the comb with stacks of plugs, leading plug first.
 
-    Axes: (in_1 row, in_1 col), then per slot (in_{m+1} row, out_m row,
-    in_{m+1} col, out_m col), then (out_M row, out_M col), each group
-    flattened.  Closing the comb is the link product Tr[C S] with S the
-    transposed plugs, so a state or Choi matrix contracts in as stored.
+    ``first`` is a stack (n_0, d, d) of operators on in_1, and ``slots[m]``
+    a stack (n_{m+1}, d*d, d*d) of operators on the wire pair
+    (out_{m+1}, in_{m+2}), out first, rows then columns.  Closing is
+    Tr[C S] with S the transposed plugs, so a plug's row index meets the
+    comb's row index.  Returns shape (d, d, n_0, ..., n_{M-1}): the out_M
+    row and column, then one axis per stack.  With ``first=None`` in_1
+    stays open and its row and column take the place of n_0.
+
+    in_1 is the slowest wire of the rows and of the columns, so the first
+    stack contracts into the comb as stored, with no copy of the comb.
+    What is left has the next slot's pair as its slowest wires, so each
+    slot stack contracts in the same way, by one tensordot on an operator
+    already d^2 times smaller than the comb.
     """
-    d, m_teeth = comb.d_sys, comb.teeth
-    # Axes 0..2M-1 are the row indices of wires (in_1, out_1, ..., out_M)
-    # and 2M..4M-1 their column indices.
-    rows, cols = list(range(2 * m_teeth)), list(range(2 * m_teeth, 4 * m_teeth))
-    order = [rows[0], cols[0]]
-    for m in range(1, m_teeth):
-        order += [rows[2 * m], rows[2 * m - 1], cols[2 * m], cols[2 * m - 1]]
-    order += [rows[-1], cols[-1]]
-    t = comb.choi_op.reshape((d,) * (4 * m_teeth)).transpose(order)
-    return t.reshape((d * d,) + (d**4,) * (m_teeth - 1) + (d * d,))
+    d = comb.d_sys
+    x = comb.choi_op.shape[0] // d
+    c = comb.choi_op.reshape(d, x, d, x)
+    if first is None:
+        t = c.transpose(1, 3, 0, 2)
+    else:
+        t = np.einsum("aybz,nab->yzn", c, first)
+    for plug in slots:
+        x //= d * d
+        t = t.reshape((d * d, x, d * d, x) + t.shape[2:])
+        t = np.tensordot(t, plug, axes=([0, 2], [1, 2]))
+    return t
+
+
+def _layer_plugs(comb: Comb, layers) -> list[np.ndarray]:
+    """Slot channels as one-plug stacks in :func:`_close` order.
+
+    A Choi matrix lives on (out, in) = (in_{m+2}, out_{m+1}); swapping its
+    two wires on the plug side costs d^4 entries.
+    """
+    d = comb.d_sys
+    return [
+        layer.choi.reshape(1, d, d, d, d).transpose(0, 2, 1, 4, 3).reshape(1, d * d, d * d)
+        for layer in _check_layers(comb, layers)
+    ]
 
 
 def output_channel(comb: Comb, layers) -> Channel:
     """The in_1 to out_M channel obtained by fixing the slot contents."""
-    layers = _check_layers(comb, layers)
     d = comb.d_sys
-    t = _plug_tensor(comb)
-    for layer in layers:
-        t = np.tensordot(t, layer.choi.reshape(-1), axes=(1, 0))
-    # t[(i, j), (a, b)] is the Choi entry for out_M = (a, b), in_1 = (i, j).
-    choi = t.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    t = _close(comb, None, _layer_plugs(comb, layers))
+    # t[a, b, i, j] is the Choi entry for out_M = (a, b), in_1 = (i, j).
+    choi = t.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return Channel(choi=choi, d_in=d, d_out=d)
 
 
@@ -311,9 +326,10 @@ def apply_comb(comb: Comb, layers, rho: np.ndarray) -> np.ndarray:
     based), and the returned density matrix lives on the final output
     wire.
     """
-    if rho.shape != (comb.d_sys, comb.d_sys):
+    d = comb.d_sys
+    if rho.shape != (d, d):
         raise ValueError("input state dimension does not match the comb")
-    return apply(output_channel(comb, layers), rho)
+    return _close(comb, rho[None], _layer_plugs(comb, layers)).reshape(d, d)
 
 
 def simulate_env_model(model: EnvModel, layers, rho: np.ndarray) -> np.ndarray:

@@ -130,9 +130,23 @@ def conjugate_on(rho: np.ndarray, dims, targets, u: np.ndarray) -> np.ndarray:
     return apply_on(half, full, [t + n for t in targets], np.conj(u))
 
 
+# Entries per row block of is_hermitian's deviation (256 kB of complex).
+_HERMITIAN_BLOCK = 16384
+
+
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
+    """``||m - m^dag||_F <= tol * max(||m||_F, 1)``.
+
+    The deviation's squared norm is summed over blocks of rows, so no
+    temporary comes near the size of ``m`` (16 MB for a five-tooth comb).
+    """
     scale = max(np.linalg.norm(m), 1.0)
-    return np.linalg.norm(m - m.conj().T) <= tol * scale
+    rows = max(1, _HERMITIAN_BLOCK // m.shape[-1])
+    sq = 0.0
+    for r in range(0, m.shape[0], rows):
+        diff = m[r : r + rows] - m[:, r : r + rows].conj().T
+        sq += np.vdot(diff, diff).real
+    return bool(np.sqrt(sq) <= tol * scale)
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,19 @@ def psd_check_factored(a: np.ndarray, s: np.ndarray, tol: float = 1e-9) -> PsdRe
     return PsdReport(is_psd=lo >= -tol * scale, min_eigenvalue=lo)
 
 
+def check_state(rho: np.ndarray, what: str, tol: float = 1e-9) -> None:
+    """Raise ValueError unless ``rho`` is a density matrix within ``tol``:
+    Hermitian, positive up to :func:`psd_check`'s slack, and of unit trace."""
+    rep = psd_check(rho, tol=tol)
+    if not (is_hermitian(rho, tol=tol) and rep.is_psd):
+        raise ValueError(
+            f"{what} is not Hermitian and positive "
+            f"(min eigenvalue {rep.min_eigenvalue:.3e})"
+        )
+    if abs(np.trace(rho) - 1.0) > tol:
+        raise ValueError(f"{what} must have unit trace")
+
+
 def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
@@ -183,10 +210,11 @@ def choi_to_superop(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     """Reshuffle a Choi matrix on (out, in) wires into a superoperator.
 
     The superoperator S acts on row-major vectorized matrices,
-    vec(E(rho)) = S vec(rho).
+    vec(E(rho)) = S vec(rho).  Leading axes of ``choi`` index a stack.
     """
-    t = choi.reshape(d_out, d_in, d_out, d_in)
-    return t.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
+    lead = choi.shape[:-2]
+    t = choi.reshape(lead + (d_out, d_in, d_out, d_in))
+    return t.swapaxes(-3, -2).reshape(lead + (d_out * d_out, d_in * d_in))
 
 
 def superop_to_choi(s: np.ndarray, d_in: int, d_out: int) -> np.ndarray:

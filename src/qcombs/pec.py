@@ -24,14 +24,13 @@ import numpy as np
 
 from .channels import (
     Channel,
-    compose,
     from_kraus,
     tensor_channels,
     to_ptm,
     unitary_channel,
 )
-from .combs import Comb, _check_layers, _plug_tensor, choi_channel
-from .linalg import apply_on, partial_trace, permute_wires, psd_check
+from .combs import Comb, _check_layers, _close, choi_channel
+from .linalg import apply_on, choi_to_superop, partial_trace, permute_wires, psd_check
 from .pauli import pauli_matrix
 
 PTM_CONDITION_CUTOFF = 1e10
@@ -279,12 +278,12 @@ def _term_values(
 
     A closed comb's value is Tr[C S] with S the tensor product of the
     plugs, which is multilinear in them: the input state on in_1, the
-    Choi matrix of (layer after operation) on each slot's wires
-    (in_{m+1}, out_m), and the observable seen through the last
-    operation, op^dag(O), on out_M.  Stacking each slot's plug over all
-    operations turns the whole table into one chain of M+1 tensordots
-    costing about M * len(ops) * d^(4M-2) multiply-adds, which keeps
-    M=4-5 teeth and two-qubit systems (256 operations) cheap.
+    map (layer after operation) on each slot's wires (out_m, in_{m+1}),
+    and the observable seen through the last operation, op^dag(O), on
+    out_M.  Stacking each slot's plug over all operations turns the whole
+    table into one closing of the comb, leading plug first, and one last
+    tensordot, which keeps M=4-5 teeth and two-qubit systems
+    (256 operations) cheap.
     """
     ops = _insertion_ops(decomp, insertion)
     layers = _check_layers(comb, layers)
@@ -295,18 +294,26 @@ def _term_values(
                 f"{name} shape {np.shape(mat)} does not match the comb's "
                 f"system dimension {d}"
             )
-    # rho and the Choi matrices enter as stored, while op^dag(O) enters
-    # transposed ("nij" below), as the effect plug on out_M.  Each step
-    # contracts the leading plug axis and appends one axis indexing the
-    # operation inserted at that tooth.
-    values = np.tensordot(rho.reshape(-1), _plug_tensor(comb), axes=(0, 0))
-    for layer in layers:
-        slot = np.array([compose(layer, op).choi.reshape(-1) for op in ops])
-        values = np.tensordot(values, slot, axes=(0, 1))
-    chois = np.array([op.choi.reshape(d, d, d, d) for op in ops])
-    heisenberg = np.einsum("ba,naibj->nij", observable, chois).reshape(len(ops), -1)
-    values = np.tensordot(values, heisenberg, axes=(0, 1))
-    return values.real
+    # Each slot's stack is the layer's superoperator times those of all
+    # operations in one matmul, reshuffled in one transpose from
+    # S[n, (a, b), (i, j)] (out row, out col, in row, in col) to the
+    # comb's plug order (out_m, in_{m+1}) = (i, a) for rows and (j, b)
+    # for columns.  op^dag(O) enters transposed ("nij" below), as the
+    # effect plug on out_M.
+    n = len(ops)
+    chois = np.array([op.choi for op in ops])
+    superops = choi_to_superop(chois, d, d)
+    slots = [
+        (choi_to_superop(layer.choi, d, d) @ superops)
+        .reshape(n, d, d, d, d)
+        .transpose(0, 3, 1, 4, 2)
+        .reshape(n, d * d, d * d)
+        for layer in layers
+    ]
+    values = _close(comb, rho[None], slots)
+    heisenberg = np.einsum("ba,naibj->nij", observable, chois.reshape(n, d, d, d, d))
+    values = np.tensordot(values, heisenberg, axes=([0, 1], [1, 2]))
+    return values.reshape((n,) * comb.teeth).real
 
 
 def pec_correct_exact(

@@ -49,6 +49,18 @@ def _cswap(d: int) -> np.ndarray:
     )
 
 
+def _swap_index(d: int, rest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index that conjugates by :func:`_cswap` as a gather.
+
+    The controlled swap permutes basis states, ``P[i, idx[i]] = 1``, so
+    on (control, main, ancilla) followed by ``rest`` further levels
+    ``P state P^dag`` is ``state[_swap_index(d, rest)]``.
+    """
+    perm = np.argmax(_cswap(d), axis=1)
+    idx = (perm[:, None] * rest + np.arange(rest)).reshape(-1)
+    return np.ix_(idx, idx)
+
+
 def _branches(tau: np.ndarray, d: int) -> VcpResult:
     """Split the control-plus-main state into X-measurement branches."""
     four = tau.reshape(2, d, 2, d)
@@ -84,11 +96,11 @@ def vcp_channel(noise: Channel, rho: np.ndarray, copies: int = 2) -> VcpResult:
         raise ValueError("state dimension does not match the noise")
     dims = [2, d, d]
     state = tensor(np.full((2, 2), 0.5, dtype=complex), rho, np.eye(d) / d)
-    cswap = _cswap(d)
-    state = conjugate_on(state, dims, [0, 1, 2], cswap)
+    swap = _swap_index(d, 1)
+    state = state[swap]
     state = apply_channel_on(state, dims, [1], noise)
     state = apply_channel_on(state, dims, [2], noise)
-    state = conjugate_on(state, dims, [0, 1, 2], cswap)
+    state = state[swap]
     tau = partial_trace(state, dims, keep=[0, 1])
     return _branches(tau, d)
 
@@ -116,17 +128,17 @@ def vcp_comb(
         copy1.env_init,
         copy2.env_init,
     )
-    cswap = _cswap(d)
+    swap = _swap_index(d, copy1.d_env * copy2.d_env)
     scrambler = completely_depolarizing(d)
-    state = conjugate_on(state, dims, [0, 1, 2], cswap)
+    state = state[swap]
     for m in range(copy1.teeth):
         state = conjugate_on(state, dims, [1, 3], copy1.interactions[m])
         state = conjugate_on(state, dims, [2, 4], copy2.interactions[m])
-        state = conjugate_on(state, dims, [0, 1, 2], cswap)
+        state = state[swap]
         if m < len(layers):
             state = apply_channel_on(state, dims, [1], layers[m])
             state = apply_channel_on(state, dims, [2], scrambler)
-            state = conjugate_on(state, dims, [0, 1, 2], cswap)
+            state = state[swap]
     tau = partial_trace(state, dims, keep=[0, 1])
     return _branches(tau, d)
 

@@ -113,6 +113,46 @@ def test_non_finite_or_non_positive_tol_is_exit_2(capsys, tol):
     assert captured.out == ""
 
 
+def test_negative_seed_is_exit_2(capsys):
+    assert main(["--seed", "-1", "twirl", ENV_RANDOM, "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed must be a non-negative integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, spec", [("pec", MARKOVIAN), ("vcp", PAULI)])
+def test_unwritable_csv_is_exit_2(capsys, tmp_path, command, spec):
+    path = tmp_path / "missing" / "out.csv"
+    assert main([command, spec, "--csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+_NEGATIVE_STATE = "[[0.5, 0.5], [0.5, -0.2]]"
+_NOT_POSITIVE = "input state is not Hermitian and positive"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pec", MARKOVIAN, "--input", "[[2, 0], [0, 0]]"], "input state must have unit trace"),
+        (["vcp", PAULI, "--input", _NEGATIVE_STATE], _NOT_POSITIVE),
+        (["oracle", ENV_RANDOM, "--input", _NEGATIVE_STATE], _NOT_POSITIVE),
+        (["oracle", ENV_RANDOM, "--input", "[[0.5, 0.5], [0, 0.5]]"], _NOT_POSITIVE),
+        (["pec", MARKOVIAN, "--observable", "[[0, 1], [0, 0]]"], "observable is not Hermitian"),
+    ],
+    ids=["pec_trace", "vcp_negative", "oracle_negative", "oracle_not_hermitian", "pec_observable"],
+)
+def test_unphysical_input_or_observable_is_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_non_stochastic_table_is_exit_1(capsys):
     spec = json.dumps(
         {"kind": "pauli_correlated", "payload": {"probs": {"I:I": 0.5, "X:X": 0.3}}}

@@ -182,6 +182,30 @@ def test_is_hermitian():
     assert not is_hermitian(h + 1e-6 * 1j * np.eye(4))
 
 
+@pytest.mark.parametrize("n", [1, 4, 37, 600])
+def test_is_hermitian_matches_one_shot_formula(n):
+    """The row-blocked deviation equals ||m - m^dag|| to 1e-12 relative.
+
+    At n=600 the blocks are 27 rows and the last one is ragged.  The
+    verdict is read on both sides of the one-shot ratio, and a matrix
+    whose deviation is twice the tolerance must fail.
+    """
+    rng = np.random.default_rng(n)
+    g = rand_matrix(rng, n)
+    h = g + g.conj().T
+    for m in (h + 1e-3 * rand_matrix(rng, n), rand_matrix(rng, n)):
+        ratio = np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1.0)
+        assert is_hermitian(m, tol=ratio * (1 + 1e-12))
+        assert not is_hermitian(m, tol=ratio * (1 - 1e-12))
+    tol = 1e-9
+    dev = rand_matrix(rng, n)
+    dev -= dev.conj().T
+    near = h + dev * (tol * np.linalg.norm(h) / np.linalg.norm(dev))
+    assert np.linalg.norm(near - near.conj().T) > 1.9 * tol * np.linalg.norm(near)
+    assert not is_hermitian(near, tol=tol)
+    assert is_hermitian(h + (near - h) / 4, tol=tol)
+
+
 def test_psd_check_accepts_and_rejects():
     rng = np.random.default_rng(9)
     g = rand_matrix(rng, 4)
