@@ -266,7 +266,7 @@ def _check_layers(process: Comb | EnvModel, layers) -> list[Channel]:
     return layers
 
 
-def _close(comb: Comb, first: np.ndarray, slots) -> np.ndarray:
+def _close(comb: Comb, first: np.ndarray | None, slots) -> np.ndarray:
     """Link product of the comb with stacks of plugs, leading plug first.
 
     ``first`` is a stack (n_0, d, d) of operators on in_1, and ``slots[m]``
