@@ -48,7 +48,13 @@ from .combs import (
 )
 from .linalg import check_state, is_hermitian
 from .pauli import PAULI_LETTERS, offdiag_mass, pauli_labels, pauli_matrix
-from .pec import SingularNoiseError, decompose_inverse, pec_correct_exact, pec_sample
+from .pec import (
+    SingularNoiseError,
+    _exact_from_table,
+    _sample_from_table,
+    _term_values,
+    decompose_inverse,
+)
 from .twirl import (
     PauliDiagTable,
     comb_from_pauli_table,
@@ -427,7 +433,9 @@ def cmd_pec(args) -> int:
         ideal_state = apply(lay, ideal_state)
     ideal = float(np.trace(obs @ ideal_state).real)
     noisy = float(np.trace(obs @ apply_comb(comb, layers, rho)).real)
-    corrected = pec_correct_exact(comb, decomp, layers, rho, obs)
+    # One term table serves the exact value and the sampled estimate.
+    values = _term_values(comb, decomp, layers, rho, obs, "plain")
+    corrected = _exact_from_table(decomp, values)
     out = {
         "gamma": decomp.gamma,
         "ptm_condition_number": decomp.ptm_condition_number,
@@ -440,7 +448,7 @@ def cmd_pec(args) -> int:
     }
     if args.shots:
         rng = np.random.default_rng(args.seed)
-        est, se = pec_sample(comb, decomp, layers, rho, obs, args.shots, rng)
+        est, se = _sample_from_table(decomp, values, args.shots, rng)
         out["sampled"] = {"estimate": est, "std_error": se, "shots": args.shots}
     if args.csv:
         _write_alpha_csv(args.csv, decomp)
@@ -473,6 +481,8 @@ def cmd_vcp(args) -> int:
             if table2 is None:
                 raise CliError("--spec2 must be an env_model or pauli_correlated spec")
             model2 = env_model_from_pauli_table(table2)
+        if (model2.teeth, model2.d_sys) != (model.teeth, model.d_sys):
+            raise CliError("the two copies must describe the same process shape")
     layers = _resolve_layers(args, comb)
     rho = _parse_state(args.input, comb.d_sys)
     res = vcp_comb(model, model2, layers, rho)

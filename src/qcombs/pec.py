@@ -331,7 +331,11 @@ def pec_correct_exact(
     pattern; with the decomposition of the comb's inverse this cancels
     the noise exactly, up to the numerical residual of the expansion.
     """
-    values = _term_values(comb, decomp, layers, rho, observable, insertion)
+    return _exact_from_table(decomp, _term_values(comb, decomp, layers, rho, observable, insertion))
+
+
+def _exact_from_table(decomp: QuasiProbDecomposition, values: np.ndarray) -> float:
+    """The alpha-weighted sum of a :func:`_term_values` table."""
     return float(np.sum(decomp.alpha * values))
 
 
@@ -356,6 +360,13 @@ def pec_sample(
         raise ValueError("need at least two shots for an error estimate")
     rng = rng or np.random.default_rng()
     values = _term_values(comb, decomp, layers, rho, observable, insertion)
+    return _sample_from_table(decomp, values, shots, rng)
+
+
+def _sample_from_table(
+    decomp: QuasiProbDecomposition, values: np.ndarray, shots: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """:func:`pec_sample` on a table already computed by :func:`_term_values`."""
     flat_alpha = decomp.alpha.reshape(-1)
     flat_values = values.reshape(-1)
     probs = np.abs(flat_alpha)

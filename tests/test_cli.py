@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qcombs import cli, pec
 from qcombs.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -465,6 +466,27 @@ def test_pec_with_layers_and_shots(capsys):
     assert abs(sampled["estimate"] - doc["ideal"]) < 6 * sampled["std_error"]
 
 
+def test_pec_with_shots_computes_the_term_table_once(capsys, monkeypatch):
+    """The exact value and the sampled estimate come from one table and
+    equal what pec_correct_exact and pec_sample return."""
+    calls = []
+
+    def counting_term_values(*args):
+        calls.append(args)
+        return pec._term_values(*args)
+
+    monkeypatch.setattr(cli, "_term_values", counting_term_values)
+    code, doc = run_cli(
+        capsys, "--seed", "3", "pec", MARKOVIAN, "--layer", "h", "--observable", "x", "--shots", "400"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    comb, decomp, layers, rho, obs = calls[0][:5]
+    assert doc["corrected"] == pec.pec_correct_exact(comb, decomp, layers, rho, obs)
+    est, se = pec.pec_sample(comb, decomp, layers, rho, obs, 400, np.random.default_rng(3))
+    assert doc["sampled"] == {"estimate": est, "std_error": se, "shots": 400}
+
+
 def test_pec_csv_output(capsys, tmp_path):
     out = tmp_path / "alpha.csv"
     code, doc = run_cli(capsys, "pec", MARKOVIAN, "--csv", str(out))
@@ -510,6 +532,23 @@ def test_vcp_with_explicit_second_copy(capsys):
 def test_vcp_rejects_markovian_second_copy(capsys):
     assert main(["vcp", PAULI, "--spec2", MARKOVIAN]) == 2
     assert "--spec2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "teeth, d_sys, probs",
+    [(3, 2, {"I:I:I": 0.8, "X:Z:Y": 0.2}), (2, 4, {"II:II": 0.9, "XI:ZZ": 0.1})],
+)
+def test_vcp_second_copy_of_another_shape_is_exit_2(capsys, tmp_path, teeth, d_sys, probs):
+    spec2 = tmp_path / "other.json"
+    spec2.write_text(
+        json.dumps(
+            {"kind": "pauli_correlated", "teeth": teeth, "d_sys": d_sys, "payload": {"probs": probs}}
+        )
+    )
+    assert main(["vcp", PAULI, "--spec2", str(spec2)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the two copies must describe the same process shape\n"
 
 
 def test_vcp_csv_output(capsys, tmp_path):

@@ -1,13 +1,18 @@
 """Tests for virtual purification of channels and combs."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from qcombs import vcp
 from qcombs.channels import identity_channel, pauli_channel, random_channel
 from qcombs.channels import random_density_matrix
+from qcombs.combs import random_env_model, simulate_env_model
 from qcombs.linalg import psd_check
 from qcombs.twirl import PauliDiagTable, env_model_from_pauli_table
-from qcombs.vcp import VcpResult, reference_purified, vcp_channel, vcp_comb
+from qcombs.vcp import VcpResult, _branches, reference_purified, vcp_channel, vcp_comb
+from test_closing import _vcp_comb_ref
 
 RHO = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
 
@@ -24,8 +29,8 @@ def run_fixture(which="virtual"):
     return vcp_comb(model, model, layers, RHO)
 
 
-def random_table(rng, teeth, entries):
-    labels = ["I", "X", "Y", "Z"]
+def random_table(rng, teeth, entries, n_qubits=1):
+    labels = ["".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)]
     keys = set()
     while len(keys) < entries:
         keys.add(tuple(rng.choice(labels) for _ in range(teeth)))
@@ -34,7 +39,7 @@ def random_table(rng, teeth, entries):
     return PauliDiagTable(
         probs={k: float(p) for k, p in zip(sorted(keys), raw)},
         teeth=teeth,
-        n_qubits=1,
+        n_qubits=n_qubits,
     )
 
 
@@ -204,3 +209,79 @@ def test_result_dataclass_fields():
     res = run_fixture()
     assert isinstance(res, VcpResult)
     assert res.p_gap == res.p_plus - res.p_minus
+
+
+# ---------------------------------------------------------------------------
+# control-block decomposition against the full control circuit
+
+
+_COPY_SWEEP = [
+    (teeth, n_sys, strength)
+    for n_sys, max_teeth in ((1, 4), (2, 3))
+    for teeth in range(1, max_teeth + 1)
+    for strength in (0.1, 0.6, None)
+]
+
+
+def _copy_pair(teeth, n_sys, strength):
+    """Two copies of one process shape with one and two environment qubits.
+
+    ``strength=None`` draws Haar interactions.
+    """
+    rng = np.random.default_rng([teeth, n_sys, int(100 * (strength or 0))])
+    copy1, copy2 = (
+        random_env_model(
+            teeth, n_sys_qubits=n_sys, n_env_qubits=n_env, rng=rng, interaction_strength=strength
+        )
+        for n_env in (1, 2)
+    )
+    d = 2**n_sys
+    layers = [random_channel(d, rng=rng) for _ in range(teeth - 1)]
+    return copy1, copy2, layers, random_density_matrix(d, rng)
+
+
+@pytest.mark.parametrize("teeth, n_sys, strength", _COPY_SWEEP)
+def test_vcp_comb_matches_control_circuit(teeth, n_sys, strength):
+    """vcp_comb against the full-state run with the control wire, to 1e-12."""
+    copy1, copy2, layers, rho = _copy_pair(teeth, n_sys, strength)
+    got = vcp_comb(copy1, copy2, layers, rho)
+    want = _vcp_comb_ref(copy1, copy2, layers, rho)
+    assert abs(got.p_plus - want.p_plus) < 1e-12
+    assert abs(got.p_minus - want.p_minus) < 1e-12
+    # The virtual state divides by the gap, so compare it unnormalized.
+    assert np.abs(got.p_gap * got.virtual_state - want.p_gap * want.virtual_state).max() < 1e-12
+    assert np.abs(got.physical_state - want.physical_state).max() < 1e-12
+
+
+def test_vcp_comb_diagonal_blocks_are_single_copy_runs(monkeypatch):
+    """tau's diagonal blocks are half of each copy's own output on rho."""
+    copy1, copy2, layers, rho = _copy_pair(3, 1, None)
+    taus = []
+
+    def recording_branches(tau, d):
+        taus.append(tau)
+        return _branches(tau, d)
+
+    monkeypatch.setattr(vcp, "_branches", recording_branches)
+    vcp_comb(copy1, copy2, layers, rho)
+    four = taus[0].reshape(2, 2, 2, 2)
+    out1 = simulate_env_model(copy1, layers, rho)
+    out2 = simulate_env_model(copy2, layers, rho)
+    assert np.abs(out1 - out2).max() > 1e-3
+    assert np.abs(four[0, :, 0, :] - 0.5 * out1).max() < 1e-14
+    assert np.abs(four[1, :, 1, :] - 0.5 * out2).max() < 1e-14
+    assert np.array_equal(four[1, :, 0, :], four[0, :, 1, :].conj().T)
+
+
+@pytest.mark.parametrize("teeth, n_qubits, entries", [(4, 1, 5), (4, 1, 11), (2, 2, 6), (3, 2, 4)])
+def test_pointer_dilations_of_larger_tables_match_reference(teeth, n_qubits, entries):
+    rng = np.random.default_rng([teeth, n_qubits, entries])
+    table = random_table(rng, teeth, entries, n_qubits)
+    model = env_model_from_pauli_table(table)
+    d = 2**n_qubits
+    layers = [random_channel(d, rng=rng) for _ in range(teeth - 1)]
+    rho = random_density_matrix(d, rng)
+    res = vcp_comb(model, model, layers, rho)
+    for which, got in (("virtual", res.virtual_state), ("physical", res.physical_state)):
+        expected = reference_purified(table, layers, rho, which=which)
+        assert np.abs(got - expected).max() < 1e-12
