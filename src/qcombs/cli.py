@@ -62,10 +62,10 @@ from .twirl import (
     extract_pauli_diag,
     marginals,
     mutual_information,
+    pauli_table,
     product_of_marginals,
     sampled_twirl,
     tv_distance,
-    twirl_comb,
 )
 from .vcp import reference_purified, vcp_comb
 
@@ -398,11 +398,9 @@ def cmd_twirl(args) -> int:
     comb, _, _, _ = load_spec(args.spec)
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        twirled = sampled_twirl(comb, args.samples, rng)
-        table = extract_pauli_diag(twirled, max_offdiag_mass=None)
+        table = extract_pauli_diag(sampled_twirl(comb, args.samples, rng), max_offdiag_mass=None)
     else:
-        twirled = twirl_comb(comb)
-        table = extract_pauli_diag(twirled)
+        table = pauli_table(comb)
     probs = {":".join(k): v for k, v in sorted(table.probs.items()) if v > args.prune}
     margs = [dict(sorted(m.items())) for m in marginals(table)]
     mi = mutual_information(table) if table.teeth == 2 else None
@@ -471,7 +469,7 @@ def cmd_vcp(args) -> int:
     comb, model, table, doc = load_spec(args.spec)
     derived = table is None and model is None
     if derived:
-        table = extract_pauli_diag(twirl_comb(comb))
+        table = pauli_table(comb)
     if model is None:
         model = env_model_from_pauli_table(table)
     model2 = model

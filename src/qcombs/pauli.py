@@ -56,9 +56,12 @@ def pauli_basis(n: int) -> tuple[np.ndarray, ...]:
 _COMMUTE = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float)
 
 
+@lru_cache(maxsize=None)
 def commutation_signs(n: int) -> np.ndarray:
-    """Signs s[a, b] with G_a G_b G_a = s[a, b] G_b, for n-qubit labels."""
-    return reduce(np.kron, [_COMMUTE] * n, np.ones((1, 1)))
+    """Signs s[a, b] with G_a G_b G_a = s[a, b] G_b, for n-qubit labels (read-only)."""
+    signs = reduce(np.kron, [_COMMUTE] * n, np.ones((1, 1)))
+    signs.setflags(write=False)
+    return signs
 
 
 @lru_cache(maxsize=None)
@@ -69,6 +72,22 @@ def _vec_basis(n: int) -> np.ndarray:
     """
     cols = [g.reshape(-1) for g in pauli_basis(n)]
     return np.array(cols, dtype=complex).T
+
+
+@lru_cache(maxsize=None)
+def tooth_kernel(n: int) -> np.ndarray:
+    """Kernel K[(r, c), a] = conj(b[r, a]) b[c, a] of one tooth (read-only).
+
+    ``b`` is :func:`_vec_basis` with its rows in a tooth's (in, out) wire
+    order, ``r`` and ``c`` a row and a column pair of those wires.  K maps
+    the d**4 entries one tooth holds of a comb operator to its 4**n Pauli
+    diagonal terms, and conj(K) maps them back.
+    """
+    d = 2**n
+    b = _vec_basis(n).reshape(d, d, 4**n).transpose(1, 0, 2).reshape(d * d, 4**n)
+    k = (b.conj()[:, None, :] * b[None, :, :]).reshape(d**4, 4**n)
+    k.setflags(write=False)
+    return k
 
 
 def _qubits_from_dim(d_sq: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import log2
 
 import numpy as np
@@ -57,6 +57,13 @@ class BasisOpSet:
         for op in self.ops:
             if op.d_in != d or op.d_out != d:
                 raise ValueError("operation dimension does not match n_qubits")
+
+    @cached_property
+    def ptm_stack(self) -> np.ndarray:
+        """Rows are the flattened transfer matrices of the operations (read-only)."""
+        w = np.array([to_ptm(op).reshape(-1) for op in self.ops])
+        w.setflags(write=False)
+        return w
 
     def __len__(self):
         return len(self.ops)
@@ -143,11 +150,6 @@ class BasisReport:
     condition_number: float
 
 
-def _ptm_stack(basis: BasisOpSet) -> np.ndarray:
-    """Rows are the flattened transfer matrices of the basis operations."""
-    return np.array([to_ptm(op).reshape(-1) for op in basis.ops])
-
-
 def verify_basis_completeness(basis: BasisOpSet) -> BasisReport:
     """Check that the operations are physical and span all maps.
 
@@ -164,7 +166,7 @@ def verify_basis_completeness(basis: BasisOpSet) -> BasisReport:
         excess = psd_check(np.eye(d) - red)
         if not excess.is_psd:
             raise ValueError(f"operation {name} increases the trace")
-    w = _ptm_stack(basis)
+    w = basis.ptm_stack
     svals = np.linalg.svd(w, compute_uv=False)
     rank = int(np.sum(svals > 1e-9 * svals[0]))
     if rank < len(basis):
@@ -226,7 +228,7 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
     order = [ax for m in range(m_teeth) for ax in (m, m + m_teeth)]
     y = t.transpose(order).reshape((q * q,) * m_teeth)
 
-    w = _ptm_stack(basis)
+    w = basis.ptm_stack
     alpha = y
     for ax in range(m_teeth):
         moved = np.moveaxis(alpha, ax, 0)

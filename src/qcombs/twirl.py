@@ -9,6 +9,8 @@ which are classical probability tables over per-tooth Pauli labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, product
 from math import fsum, log2
 
 import numpy as np
@@ -16,7 +18,14 @@ import numpy as np
 from .channels import Channel, apply, from_chi, to_chi
 from .combs import Comb, comb_chi, comb_from_chi
 from .linalg import tensor
-from .pauli import commutation_signs, label_index, offdiag_mass, pauli_basis, pauli_labels
+from .pauli import (
+    commutation_signs,
+    label_index,
+    offdiag_mass,
+    pauli_basis,
+    pauli_labels,
+    tooth_kernel,
+)
 
 _NEG_CLAMP = 1e-10
 _SUM_SLACK = 1e-8
@@ -36,6 +45,24 @@ class PauliDiagTable:
     n_qubits: int
 
     def __post_init__(self):
+        values = list(self.probs.values())
+        if (
+            _keys_fit(self.probs, self.teeth, self.n_qubits)
+            and (low := min(values, default=0.0)) >= -_NEG_CLAMP
+        ):
+            keys = self.probs.keys()
+            clean = list(map(float, values))
+            if low < 0.0:
+                clean = [max(p, 0.0) for p in clean]
+        else:
+            keys, clean = self._check_entries()
+        total = sum(clean)
+        if abs(total - 1.0) > _SUM_SLACK:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        object.__setattr__(self, "probs", dict(zip(keys, (np.array(clean) / total).tolist())))
+
+    def _check_entries(self) -> tuple[list[tuple[str, ...]], list[float]]:
+        """Entry-by-entry check that words the first error in key order."""
         clean = {}
         for key, p in self.probs.items():
             key = tuple(key)
@@ -48,13 +75,30 @@ class PauliDiagTable:
             if p < -_NEG_CLAMP:
                 raise ValueError(f"probability of {key} is negative ({p:.3e})")
             clean[key] = max(float(p), 0.0)
-        total = sum(clean.values())
-        if abs(total - 1.0) > _SUM_SLACK:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", {k: v / total for k, v in clean.items()})
+        return list(clean), list(clean.values())
 
     def prob(self, key: tuple[str, ...]) -> float:
         return self.probs.get(tuple(key), 0.0)
+
+
+@lru_cache(maxsize=None)
+def _label_set(n: int) -> frozenset[str]:
+    return frozenset(pauli_labels(n))
+
+
+def _keys_fit(probs: dict, teeth: int, n: int) -> bool:
+    """Whether every key is a tuple of ``teeth`` n-qubit Pauli labels."""
+    return (
+        set(map(type, probs)) <= {tuple}
+        and set(map(len, probs)) <= {teeth}
+        and _label_set(n).issuperset(chain.from_iterable(probs))
+    )
+
+
+@lru_cache(maxsize=None)
+def _table_keys(teeth: int, n: int) -> tuple[tuple[str, ...], ...]:
+    """Table keys in label-index order: one label per tooth, first tooth slowest."""
+    return tuple(product(pauli_labels(n), repeat=teeth))
 
 
 def _qubits(d_sys: int) -> int:
@@ -62,6 +106,40 @@ def _qubits(d_sys: int) -> int:
     if 2**n != d_sys:
         raise ValueError(f"system dimension {d_sys} is not a power of two")
     return n
+
+
+def _tooth_order(teeth: int) -> list[int]:
+    """Axes (row_1..row_M, col_1..col_M) of tooth wire pairs, as (row_m, col_m) per tooth."""
+    return [ax for m in range(teeth) for ax in (m, m + teeth)]
+
+
+def _pauli_diag(comb: Comb, n: int) -> np.ndarray:
+    """Diagonal of :func:`comb_chi`, contracted tooth by tooth.
+
+    chi[a, a] = sum_xy conj(B[x, a]) J[x, y] B[y, a] / d**(2M) on the
+    channel form J, and B is a Kronecker product over teeth.  One
+    transpose puts each tooth's (in, out) row pair and column pair on one
+    axis of the comb operator, and each axis contracts with
+    :func:`tooth_kernel`.  Complex, as the diagonal of chi is.
+    """
+    q = comb.d_sys**2
+    k = tooth_kernel(n)
+    t = comb.choi_op.reshape((q,) * (2 * comb.teeth)).transpose(_tooth_order(comb.teeth))
+    for _ in range(comb.teeth):
+        # The leading tooth contracts and its Pauli axis joins the end.
+        t = t.reshape(q * q, -1).T @ k
+    return t.reshape(-1) / comb.d_sys ** (2 * comb.teeth)
+
+
+def pauli_table(comb: Comb) -> PauliDiagTable:
+    """The comb's correlated Pauli table, the diagonal of :func:`comb_chi`.
+
+    This is the table of :func:`twirl_comb`'s output, read off the comb
+    tooth by tooth with no process matrix.
+    """
+    n = _qubits(comb.d_sys)
+    probs = dict(zip(_table_keys(comb.teeth, n), _pauli_diag(comb, n).real.tolist()))
+    return PauliDiagTable(probs=probs, teeth=comb.teeth, n_qubits=n)
 
 
 def twirl_comb(comb: Comb) -> Comb:
@@ -72,9 +150,17 @@ def twirl_comb(comb: Comb) -> Comb:
     s(P, a) s(P, b), the signs with which P commutes with G_a and G_b,
     and the mean of that product over all 4**(n*teeth) frames is one on
     the diagonal and zero off it.  So the twirl keeps the diagonal of
-    :func:`comb_chi`.
+    :func:`comb_chi`.  The comb with that diagonal as its process matrix
+    is the reverse of :func:`_pauli_diag`, tooth by tooth with conj(K).
     """
-    return comb_from_chi(np.diag(np.diag(comb_chi(comb))), comb.teeth, comb.d_sys)
+    n, m_teeth, q = _qubits(comb.d_sys), comb.teeth, comb.d_sys**2
+    k_back = tooth_kernel(n).conj().T
+    t = _pauli_diag(comb, n)
+    for _ in range(m_teeth):
+        # The leading Pauli axis expands into its tooth's wire pairs at the end.
+        t = t.reshape(4**n, -1).T @ k_back
+    t = t.reshape((q,) * (2 * m_teeth)).transpose(np.argsort(_tooth_order(m_teeth)))
+    return Comb(choi_op=t.reshape(q**m_teeth, q**m_teeth), teeth=m_teeth, d_sys=comb.d_sys)
 
 
 def sampled_twirl(
@@ -91,7 +177,7 @@ def sampled_twirl(
         raise ValueError("need at least one sample")
     rng = rng or np.random.default_rng()
     n = _qubits(comb.d_sys)
-    draws = np.array([rng.integers(0, 4**n, size=comb.teeth) for _ in range(samples)])
+    draws = rng.integers(0, 4**n, size=(samples, comb.teeth))
     # A frame's label index joins its per-tooth labels in tooth order.
     frames = draws @ (4**n) ** np.arange(comb.teeth - 1, -1, -1)
     counts = np.bincount(frames, minlength=4 ** (n * comb.teeth))
@@ -125,11 +211,7 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
             "twirl the comb first"
         )
     n = _qubits(comb.d_sys)
-    labels = pauli_labels(n * comb.teeth)
-    probs = {}
-    for a, lbl in enumerate(labels):
-        key = tuple(lbl[m * n : (m + 1) * n] for m in range(comb.teeth))
-        probs[key] = float(diag[a])
+    probs = dict(zip(_table_keys(comb.teeth, n), diag.tolist()))
     return PauliDiagTable(probs=probs, teeth=comb.teeth, n_qubits=n)
 
 
