@@ -161,6 +161,14 @@ class CombValidationReport:
         )
 
 
+def _thin_factor(comb: Comb) -> tuple[np.ndarray, np.ndarray] | None:
+    """The comb's factor ``(a, s)`` when it has fewer columns r than the
+    operator has rows, the case in which working from it is cheaper."""
+    if comb.factor is not None and comb.factor[0].shape[1] < comb.choi_op.shape[0]:
+        return comb.factor
+    return None
+
+
 def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     """Check positivity and the trace hierarchy of a comb operator.
 
@@ -172,8 +180,8 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     """
     d, m_teeth = comb.d_sys, comb.teeth
     herm_ok = is_hermitian(comb.choi_op, tol=tol)
-    if comb.factor is not None and comb.factor[0].shape[1] < comb.choi_op.shape[0]:
-        a, s = comb.factor
+    if (factor := _thin_factor(comb)) is not None:
+        a, s = factor
         rep = psd_check_factored(a, s, tol=tol)
         # out_M is the fastest row index of a, so the view a' of shape
         # (D/d, d r) moves it into the columns: Tr_out_M C = a' diag(tile(s, d)) a'^dag.
@@ -310,12 +318,56 @@ def _layer_plugs(comb: Comb, layers) -> list[np.ndarray]:
     ]
 
 
+def _close_factor(
+    a: np.ndarray, s: np.ndarray, d: int, rho: np.ndarray | None, plugs
+) -> np.ndarray:
+    """:func:`_close` of ``a diag(s) a^dag`` with one plug in every place.
+
+    Closing is linear in the comb, so it runs through ``a`` alone:
+
+        out[y, z] = sum_cj s_j X[(c, y), j] conj(a[(c, z), j]),
+        X = (rho^T (x) P_1^T (x) ... (x) P_{M-1}^T (x) I_out_M) a,
+
+    with the plugs transposed as in :func:`_close`, so any plug works.
+    X is built one wire group at a time, leading first: ``rho^T`` on
+    in_1, then each slot plug on the next (out_m, in_{m+1}) pair by one
+    batched matmul, so every intermediate has as many entries as ``a``,
+    and one tensordot with conj(a) sums over c and j.
+
+    With ``rho=None`` in_1 stays open: its row moves next to j among the
+    columns of X and conj(a), so it joins out_M in the result, which is
+    the Choi matrix on (out_M, in_1).  Otherwise it is the state on out_M.
+    """
+    r = a.shape[1]
+    if rho is None:
+        x = a.reshape(d, -1, r).transpose(1, 0, 2).reshape(-1, d * r)
+        a_conj, lead = x.conj(), 1
+    else:
+        x = rho.T @ a.reshape(d, -1)
+        a_conj, lead = a.conj(), d
+    for plug in plugs:
+        x = np.matmul(plug[0].T, x.reshape(lead, d * d, -1))
+        lead *= d * d
+    # Axes: the wires closed on both sides, the open ones (out_M, then
+    # in_1 when it is open) and the factor's columns.
+    shape = (a_conj.shape[0] // d, -1, r)
+    return np.tensordot(x.reshape(shape) * s, a_conj.reshape(shape), axes=([0, 2], [0, 2]))
+
+
 def output_channel(comb: Comb, layers) -> Channel:
-    """The in_1 to out_M channel obtained by fixing the slot contents."""
+    """The in_1 to out_M channel obtained by fixing the slot contents.
+
+    A comb with a thin factor closes through it (:func:`_close_factor`),
+    every other comb through the dense operator (:func:`_close`).
+    """
     d = comb.d_sys
-    t = _close(comb, None, _layer_plugs(comb, layers))
-    # t[a, b, i, j] is the Choi entry for out_M = (a, b), in_1 = (i, j).
-    choi = t.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    plugs = _layer_plugs(comb, layers)
+    if (factor := _thin_factor(comb)) is not None:
+        choi = _close_factor(*factor, d, None, plugs)
+    else:
+        # t[a, b, i, j] is the Choi entry for out_M = (a, b), in_1 = (i, j).
+        t = _close(comb, None, plugs)
+        choi = t.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     return Channel(choi=choi, d_in=d, d_out=d)
 
 
@@ -324,12 +376,15 @@ def apply_comb(comb: Comb, layers, rho: np.ndarray) -> np.ndarray:
 
     ``layers[m]`` is inserted between out_{m+1} and in_{m+2} (zero
     based), and the returned density matrix lives on the final output
-    wire.
+    wire.  The comb closes as in :func:`output_channel`.
     """
     d = comb.d_sys
     if rho.shape != (d, d):
         raise ValueError("input state dimension does not match the comb")
-    return _close(comb, rho[None], _layer_plugs(comb, layers)).reshape(d, d)
+    plugs = _layer_plugs(comb, layers)
+    if (factor := _thin_factor(comb)) is not None:
+        return _close_factor(*factor, d, rho, plugs)
+    return _close(comb, rho[None], plugs).reshape(d, d)
 
 
 def simulate_env_model(model: EnvModel, layers, rho: np.ndarray) -> np.ndarray:

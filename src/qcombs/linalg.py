@@ -14,10 +14,18 @@ import numpy as np
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of any number of matrices (left factor slowest)."""
+    """Kronecker product of any number of matrices (left factor slowest).
+
+    Each factor joins as the outer product that ``np.kron`` forms, so the
+    entries are bit for bit those of ``np.kron``, without its per-call
+    shape handling.
+    """
     out = np.array([[1.0 + 0j]])
     for op in ops:
-        out = np.kron(out, op)
+        op = np.asarray(op)
+        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(
+            out.shape[0] * op.shape[0], out.shape[1] * op.shape[1]
+        )
     return out
 
 

@@ -151,16 +151,27 @@ def twirl_comb(comb: Comb) -> Comb:
     and the mean of that product over all 4**(n*teeth) frames is one on
     the diagonal and zero off it.  So the twirl keeps the diagonal of
     :func:`comb_chi`.  The comb with that diagonal as its process matrix
-    is the reverse of :func:`_pauli_diag`, tooth by tooth with conj(K).
+    is the reverse of :func:`_pauli_diag` (:func:`_comb_from_diag`).
     """
-    n, m_teeth, q = _qubits(comb.d_sys), comb.teeth, comb.d_sys**2
+    n = _qubits(comb.d_sys)
+    return _comb_from_diag(_pauli_diag(comb, n), comb.teeth, n)
+
+
+def _comb_from_diag(p: np.ndarray, teeth: int, n: int) -> Comb:
+    """The comb whose channel form has the diagonal process matrix diag(p).
+
+    The reverse of :func:`_pauli_diag`, tooth by tooth with conj(K), so
+    no process matrix is formed; the same as ``comb_from_chi(np.diag(p))``
+    up to roundoff.
+    """
+    q = 4**n  # Pauli labels per tooth, and entries of a tooth's wire pair
     k_back = tooth_kernel(n).conj().T
-    t = _pauli_diag(comb, n)
-    for _ in range(m_teeth):
+    t = p
+    for _ in range(teeth):
         # The leading Pauli axis expands into its tooth's wire pairs at the end.
-        t = t.reshape(4**n, -1).T @ k_back
-    t = t.reshape((q,) * (2 * m_teeth)).transpose(np.argsort(_tooth_order(m_teeth)))
-    return Comb(choi_op=t.reshape(q**m_teeth, q**m_teeth), teeth=m_teeth, d_sys=comb.d_sys)
+        t = t.reshape(q, -1).T @ k_back
+    t = t.reshape((q,) * (2 * teeth)).transpose(np.argsort(_tooth_order(teeth)))
+    return Comb(choi_op=t.reshape(q**teeth, q**teeth), teeth=teeth, d_sys=2**n)
 
 
 def sampled_twirl(
@@ -200,17 +211,21 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
     Raises ValueError when the comb's process matrix carries more
     off-diagonal weight than ``max_offdiag_mass``, since then the comb
     is not a correlated Pauli process and the diagonal is not the whole
-    story.
+    story.  With ``max_offdiag_mass=None`` nothing is checked and the
+    diagonal is read tooth by tooth, as :func:`pauli_table` does.
     """
-    chi = comb_chi(comb)
-    diag = np.real(np.diag(chi))
-    off_mass = offdiag_mass(chi)
-    if max_offdiag_mass is not None and off_mass > max_offdiag_mass:
-        raise ValueError(
-            f"process matrix has off-diagonal mass {off_mass:.3e}; "
-            "twirl the comb first"
-        )
     n = _qubits(comb.d_sys)
+    if max_offdiag_mass is None:
+        diag = _pauli_diag(comb, n).real
+    else:
+        chi = comb_chi(comb)
+        diag = np.real(np.diag(chi))
+        off_mass = offdiag_mass(chi)
+        if off_mass > max_offdiag_mass:
+            raise ValueError(
+                f"process matrix has off-diagonal mass {off_mass:.3e}; "
+                "twirl the comb first"
+            )
     probs = dict(zip(_table_keys(comb.teeth, n), diag.tolist()))
     return PauliDiagTable(probs=probs, teeth=comb.teeth, n_qubits=n)
 
@@ -224,7 +239,7 @@ def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
     p = np.zeros(4 ** (table.n_qubits * table.teeth))
     for key, w in table.probs.items():
         p[label_index("".join(key))] = w
-    return comb_from_chi(np.diag(p), table.teeth, 2**table.n_qubits)
+    return _comb_from_diag(p, table.teeth, table.n_qubits)
 
 
 def env_model_from_pauli_table(table: PauliDiagTable):

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,26 @@ def test_tensor_single_factor():
     rng = np.random.default_rng(1)
     a = rand_matrix(rng, 4)
     assert np.allclose(tensor(a), a)
+
+
+_RNG = np.random.default_rng(2)
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        [_RNG.standard_normal((2, 2)), _RNG.standard_normal((3, 3))],
+        [rand_matrix(_RNG, 2), rand_matrix(_RNG, 3), rand_matrix(_RNG, 2)],
+        [_RNG.standard_normal((2, 3)), rand_matrix(_RNG, 2), _RNG.standard_normal((1, 4))],
+        [np.zeros((0, 3)), rand_matrix(_RNG, 2)],
+        [rand_matrix(_RNG, 2), np.zeros((2, 0))],
+    ],
+    ids=["real", "complex", "rectangular", "empty-rows", "empty-columns"],
+)
+def test_tensor_equals_kron_chain_bit_for_bit(ops):
+    got = tensor(*ops)
+    assert got.dtype == complex
+    assert np.array_equal(got, reduce(np.kron, ops))
 
 
 def test_max_entangled_entries():

@@ -12,6 +12,7 @@ from qcombs.pauli import commutation_signs, pauli_labels, tooth_kernel
 from qcombs.pec import decompose_inverse, default_basis, verify_basis_completeness
 from qcombs.twirl import (
     PauliDiagTable,
+    comb_from_pauli_table,
     extract_pauli_diag,
     pauli_table,
     sampled_twirl,
@@ -69,6 +70,23 @@ def test_tooth_path_matches_process_matrix(m, n_sys, strength):
     twirled = twirl_comb(comb)
     assert (twirled.teeth, twirled.d_sys) == (m, comb.d_sys)
     assert np.abs(twirled.choi_op - _chi_mask_twirl(comb).choi_op).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, n_sys, strength", TOOTH_CASES)
+def test_table_comb_and_unguarded_read_match_process_matrix(m, n_sys, strength):
+    """comb_from_pauli_table and extract_pauli_diag(max_offdiag_mass=None)
+    against the process-matrix paths they replaced."""
+    comb = _comb(m, n_sys, strength)
+    table = pauli_table(comb)
+    p = np.array(list(table.probs.values()))
+    built = comb_from_pauli_table(table)
+    assert (built.teeth, built.d_sys) == (m, comb.d_sys)
+    assert np.abs(built.choi_op - comb_from_chi(np.diag(p), m, comb.d_sys).choi_op).max() < 1e-12
+
+    unguarded = extract_pauli_diag(comb, max_offdiag_mass=None)
+    guarded = extract_pauli_diag(comb, max_offdiag_mass=np.inf)
+    assert unguarded.probs.keys() == guarded.probs.keys()
+    assert max(abs(unguarded.probs[k] - guarded.probs[k]) for k in guarded.probs) < 1e-12
 
 
 def test_pauli_table_is_the_table_of_the_twirled_comb():
