@@ -340,7 +340,11 @@ def _emit(doc) -> None:
 def cmd_validate(args) -> int:
     comb, _, _, doc = load_spec(args.spec)
     report = validate_comb(comb, tol=args.tol)
-    trace = float(np.trace(comb.choi_op).real)
+    if comb.factor is None:
+        trace = float(np.trace(comb.choi_op).real)
+    else:
+        # The diagonal of a diag(s) a^dag is |a|^2 @ s.
+        trace = float(np.sum(np.abs(comb.factor[0]) ** 2 @ comb.factor[1]))
     _emit(
         {
             "kind": doc["kind"],

@@ -19,13 +19,12 @@ from functools import reduce
 
 import numpy as np
 
-from .channels import Channel, apply_channel_on, random_density_matrix, random_unitary
+from .channels import Channel, random_density_matrix, random_unitary
 from .linalg import (
     apply_on,
     check_state,
     is_hermitian,
     max_entangled,
-    partial_trace,
     permute_wires,
     psd_check,
     psd_check_factored,
@@ -34,35 +33,44 @@ from .linalg import (
 from .pauli import chi_from_choi, choi_from_chi
 
 
-@dataclass(frozen=True, eq=False)
 class Comb:
     """A deterministic quantum process with ``teeth`` interventions slots.
 
     ``choi_op`` lives on wires (in_1, out_1, ..., in_M, out_M), leftmost
     slowest, every wire of dimension ``d_sys``.  ``factor``, when given,
     is a pair ``(a, s)`` with ``a`` of shape (d_sys**(2M), r) and real
-    signs ``s`` of length r such that ``choi_op = a diag(s) a^dag``.
+    signs ``s`` of length r such that ``choi_op = a diag(s) a^dag``, so
+    the operator is Hermitian by construction.  A comb given only its
+    factor derives ``choi_op`` on first access and keeps it.
     """
 
-    choi_op: np.ndarray
-    teeth: int
-    d_sys: int
-    factor: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __post_init__(self):
-        d = self.d_sys ** (2 * self.teeth)
-        if self.choi_op.shape != (d, d):
+    def __init__(self, choi_op: np.ndarray | None = None, *, teeth: int, d_sys: int,
+                 factor: tuple[np.ndarray, np.ndarray] | None = None):
+        self.teeth, self.d_sys, self.factor, self._choi_op = teeth, d_sys, factor, choi_op
+        d = d_sys ** (2 * teeth)
+        if choi_op is None and factor is None:
+            raise ValueError("a comb needs its operator or its factor")
+        if choi_op is not None and choi_op.shape != (d, d):
             raise ValueError(
-                f"comb operator shape {self.choi_op.shape} does not match "
-                f"{self.teeth} teeth of dimension {self.d_sys}"
+                f"comb operator shape {choi_op.shape} does not match "
+                f"{teeth} teeth of dimension {d_sys}"
             )
-        if self.factor is not None:
-            a, s = self.factor
+        if factor is not None:
+            a, s = factor
             if a.ndim != 2 or a.shape[0] != d or s.shape != (a.shape[1],):
                 raise ValueError(
                     f"comb factor shapes {a.shape} and {s.shape} do not match "
                     f"a ({d}, r) factor with r signs"
                 )
+            if np.iscomplexobj(s):
+                raise ValueError("comb factor signs must be real")
+
+    @property
+    def choi_op(self) -> np.ndarray:
+        if self._choi_op is None:
+            a, s = self.factor
+            self._choi_op = (a * s) @ a.conj().T
+        return self._choi_op
 
     @property
     def wire_dims(self) -> list[int]:
@@ -112,7 +120,8 @@ def comb_from_env_model(model: EnvModel, validate: bool = True) -> Comb:
     matrix product ``a diag(sign w) a^dag``, with ``a`` the vector viewed
     as wires by (environment, purifier); the signs reproduce exactly an
     ``env_init`` whose eigenvalues dip below zero within tolerance.  The
-    pair ``(a, sign)`` stays on the comb as its ``factor``.
+    pair ``(a, sign)`` is the comb's ``factor``; the dense operator is
+    only formed if something asks for ``choi_op``.
     """
     d, de, m_teeth = model.d_sys, model.d_env, model.teeth
     w, v = np.linalg.eigh(model.env_init)
@@ -122,8 +131,7 @@ def comb_from_env_model(model: EnvModel, validate: bool = True) -> Comb:
     for m, u in enumerate(model.interactions):
         psi = apply_on(psi, dims, [2 * m + 1, 2 * m_teeth], u)
     a = psi.reshape(d ** (2 * m_teeth), de * de)
-    s = np.tile(np.sign(w), de)
-    comb = Comb(choi_op=(a * s) @ a.conj().T, teeth=m_teeth, d_sys=d, factor=(a, s))
+    comb = Comb(teeth=m_teeth, d_sys=d, factor=(a, np.tile(np.sign(w), de)))
     if validate:
         report = validate_comb(comb)
         if not report.passes:
@@ -164,9 +172,41 @@ class CombValidationReport:
 def _thin_factor(comb: Comb) -> tuple[np.ndarray, np.ndarray] | None:
     """The comb's factor ``(a, s)`` when it has fewer columns r than the
     operator has rows, the case in which working from it is cheaper."""
-    if comb.factor is not None and comb.factor[0].shape[1] < comb.choi_op.shape[0]:
+    if comb.factor is not None and comb.factor[0].shape[1] < comb.d_sys ** (2 * comb.teeth):
         return comb.factor
     return None
+
+
+def _trace_last(m: np.ndarray, d: int) -> np.ndarray:
+    """Partial trace of a square operator over its fastest wire, of size d."""
+    n = m.shape[0] // d
+    return np.trace(m.reshape(n, d, n, d), axis1=1, axis2=3)
+
+
+def _level_residual(traced: np.ndarray, lower: np.ndarray, d: int) -> float:
+    """``||traced - lower (x) I_d|| / max(||traced||, 1)``, Frobenius norms."""
+    n = lower.shape[0]
+    diff = traced.reshape(n, d, n, d) - lower[:, None, :, None] * np.eye(d)[None, :, None, :]
+    return float(np.linalg.norm(diff) / max(np.linalg.norm(traced), 1.0))
+
+
+def _factor_residual(a2: np.ndarray, sig: np.ndarray, d: int) -> float:
+    """Level residual of a reduction ``T = A diag(sig) A^dag`` given by a thin view.
+
+    ``a2`` is A with its fastest row wire, in_m, moved into the columns,
+    so ``L = a2 diag(tile(sig, d)) a2^dag / d`` is the next reduction.
+    T - L (x) I lives on the span of ``a2 (x) I``, whose orthonormal basis
+    is ``Q (x) I`` for the thin QR ``a2 = Q R``, so its Frobenius norm is
+    that of the core ``(Q (x) I)^dag (T - L (x) I) (Q (x) I)``.  In that
+    basis T is ``B diag(sig) B^dag`` with B the view of R whose rows take
+    in_m back, and L is ``R diag(tile(sig, d)) R^dag / d``.  The core is
+    formed entry by entry, never as the difference of two squared norms,
+    which would cancel catastrophically.
+    """
+    r = np.linalg.qr(a2, mode="r")
+    b = r.reshape(r.shape[0] * d, -1)
+    traced = (b * sig) @ b.conj().T
+    return _level_residual(traced, (r * np.tile(sig, d)) @ r.conj().T / d, d)
 
 
 def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
@@ -175,30 +215,38 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     The residual at level m measures, relative to the operator norm
     scale, how far Tr_out_m[C^(m)] is from C^(m-1) (x) I.  A comb whose
     factor has fewer columns r than the operator has rows takes its
-    spectrum and its top reduction from the factor; every other comb
-    uses the dense operator.
+    spectrum from the factor, and each level from it while the level's
+    own factor is thin (:func:`_factor_residual`); the first level that
+    is not is formed from the factor.  Every other comb starts from the
+    dense operator.  Dense levels trace one wire at a time.  A factor's
+    real signs make the comb Hermitian, so only a comb without one is
+    checked for it.
     """
-    d, m_teeth = comb.d_sys, comb.teeth
-    herm_ok = is_hermitian(comb.choi_op, tol=tol)
+    d, m = comb.d_sys, comb.teeth
+    herm_ok = comb.factor is not None or is_hermitian(comb.choi_op, tol=tol)
+    residuals = []
     if (factor := _thin_factor(comb)) is not None:
         a, s = factor
         rep = psd_check_factored(a, s, tol=tol)
-        # out_M is the fastest row index of a, so the view a' of shape
-        # (D/d, d r) moves it into the columns: Tr_out_M C = a' diag(tile(s, d)) a'^dag.
-        a_top = a.reshape(-1, d * a.shape[1])
-        traced = (a_top * np.tile(s, d)) @ a_top.conj().T
+        # Tr_out_m C^(m) is A diag(sig) A^dag with A the view of a whose
+        # rows are the first 2m-1 wires; sig starts at the top as tile(s, d).
+        sig = np.tile(s, d)
+        while d * sig.size < d ** (2 * m - 2):
+            residuals.append(_factor_residual(a.reshape(d ** (2 * m - 2), -1), sig, d))
+            sig = np.tile(sig, d * d) / d
+            m -= 1
+        a_m = a.reshape(d ** (2 * m - 1), -1)
+        traced = (a_m * sig) @ a_m.conj().T
     else:
         rep = psd_check(comb.choi_op, tol=tol)
-        traced = partial_trace(comb.choi_op, comb.wire_dims, keep=range(2 * m_teeth - 1))
-    residuals = []
-    for m in range(m_teeth, 0, -1):
-        lower = partial_trace(traced, [d] * (2 * m - 1), keep=range(2 * m - 2)) / d
-        # At the bottom the reduction must be exactly the identity, which
-        # also pins the overall normalization Tr = d**teeth.
-        expected = tensor(lower, np.eye(d)) if m > 1 else np.eye(d)
-        diff = np.linalg.norm(traced - expected) / max(np.linalg.norm(traced), 1.0)
-        residuals.append(float(diff))
-        traced = partial_trace(lower, [d] * (2 * m - 2), keep=range(2 * m - 3))
+        traced = _trace_last(comb.choi_op, d)
+    for m in range(m, 1, -1):
+        lower = _trace_last(traced, d) / d
+        residuals.append(_level_residual(traced, lower, d))
+        traced = _trace_last(lower, d)
+    # At the bottom the reduction must be exactly the identity, which
+    # also pins the overall normalization Tr = d**teeth.
+    residuals.append(_level_residual(traced, np.ones((1, 1)), d))
     residuals.reverse()
     passes = bool(herm_ok and rep.is_psd and all(r <= tol for r in residuals))
     return CombValidationReport(
@@ -392,17 +440,20 @@ def simulate_env_model(model: EnvModel, layers, rho: np.ndarray) -> np.ndarray:
 
     This bypasses the comb machinery entirely: the joint system plus
     environment state is evolved unitary by unitary, slot channels act
-    on the system wire in between, and the environment is discarded at
-    the end.
+    on the system wire in between, each as one contraction of its Choi
+    matrix with the state's system row and column, and the environment
+    is traced out at the end.
     """
     layers = _check_layers(model, layers)
-    dims = [model.d_sys, model.d_env]
+    d, de = model.d_sys, model.d_env
     state = tensor(rho, model.env_init)
     for m, u in enumerate(model.interactions):
         state = u @ state @ u.conj().T
         if m < len(layers):
-            state = apply_channel_on(state, dims, [0], layers[m])
-    return partial_trace(state, dims, keep=[0])
+            choi = layers[m].choi.reshape(d, d, d, d)
+            state = np.einsum("aibj,iejf->aebf", choi, state.reshape(d, de, d, de))
+            state = state.reshape(d * de, d * de)
+    return np.trace(state.reshape(d, de, d, de), axis1=1, axis2=3)
 
 
 def random_env_model(

@@ -95,22 +95,6 @@ def permutation_matrix(dims, perm) -> np.ndarray:
     return t.transpose(perm + list(range(n, 2 * n))).reshape(d, d)
 
 
-def embed(op: np.ndarray, dims, targets) -> np.ndarray:
-    """Extend ``op`` acting on the wires ``targets`` by identity elsewhere.
-
-    ``targets`` lists the wires op acts on, in the order op expects them.
-    The result carries the wires in their original order.
-    """
-    dims = list(dims)
-    targets = list(targets)
-    rest = [i for i in range(len(dims)) if i not in targets]
-    big = tensor(op, np.eye(prod(dims[i] for i in rest) if rest else 1))
-    cur = targets + rest
-    cur_dims = [dims[i] for i in cur]
-    perm = [cur.index(i) for i in range(len(dims))]
-    return permute_wires(big, cur_dims, perm)
-
-
 def apply_on(m: np.ndarray, dims, axes, op: np.ndarray) -> np.ndarray:
     """``op @ x`` on the listed axes of ``m`` viewed with axis sizes ``dims``.
 

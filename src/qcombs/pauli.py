@@ -75,16 +75,25 @@ def _vec_basis(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def tooth_basis(n: int) -> np.ndarray:
+    """:func:`_vec_basis` with its rows in a tooth's (in, out) wire order (read-only)."""
+    d = 2**n
+    b = _vec_basis(n).reshape(d, d, 4**n).transpose(1, 0, 2).reshape(d * d, 4**n)
+    b.setflags(write=False)
+    return b
+
+
+@lru_cache(maxsize=None)
 def tooth_kernel(n: int) -> np.ndarray:
     """Kernel K[(r, c), a] = conj(b[r, a]) b[c, a] of one tooth (read-only).
 
-    ``b`` is :func:`_vec_basis` with its rows in a tooth's (in, out) wire
-    order, ``r`` and ``c`` a row and a column pair of those wires.  K maps
-    the d**4 entries one tooth holds of a comb operator to its 4**n Pauli
-    diagonal terms, and conj(K) maps them back.
+    ``b`` is :func:`tooth_basis`, ``r`` and ``c`` a row and a column pair
+    of a tooth's wires.  K maps the d**4 entries one tooth holds of a
+    comb operator to its 4**n Pauli diagonal terms, and conj(K) maps them
+    back.
     """
     d = 2**n
-    b = _vec_basis(n).reshape(d, d, 4**n).transpose(1, 0, 2).reshape(d * d, 4**n)
+    b = tooth_basis(n)
     k = (b.conj()[:, None, :] * b[None, :, :]).reshape(d**4, 4**n)
     k.setflags(write=False)
     return k

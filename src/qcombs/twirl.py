@@ -16,7 +16,7 @@ from math import fsum, log2
 import numpy as np
 
 from .channels import Channel, apply, from_chi, to_chi
-from .combs import Comb, comb_chi, comb_from_chi
+from .combs import Comb, _thin_factor, comb_chi, comb_from_chi
 from .linalg import tensor
 from .pauli import (
     commutation_signs,
@@ -24,6 +24,7 @@ from .pauli import (
     offdiag_mass,
     pauli_basis,
     pauli_labels,
+    tooth_basis,
     tooth_kernel,
 )
 
@@ -101,6 +102,12 @@ def _table_keys(teeth: int, n: int) -> tuple[tuple[str, ...], ...]:
     return tuple(product(pauli_labels(n), repeat=teeth))
 
 
+@lru_cache(maxsize=None)
+def _key_index(teeth: int, n: int) -> dict[tuple[str, ...], int]:
+    """Position of every table key in :func:`_table_keys` order, its label index."""
+    return {key: i for i, key in enumerate(_table_keys(teeth, n))}
+
+
 def _qubits(d_sys: int) -> int:
     n = int(log2(d_sys))
     if 2**n != d_sys:
@@ -121,8 +128,21 @@ def _pauli_diag(comb: Comb, n: int) -> np.ndarray:
     transpose puts each tooth's (in, out) row pair and column pair on one
     axis of the comb operator, and each axis contracts with
     :func:`tooth_kernel`.  Complex, as the diagonal of chi is.
+
+    A comb with a thin factor ``J = a diag(s) a^dag`` reads it from ``a``
+    alone: with ã the contraction of each tooth's row pair of every
+    column of ``a`` with conj(b) (:func:`tooth_basis`), the diagonal is
+    the real ``(|ã|^2 @ s) / d**(2M)``.
     """
     q = comb.d_sys**2
+    if (factor := _thin_factor(comb)) is not None:
+        a, s = factor
+        b = tooth_basis(n).conj()
+        for _ in range(comb.teeth):
+            # The leading tooth contracts and its Pauli axis joins the end.
+            a = a.reshape(q, -1).T @ b
+        a = a.reshape(s.size, -1)
+        return s @ (a.real**2 + a.imag**2) / comb.d_sys ** (2 * comb.teeth)
     k = tooth_kernel(n)
     t = comb.choi_op.reshape((q,) * (2 * comb.teeth)).transpose(_tooth_order(comb.teeth))
     for _ in range(comb.teeth):
@@ -212,20 +232,19 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
     off-diagonal weight than ``max_offdiag_mass``, since then the comb
     is not a correlated Pauli process and the diagonal is not the whole
     story.  With ``max_offdiag_mass=None`` nothing is checked and the
-    diagonal is read tooth by tooth, as :func:`pauli_table` does.
+    table is :func:`pauli_table`'s.
     """
-    n = _qubits(comb.d_sys)
     if max_offdiag_mass is None:
-        diag = _pauli_diag(comb, n).real
-    else:
-        chi = comb_chi(comb)
-        diag = np.real(np.diag(chi))
-        off_mass = offdiag_mass(chi)
-        if off_mass > max_offdiag_mass:
-            raise ValueError(
-                f"process matrix has off-diagonal mass {off_mass:.3e}; "
-                "twirl the comb first"
-            )
+        return pauli_table(comb)
+    n = _qubits(comb.d_sys)
+    chi = comb_chi(comb)
+    diag = np.real(np.diag(chi))
+    off_mass = offdiag_mass(chi)
+    if off_mass > max_offdiag_mass:
+        raise ValueError(
+            f"process matrix has off-diagonal mass {off_mass:.3e}; "
+            "twirl the comb first"
+        )
     probs = dict(zip(_table_keys(comb.teeth, n), diag.tolist()))
     return PauliDiagTable(probs=probs, teeth=comb.teeth, n_qubits=n)
 
@@ -236,9 +255,9 @@ def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
     Its channel form has a diagonal process matrix holding the table's
     probabilities, indexed by the per-tooth labels joined in tooth order.
     """
+    index = _key_index(table.teeth, table.n_qubits)
     p = np.zeros(4 ** (table.n_qubits * table.teeth))
-    for key, w in table.probs.items():
-        p[label_index("".join(key))] = w
+    p[[index[key] for key in table.probs]] = list(table.probs.values())
     return _comb_from_diag(p, table.teeth, table.n_qubits)
 
 

@@ -21,7 +21,8 @@ from qcombs.channels import (
     from_ptm,
     unitary_channel,
 )
-from qcombs.linalg import embed, tensor
+from dense_reference import embed
+from qcombs.linalg import tensor
 from qcombs.pauli import pauli_basis
 
 

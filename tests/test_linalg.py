@@ -3,11 +3,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from dense_reference import embed
 from qcombs.linalg import (
     apply_on,
     choi_to_superop,
     conjugate_on,
-    embed,
     is_hermitian,
     max_entangled,
     partial_trace,
