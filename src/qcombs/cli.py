@@ -47,7 +47,7 @@ from .combs import (
     validate_comb,
 )
 from .linalg import check_state, is_hermitian
-from .pauli import PAULI_LETTERS, offdiag_mass, pauli_labels, pauli_matrix
+from .pauli import PAULI_LETTERS, offdiag_mass, pauli_labels, pauli_matrix, qubit_count
 from .pec import (
     SingularNoiseError,
     _exact_from_table,
@@ -58,8 +58,6 @@ from .pec import (
 from .twirl import (
     PauliDiagTable,
     comb_from_pauli_table,
-    env_model_from_pauli_table,
-    extract_pauli_diag,
     marginals,
     mutual_information,
     pauli_table,
@@ -269,8 +267,11 @@ def load_spec(arg: str):
         if not teeth:
             first = next(iter(payload["probs"]))
             teeth = len(first.split(":"))
-        n_qubits = d_sys.bit_length() - 1
-        if d_sys < 2 or 2**n_qubits != d_sys:
+        try:
+            n_qubits = qubit_count(d_sys)
+        except ValueError:
+            n_qubits = 0
+        if n_qubits == 0:
             raise CliError(f"pauli_correlated d_sys must be a power of two, got {d_sys}")
         table = _table_from_payload(payload, teeth, n_qubits)
         return comb_from_pauli_table(table), None, table, doc
@@ -380,7 +381,7 @@ def cmd_choi(args) -> int:
 def cmd_chi(args) -> int:
     comb, _, _, _ = load_spec(args.spec)
     chi = comb_chi(comb)
-    n_total = int(np.log2(comb.d_sys)) * comb.teeth
+    n_total = qubit_count(comb.d_sys) * comb.teeth
     diag = np.real(np.diag(chi))
     off = offdiag_mass(chi)
     _emit(
@@ -402,7 +403,7 @@ def cmd_twirl(args) -> int:
     comb, _, _, _ = load_spec(args.spec)
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        table = extract_pauli_diag(sampled_twirl(comb, args.samples, rng), max_offdiag_mass=None)
+        table = pauli_table(sampled_twirl(comb, args.samples, rng))
     else:
         table = pauli_table(comb)
     probs = {":".join(k): v for k, v in sorted(table.probs.items()) if v > args.prune}
@@ -474,20 +475,19 @@ def cmd_vcp(args) -> int:
     derived = table is None and model is None
     if derived:
         table = pauli_table(comb)
-    if model is None:
-        model = env_model_from_pauli_table(table)
-    model2 = model
+        comb = comb_from_pauli_table(table)
+    # A dilation runs as itself, a table as its comb.
+    copy1 = copy2 = comb if model is None else model
     if args.spec2:
-        _, model2, table2, _ = load_spec(args.spec2)
-        if model2 is None:
-            if table2 is None:
-                raise CliError("--spec2 must be an env_model or pauli_correlated spec")
-            model2 = env_model_from_pauli_table(table2)
-        if (model2.teeth, model2.d_sys) != (model.teeth, model.d_sys):
+        comb2, model2, table2, _ = load_spec(args.spec2)
+        if model2 is None and table2 is None:
+            raise CliError("--spec2 must be an env_model or pauli_correlated spec")
+        copy2 = comb2 if model2 is None else model2
+        if (comb2.teeth, comb2.d_sys) != (comb.teeth, comb.d_sys):
             raise CliError("the two copies must describe the same process shape")
     layers = _resolve_layers(args, comb)
     rho = _parse_state(args.input, comb.d_sys)
-    res = vcp_comb(model, model2, layers, rho)
+    res = vcp_comb(copy1, copy2, layers, rho)
     out = {
         "teeth": comb.teeth,
         "d_sys": comb.d_sys,

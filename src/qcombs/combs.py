@@ -367,39 +367,41 @@ def _layer_plugs(comb: Comb, layers) -> list[np.ndarray]:
 
 
 def _close_factor(
-    a: np.ndarray, s: np.ndarray, d: int, rho: np.ndarray | None, plugs
+    a: np.ndarray, s: np.ndarray, d: int, rho: np.ndarray | None, plugs,
+    b: np.ndarray | None = None,
 ) -> np.ndarray:
-    """:func:`_close` of ``a diag(s) a^dag`` with one plug in every place.
+    """:func:`_close` of ``a diag(s) b^dag`` with one plug in every place.
 
-    Closing is linear in the comb, so it runs through ``a`` alone:
+    ``b`` defaults to ``a``.  Closing is linear in the comb, so it runs
+    through the two factors alone:
 
-        out[y, z] = sum_cj s_j X[(c, y), j] conj(a[(c, z), j]),
+        out[y, z] = sum_cj s_j X[(c, y), j] conj(b[(c, z), j]),
         X = (rho^T (x) P_1^T (x) ... (x) P_{M-1}^T (x) I_out_M) a,
 
     with the plugs transposed as in :func:`_close`, so any plug works.
     X is built one wire group at a time, leading first: ``rho^T`` on
     in_1, then each slot plug on the next (out_m, in_{m+1}) pair by one
     batched matmul, so every intermediate has as many entries as ``a``,
-    and one tensordot with conj(a) sums over c and j.
+    and one tensordot with conj(b) sums over c and j.
 
     With ``rho=None`` in_1 stays open: its row moves next to j among the
-    columns of X and conj(a), so it joins out_M in the result, which is
+    columns of X and conj(b), so it joins out_M in the result, which is
     the Choi matrix on (out_M, in_1).  Otherwise it is the state on out_M.
     """
     r = a.shape[1]
+    b = a if b is None else b
     if rho is None:
-        x = a.reshape(d, -1, r).transpose(1, 0, 2).reshape(-1, d * r)
-        a_conj, lead = x.conj(), 1
+        x, b = (f.reshape(d, -1, r).transpose(1, 0, 2).reshape(-1, d * r) for f in (a, b))
+        lead = 1
     else:
-        x = rho.T @ a.reshape(d, -1)
-        a_conj, lead = a.conj(), d
+        x, lead = rho.T @ a.reshape(d, -1), d
     for plug in plugs:
         x = np.matmul(plug[0].T, x.reshape(lead, d * d, -1))
         lead *= d * d
     # Axes: the wires closed on both sides, the open ones (out_M, then
     # in_1 when it is open) and the factor's columns.
-    shape = (a_conj.shape[0] // d, -1, r)
-    return np.tensordot(x.reshape(shape) * s, a_conj.reshape(shape), axes=([0, 2], [0, 2]))
+    shape = (b.shape[0] // d, -1, r)
+    return np.tensordot(x.reshape(shape) * s, b.conj().reshape(shape), axes=([0, 2], [0, 2]))
 
 
 def output_channel(comb: Comb, layers) -> Channel:

@@ -82,19 +82,6 @@ def permute_wires(m: np.ndarray, dims, perm) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def permutation_matrix(dims, perm) -> np.ndarray:
-    """Unitary sending |j_0 .. j_{n-1}> to |j_{perm[0]} .. j_{perm[n-1]}>.
-
-    Conjugating by this matrix agrees with :func:`permute_wires`.
-    """
-    dims = list(dims)
-    perm = list(perm)
-    n = len(dims)
-    d = prod(dims)
-    t = np.eye(d).reshape(dims + dims)
-    return t.transpose(perm + list(range(n, 2 * n))).reshape(d, d)
-
-
 def apply_on(m: np.ndarray, dims, axes, op: np.ndarray) -> np.ndarray:
     """``op @ x`` on the listed axes of ``m`` viewed with axis sizes ``dims``.
 

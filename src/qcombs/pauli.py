@@ -99,14 +99,19 @@ def tooth_kernel(n: int) -> np.ndarray:
     return k
 
 
+def qubit_count(d: int) -> int:
+    """The number of qubits n with 2**n == d; ValueError for any other d."""
+    n = int(d).bit_length() - 1
+    if 2**n != d:
+        raise ValueError(f"dimension {d} is not a power of two; only qubit systems are supported")
+    return n
+
+
 def _qubits_from_dim(d_sq: int) -> int:
     d = isqrt(d_sq)
     if d * d != d_sq:
         raise ValueError(f"matrix size {d_sq} is not a perfect square")
-    n = d.bit_length() - 1
-    if 2**n != d:
-        raise ValueError(f"dimension {d} is not a power of two")
-    return n
+    return qubit_count(d)
 
 
 def chi_from_choi(choi: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import log2
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .channels import (
 )
 from .combs import Comb, _check_layers, _close, choi_channel
 from .linalg import apply_on, choi_to_superop, partial_trace, permute_wires, psd_check
-from .pauli import pauli_matrix
+from .pauli import pauli_matrix, qubit_count
 
 PTM_CONDITION_CUTOFF = 1e10
 SINGULAR_VALUE_FLOOR = 1e-10
@@ -203,9 +202,7 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
     axis.  Raises SingularNoiseError when the noise is too close to
     singular for the inverse to mean anything.
     """
-    n = int(log2(comb.d_sys))
-    if 2**n != comb.d_sys:
-        raise ValueError("quasi-probability expansion needs qubit systems")
+    n = qubit_count(comb.d_sys)
     basis = basis or default_basis(n)
     r = to_ptm(choi_channel(comb))
     svals = np.linalg.svd(r, compute_uv=False)

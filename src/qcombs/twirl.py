@@ -16,14 +16,14 @@ from math import fsum, log2
 import numpy as np
 
 from .channels import Channel, apply, from_chi, to_chi
-from .combs import Comb, _thin_factor, comb_chi, comb_from_chi
-from .linalg import tensor
+from .combs import Comb, EnvModel, _thin_factor, comb_chi, comb_from_chi
 from .pauli import (
     commutation_signs,
     label_index,
     offdiag_mass,
     pauli_basis,
     pauli_labels,
+    qubit_count,
     tooth_basis,
     tooth_kernel,
 )
@@ -108,13 +108,6 @@ def _key_index(teeth: int, n: int) -> dict[tuple[str, ...], int]:
     return {key: i for i, key in enumerate(_table_keys(teeth, n))}
 
 
-def _qubits(d_sys: int) -> int:
-    n = int(log2(d_sys))
-    if 2**n != d_sys:
-        raise ValueError(f"system dimension {d_sys} is not a power of two")
-    return n
-
-
 def _tooth_order(teeth: int) -> list[int]:
     """Axes (row_1..row_M, col_1..col_M) of tooth wire pairs, as (row_m, col_m) per tooth."""
     return [ax for m in range(teeth) for ax in (m, m + teeth)]
@@ -157,7 +150,7 @@ def pauli_table(comb: Comb) -> PauliDiagTable:
     This is the table of :func:`twirl_comb`'s output, read off the comb
     tooth by tooth with no process matrix.
     """
-    n = _qubits(comb.d_sys)
+    n = qubit_count(comb.d_sys)
     probs = dict(zip(_table_keys(comb.teeth, n), _pauli_diag(comb, n).real.tolist()))
     return PauliDiagTable(probs=probs, teeth=comb.teeth, n_qubits=n)
 
@@ -173,7 +166,7 @@ def twirl_comb(comb: Comb) -> Comb:
     :func:`comb_chi`.  The comb with that diagonal as its process matrix
     is the reverse of :func:`_pauli_diag` (:func:`_comb_from_diag`).
     """
-    n = _qubits(comb.d_sys)
+    n = qubit_count(comb.d_sys)
     return _comb_from_diag(_pauli_diag(comb, n), comb.teeth, n)
 
 
@@ -207,7 +200,7 @@ def sampled_twirl(
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = rng or np.random.default_rng()
-    n = _qubits(comb.d_sys)
+    n = qubit_count(comb.d_sys)
     draws = rng.integers(0, 4**n, size=(samples, comb.teeth))
     # A frame's label index joins its per-tooth labels in tooth order.
     frames = draws @ (4**n) ** np.arange(comb.teeth - 1, -1, -1)
@@ -236,7 +229,7 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
     """
     if max_offdiag_mass is None:
         return pauli_table(comb)
-    n = _qubits(comb.d_sys)
+    n = qubit_count(comb.d_sys)
     chi = comb_chi(comb)
     diag = np.real(np.diag(chi))
     off_mass = offdiag_mass(chi)
@@ -261,28 +254,25 @@ def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
     return _comb_from_diag(p, table.teeth, table.n_qubits)
 
 
-def env_model_from_pauli_table(table: PauliDiagTable):
+def env_model_from_pauli_table(table: PauliDiagTable) -> EnvModel:
     """Dilation of a correlated Pauli process with a pointer environment.
 
     The environment holds one basis state per table entry, prepared with
     the table weights, and each interaction applies the entry's Pauli to
-    the system controlled on the pointer.
+    the system controlled on the pointer: ``sum_k P_k (x) |k><k|``, each
+    tooth filled by one indexed assignment of its Paulis.
     """
-    from .combs import EnvModel
-
     keys = sorted(table.probs)
     d_env = len(keys)
     d_sys = 2**table.n_qubits
     env_init = np.diag([table.probs[k] for k in keys]).astype(complex)
-    singles = pauli_basis(table.n_qubits)
+    singles = np.array(pauli_basis(table.n_qubits))
+    pointer = np.arange(d_env)
     interactions = []
     for m in range(table.teeth):
-        u = np.zeros((d_sys * d_env, d_sys * d_env), dtype=complex)
-        for k, key in enumerate(keys):
-            point = np.zeros((d_env, d_env))
-            point[k, k] = 1.0
-            u += tensor(singles[label_index(key[m])], point)
-        interactions.append(u)
+        u = np.zeros((d_sys, d_env, d_sys, d_env), dtype=complex)
+        u[:, pointer, :, pointer] = singles[[label_index(key[m]) for key in keys]]
+        interactions.append(u.reshape(d_sys * d_env, d_sys * d_env))
     return EnvModel(
         d_sys=d_sys, d_env=d_env, env_init=env_init, interactions=tuple(interactions)
     )

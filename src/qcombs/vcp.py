@@ -11,9 +11,10 @@ signal shrinking with the purity of the error distribution.
 
 :func:`vcp_comb` simulates that circuit one block of the control qubit
 at a time: the two diagonal blocks are single-copy runs, and only the
-coherence between them evolves both copies together, on main and both
-environments, with the ancilla summed out tooth by tooth.
-:func:`vcp_channel` runs the one-tooth circuit as a dense state.
+coherence between them evolves both copies together.  For two combs it
+is the closing of their product comb; two dilations evolve it on main and
+both environments, with the ancilla summed out tooth by tooth.
+:func:`vcp_channel` is the one-tooth case.
 """
 
 from __future__ import annotations
@@ -22,9 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply_channel_on
-from .combs import EnvModel, _check_layers, simulate_env_model
-from .linalg import choi_to_superop, partial_trace, permutation_matrix, tensor
+from .channels import Channel
+from .combs import (
+    Comb,
+    EnvModel,
+    _check_layers,
+    _close_factor,
+    _layer_plugs,
+    _thin_factor,
+    apply_comb,
+    comb_from_env_model,
+    markovian_comb,
+    simulate_env_model,
+)
+from .linalg import choi_to_superop
 from .twirl import PauliDiagTable, _pauli_mixture
 
 
@@ -46,25 +58,6 @@ class VcpResult:
     def p_gap(self) -> float:
         """p_plus - p_minus, the collision probability of the errors."""
         return self.p_plus - self.p_minus
-
-
-def _cswap(d: int) -> np.ndarray:
-    swap = permutation_matrix([d, d], [1, 0])
-    return tensor(np.diag([1.0, 0.0]), np.eye(d * d)) + tensor(
-        np.diag([0.0, 1.0]), swap
-    )
-
-
-def _swap_index(d: int, rest: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index that conjugates by :func:`_cswap` as a gather.
-
-    The controlled swap permutes basis states, ``P[i, idx[i]] = 1``, so
-    on (control, main, ancilla) followed by ``rest`` further levels
-    ``P state P^dag`` is ``state[_swap_index(d, rest)]``.
-    """
-    perm = np.argmax(_cswap(d), axis=1)
-    idx = (perm[:, None] * rest + np.arange(rest)).reshape(-1)
-    return np.ix_(idx, idx)
 
 
 def _branches(tau: np.ndarray, d: int) -> VcpResult:
@@ -91,32 +84,23 @@ def vcp_channel(noise: Channel, rho: np.ndarray, copies: int = 2) -> VcpResult:
     """Purify a single noise channel acting once on a state.
 
     The control conditionally swaps main and ancilla before and after
-    one application of the noise to each register.
+    one application of the noise to each register: :func:`vcp_comb` with
+    the one-tooth comb of the noise as both copies.
     """
     if copies != 2:
         raise ValueError("only the two-copy protocol is implemented")
-    d = noise.d_in
-    if noise.d_out != d:
+    if noise.d_out != noise.d_in:
         raise ValueError("noise must preserve the system dimension")
-    if rho.shape != (d, d):
-        raise ValueError("state dimension does not match the noise")
-    dims = [2, d, d]
-    state = tensor(np.full((2, 2), 0.5, dtype=complex), rho, np.eye(d) / d)
-    swap = _swap_index(d, 1)
-    state = state[swap]
-    state = apply_channel_on(state, dims, [1], noise)
-    state = apply_channel_on(state, dims, [2], noise)
-    state = state[swap]
-    tau = partial_trace(state, dims, keep=[0, 1])
-    return _branches(tau, d)
+    comb = markovian_comb([noise])
+    return vcp_comb(comb, comb, [], rho)
 
 
 def vcp_comb(
-    copy1: EnvModel, copy2: EnvModel, layers, rho: np.ndarray
+    copy1: Comb | EnvModel, copy2: Comb | EnvModel, layers, rho: np.ndarray
 ) -> VcpResult:
-    """Purify a correlated noise process given two dilated copies.
+    """Purify a correlated noise process given two copies, combs or dilations.
 
-    Both copies keep their own environment for the whole run.  The slot
+    Both copies keep their own memory for the whole run.  The slot
     channels act on the main register while the ancilla is depolarized,
     and the conditional swaps bracket every tooth.
 
@@ -125,24 +109,52 @@ def vcp_comb(
     with a control wire is formed.  ``sigma_00`` never swaps and
     ``sigma_11`` swaps on both sides, so, traced down to the main
     register, they are half of copy 1's and half of copy 2's own output
-    on ``rho`` (:func:`simulate_env_model`).  Only the coherence block
-    ``sigma_01`` needs the two copies together (:func:`_coherence`), and
-    ``sigma_10`` is its adjoint.
+    on ``rho``.  Only the coherence block ``sigma_01`` needs the two
+    copies together, and ``sigma_10`` is its adjoint.  Two dilations
+    evolve it on both environments (:func:`_coherence`).  Any other pair
+    runs as two combs, a dilation taken as its comb, and the block closes
+    their product (:func:`_product_coherence`).
     """
     if copy1.d_sys != copy2.d_sys or copy1.teeth != copy2.teeth:
         raise ValueError("the two copies must describe the same process shape")
     d = copy1.d_sys
     if rho.shape != (d, d):
         raise ValueError("state dimension does not match the process")
-    layers = _check_layers(copy1, layers)
-    t01 = _coherence(copy1, copy2, layers, rho)
-    tau = 0.5 * np.block(
-        [
-            [simulate_env_model(copy1, layers, rho), t01],
-            [t01.conj().T, simulate_env_model(copy2, layers, rho)],
-        ]
-    )
+    if isinstance(copy1, EnvModel) and isinstance(copy2, EnvModel):
+        layers = _check_layers(copy1, layers)
+        t00, t11 = (simulate_env_model(c, layers, rho) for c in (copy1, copy2))
+        t01 = _coherence(copy1, copy2, layers, rho)
+    else:
+        c1, c2 = (c if isinstance(c, Comb) else comb_from_env_model(c, validate=False)
+                  for c in (copy1, copy2))
+        t00, t11 = (apply_comb(c, layers, rho) for c in (c1, c2))
+        t01 = _product_coherence(c1, c2, layers, rho)
+    tau = 0.5 * np.block([[t00, t01], [t01.conj().T, t11]])
     return _branches(tau, d)
+
+
+def _product_coherence(c1: Comb, c2: Comb, layers, rho: np.ndarray) -> np.ndarray:
+    """The coherence block ``2 sigma_01`` of :func:`vcp_comb` from two combs.
+
+    Traced down to the main register, the rows of ``sigma_01`` run copy 1
+    and its columns copy 2.  On the ancilla, maximally mixed when a tooth
+    starts and traced out when it ends, the sides are the other way round,
+    so the ancilla joins copy 1's column indices to copy 2's row indices:
+    on in_m with weight 1/d, on out_m by the trace.  That is the matrix
+    product ``C1 C2 / d**M``, closed with the same input and slots on
+    the row and column indices left open.  Two thin factors close it
+    through ``a1 diag(s1) (a1^dag a2) / d**M`` on the left and ``a2`` on
+    the right (:func:`_close_factor`), any other pair as the dense
+    product (:func:`apply_comb`).
+    """
+    d, scale = c1.d_sys, c1.d_sys**c1.teeth
+    f1, f2 = _thin_factor(c1), _thin_factor(c2)
+    if f1 is None or f2 is None:
+        product = Comb(choi_op=c1.choi_op @ c2.choi_op / scale, teeth=c1.teeth, d_sys=d)
+        return apply_comb(product, layers, rho)
+    (a1, s1), (a2, s2) = f1, f2
+    a = a1 @ (s1[:, None] * (a1.conj().T @ a2)) / scale
+    return _close_factor(a, s2, d, rho, _layer_plugs(c1, layers), b=a2)
 
 
 def _coherence(copy1: EnvModel, copy2: EnvModel, layers, rho: np.ndarray) -> np.ndarray:

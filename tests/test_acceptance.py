@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_reference import permutation_matrix
 from qcombs.channels import (
     apply,
     apply_channel_on,
@@ -43,7 +44,6 @@ from qcombs.combs import (
 from qcombs.linalg import (
     max_entangled,
     partial_trace,
-    permutation_matrix,
     tensor,
     trace_distance,
 )

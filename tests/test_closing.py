@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import _cswap, _swap_index
 from qcombs.channels import (
     Channel,
     apply,
@@ -30,7 +31,7 @@ from qcombs.combs import (
 )
 from qcombs.linalg import conjugate_on, partial_trace, tensor
 from qcombs.pec import QuasiProbDecomposition, _term_values, default_basis, pec_correct_exact
-from qcombs.vcp import _branches, _cswap, _swap_index, vcp_channel, vcp_comb
+from qcombs.vcp import _branches, vcp_channel, vcp_comb
 
 
 def _plug_tensor(comb: Comb) -> np.ndarray:

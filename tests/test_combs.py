@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import permutation_matrix
 from qcombs.channels import (
     apply,
     compose,
@@ -31,7 +32,6 @@ from qcombs.linalg import (
     conjugate_on,
     max_entangled,
     partial_trace,
-    permutation_matrix,
     permute_wires,
     tensor,
 )

@@ -3,7 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dense_reference import embed
+from dense_reference import embed, permutation_matrix
 from qcombs.linalg import (
     apply_on,
     choi_to_superop,
@@ -11,7 +11,6 @@ from qcombs.linalg import (
     is_hermitian,
     max_entangled,
     partial_trace,
-    permutation_matrix,
     permute_wires,
     psd_check,
     psd_check_factored,
