@@ -247,11 +247,26 @@ def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
 
     Its channel form has a diagonal process matrix holding the table's
     probabilities, indexed by the per-tooth labels joined in tooth order.
+    The operator is ``sum_k p_k v_k v_k^dag`` with ``v_k`` the Kronecker
+    product over teeth of the entry's Pauli as a tooth vector
+    (:func:`tooth_basis`), so a table with fewer nonzero entries than the
+    operator has rows also carries the factor ``(v, p)``, one column per
+    entry, through which the comb closes and purifies.
     """
-    index = _key_index(table.teeth, table.n_qubits)
-    p = np.zeros(4 ** (table.n_qubits * table.teeth))
+    n, teeth = table.n_qubits, table.teeth
+    index = _key_index(teeth, n)
+    p = np.zeros(4 ** (n * teeth))
     p[[index[key] for key in table.probs]] = list(table.probs.values())
-    return _comb_from_diag(p, table.teeth, table.n_qubits)
+    comb = _comb_from_diag(p, teeth, n)
+    (nonzero,) = np.nonzero(p)
+    if nonzero.size < p.size:
+        b = tooth_basis(n)
+        labels = np.unravel_index(nonzero, (4**n,) * teeth)
+        a = b[:, labels[0]]
+        for m in range(1, teeth):
+            a = (a[:, None, :] * b[:, labels[m]][None, :, :]).reshape(-1, nonzero.size)
+        comb = Comb(choi_op=comb.choi_op, teeth=teeth, d_sys=2**n, factor=(a, p[nonzero]))
+    return comb
 
 
 def env_model_from_pauli_table(table: PauliDiagTable) -> EnvModel:

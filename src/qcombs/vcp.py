@@ -28,6 +28,7 @@ from .combs import (
     Comb,
     EnvModel,
     _check_layers,
+    _close,
     _close_factor,
     _layer_plugs,
     _thin_factor,
@@ -120,8 +121,8 @@ def vcp_comb(
     d = copy1.d_sys
     if rho.shape != (d, d):
         raise ValueError("state dimension does not match the process")
+    layers = _check_layers(copy1, layers)
     if isinstance(copy1, EnvModel) and isinstance(copy2, EnvModel):
-        layers = _check_layers(copy1, layers)
         t00, t11 = (simulate_env_model(c, layers, rho) for c in (copy1, copy2))
         t01 = _coherence(copy1, copy2, layers, rho)
     else:
@@ -142,19 +143,25 @@ def _product_coherence(c1: Comb, c2: Comb, layers, rho: np.ndarray) -> np.ndarra
     so the ancilla joins copy 1's column indices to copy 2's row indices:
     on in_m with weight 1/d, on out_m by the trace.  That is the matrix
     product ``C1 C2 / d**M``, closed with the same input and slots on
-    the row and column indices left open.  Two thin factors close it
-    through ``a1 diag(s1) (a1^dag a2) / d**M`` on the left and ``a2`` on
-    the right (:func:`_close_factor`), any other pair as the dense
-    product (:func:`apply_comb`).
+    the row and column indices left open.  A thin factor on either side
+    closes it through factors (:func:`_close_factor`): with ``a2`` the
+    right factor is ``a2`` and the left one ``C1 a2 / d**M``, formed from
+    ``a1`` when copy 1 is thin too; with only ``a1`` the left factor is
+    ``a1`` and the right one ``C2^dag a1 / d**M``.  Two dense copies close
+    the dense product (:func:`_close`).
     """
     d, scale = c1.d_sys, c1.d_sys**c1.teeth
     f1, f2 = _thin_factor(c1), _thin_factor(c2)
-    if f1 is None or f2 is None:
-        product = Comb(choi_op=c1.choi_op @ c2.choi_op / scale, teeth=c1.teeth, d_sys=d)
-        return apply_comb(product, layers, rho)
-    (a1, s1), (a2, s2) = f1, f2
-    a = a1 @ (s1[:, None] * (a1.conj().T @ a2)) / scale
-    return _close_factor(a, s2, d, rho, _layer_plugs(c1, layers), b=a2)
+    plugs = _layer_plugs(c1, layers)
+    if f2 is not None:
+        a2, s2 = f2
+        left = c1.choi_op @ a2 if f1 is None else f1[0] @ (f1[1][:, None] * (f1[0].conj().T @ a2))
+        return _close_factor(left / scale, s2, d, rho, plugs, b=a2)
+    if f1 is not None:
+        a1, s1 = f1
+        return _close_factor(a1, s1, d, rho, plugs, b=c2.choi_op.conj().T @ a1 / scale)
+    product = Comb(choi_op=c1.choi_op @ c2.choi_op / scale, teeth=c1.teeth, d_sys=d)
+    return _close(product, rho[None], plugs).reshape(d, d)
 
 
 def _coherence(copy1: EnvModel, copy2: EnvModel, layers, rho: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Two-copy purification of combs: the coherence block as the product comb.
 
 ``vcp_comb`` on two combs closes ``C1 C2 / d**M`` for the coherence
-block, through the factors when both are thin and through the dense
+block, through the factors when either is thin and through the dense
 product otherwise.  These tests hold that route against the dilation
 route (two ``EnvModel`` copies), the full control-circuit reference and
 the closed form for Pauli tables, and check that the CLI purifies tables
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcombs import cli, twirl
+from qcombs import cli, twirl, vcp
 from qcombs.channels import random_channel, random_density_matrix
 from qcombs.combs import Comb, comb_from_env_model, random_env_model
 from qcombs.linalg import tensor
@@ -112,8 +112,55 @@ def test_thin_factors_close_without_the_dense_product(monkeypatch):
     _assert_unnormalised_close(vcp_comb(f1, f2, layers, rho), want, 1e-12)
 
 
+def test_one_thin_copy_closes_without_the_dense_product(monkeypatch):
+    """A thin copy beside a dense one closes through factors on either side."""
+    rng = np.random.default_rng(9)
+    m1, m2 = (random_env_model(3, rng=rng, interaction_strength=0.3) for _ in range(2))
+    f1, f2 = comb_from_env_model(m1, validate=False), comb_from_env_model(m2, validate=False)
+    layers = [random_channel(2, rng=rng) for _ in range(2)]
+    rho = random_density_matrix(2, rng)
+    want = vcp_comb(m1, m2, layers, rho)
+
+    def refuse(*args):
+        raise AssertionError("the dense product was closed")
+
+    monkeypatch.setattr(vcp, "_close", refuse)
+    for pair in ((f1, _dense(f2)), (_dense(f1), f2)):
+        _assert_unnormalised_close(vcp_comb(*pair, layers, rho), want, 1e-12)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_comb_copies_take_layers_from_a_generator(dense):
+    rng = np.random.default_rng(10)
+    m1, m2 = (random_env_model(3, rng=rng, interaction_strength=0.3) for _ in range(2))
+    c1, c2 = (comb_from_env_model(m, validate=False) for m in (m1, m2))
+    if dense:
+        c1, c2 = _dense(c1), _dense(c2)
+    layers = [random_channel(2, rng=rng) for _ in range(2)]
+    rho = random_density_matrix(2, rng)
+    got = vcp_comb(c1, c2, (layer for layer in layers), rho)
+    _assert_unnormalised_close(got, vcp_comb(m1, m2, layers, rho), 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Pauli tables as combs
+
+
+@pytest.mark.parametrize("teeth, n", [(1, 1), (2, 1), (4, 1), (1, 2), (2, 2)])
+def test_table_combs_carry_a_factor_per_nonzero_entry(teeth, n):
+    """A sparse table's comb holds one factor column per nonzero entry,
+    which reproduces its operator; a full table's comb holds none."""
+    rng = np.random.default_rng([teeth, n, 2])
+    full = _random_table(rng, teeth, n)
+    assert comb_from_pauli_table(full).factor is None
+    table = _random_table(rng, teeth, n, entries=3)
+    zero = next(k for k in full.probs if k not in table.probs)
+    table = PauliDiagTable(probs={**table.probs, zero: 0.0}, teeth=teeth, n_qubits=n)
+    comb = comb_from_pauli_table(table)
+    a, s = comb.factor
+    assert a.shape == (4 ** (n * teeth), 3)
+    assert sorted(s) == sorted(p for p in table.probs.values() if p)
+    assert np.abs((a * s) @ a.conj().T - comb.choi_op).max() < 1e-15
 
 
 def _random_table(rng, teeth, n, entries=None):
@@ -209,6 +256,17 @@ def test_cli_purifies_three_tooth_markovian_spec(capsys, tmp_path):
     p = 1 - 0.1 * 3 / 4  # each tooth keeps I with this weight and splits the rest
     assert doc["p_gap"] == pytest.approx((p**2 + 3 * ((1 - p) / 3) ** 2) ** 3, abs=1e-12)
     assert elapsed < 1.0
+
+
+def test_cli_purifies_sparse_tables_through_their_factors(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the dense product was closed")
+
+    monkeypatch.setattr(vcp, "_close", refuse)
+    code = cli.main(["vcp", str(FIXTURES / "pauli_correlated.json"), "--input", "plus"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert max(doc["reference_errors"].values()) <= 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["pauli_correlated", "markovian_depol", "choi_explicit"])
