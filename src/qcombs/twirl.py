@@ -247,11 +247,10 @@ def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
 
     Its channel form has a diagonal process matrix holding the table's
     probabilities, indexed by the per-tooth labels joined in tooth order.
-    The operator is ``sum_k p_k v_k v_k^dag`` with ``v_k`` the Kronecker
-    product over teeth of the entry's Pauli as a tooth vector
-    (:func:`tooth_basis`), so a table with fewer nonzero entries than the
-    operator has rows also carries the factor ``(v, p)``, one column per
-    entry, through which the comb closes and purifies.
+    A table with fewer nonzero entries than the operator has rows also
+    carries the factor ``(v, p)``: one column ``v_k`` per entry, the
+    Kronecker product over teeth of its Paulis as tooth vectors
+    (:func:`tooth_basis`), with the entry's probability as its sign.
     """
     n, teeth = table.n_qubits, table.teeth
     index = _key_index(teeth, n)
@@ -259,14 +258,12 @@ def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
     p[[index[key] for key in table.probs]] = list(table.probs.values())
     comb = _comb_from_diag(p, teeth, n)
     (nonzero,) = np.nonzero(p)
-    if nonzero.size < p.size:
-        b = tooth_basis(n)
-        labels = np.unravel_index(nonzero, (4**n,) * teeth)
-        a = b[:, labels[0]]
-        for m in range(1, teeth):
-            a = (a[:, None, :] * b[:, labels[m]][None, :, :]).reshape(-1, nonzero.size)
-        comb = Comb(choi_op=comb.choi_op, teeth=teeth, d_sys=2**n, factor=(a, p[nonzero]))
-    return comb
+    if nonzero.size == p.size:
+        return comb
+    v = np.ones((1, nonzero.size))
+    for labels in np.unravel_index(nonzero, (4**n,) * teeth):
+        v = (v[:, None, :] * tooth_basis(n)[:, labels]).reshape(-1, nonzero.size)
+    return Comb(choi_op=comb.choi_op, teeth=teeth, d_sys=2**n, factor=(v, p[nonzero]))
 
 
 def env_model_from_pauli_table(table: PauliDiagTable) -> EnvModel:

@@ -90,8 +90,6 @@ def vcp_channel(noise: Channel, rho: np.ndarray, copies: int = 2) -> VcpResult:
     """
     if copies != 2:
         raise ValueError("only the two-copy protocol is implemented")
-    if noise.d_out != noise.d_in:
-        raise ValueError("noise must preserve the system dimension")
     comb = markovian_comb([noise])
     return vcp_comb(comb, comb, [], rho)
 
@@ -144,11 +142,10 @@ def _product_coherence(c1: Comb, c2: Comb, layers, rho: np.ndarray) -> np.ndarra
     on in_m with weight 1/d, on out_m by the trace.  That is the matrix
     product ``C1 C2 / d**M``, closed with the same input and slots on
     the row and column indices left open.  A thin factor on either side
-    closes it through factors (:func:`_close_factor`): with ``a2`` the
-    right factor is ``a2`` and the left one ``C1 a2 / d**M``, formed from
-    ``a1`` when copy 1 is thin too; with only ``a1`` the left factor is
-    ``a1`` and the right one ``C2^dag a1 / d**M``.  Two dense copies close
-    the dense product (:func:`_close`).
+    closes it through factors (:func:`_close_factor`): ``C1 a2 / d**M``
+    against ``a2``, with ``C1 a2`` formed from ``a1`` when copy 1 is thin
+    too, or ``a1`` against ``C2^dag a1 / d**M``.  Only two dense copies
+    form the dense product.
     """
     d, scale = c1.d_sys, c1.d_sys**c1.teeth
     f1, f2 = _thin_factor(c1), _thin_factor(c2)
