@@ -224,23 +224,19 @@ def random_channel(
     d_in: int,
     d_out: int | None = None,
     rng: np.random.Generator | None = None,
-    kraus_rank: int | None = None,
 ) -> Channel:
     """Random CPTP map from a Haar random Stinespring isometry."""
     rng = rng or np.random.default_rng()
     d_out = d_out or d_in
-    k = kraus_rank or d_in * d_out
+    k = d_in * d_out
     g = rng.standard_normal((d_out * k, d_in)) + 1j * rng.standard_normal((d_out * k, d_in))
     q, _ = np.linalg.qr(g)
     ops = [q[i * d_out : (i + 1) * d_out, :] for i in range(k)]
     return from_kraus(ops)
 
 
-def random_density_matrix(
-    d: int, rng: np.random.Generator | None = None, rank: int | None = None
-) -> np.ndarray:
+def random_density_matrix(d: int, rng: np.random.Generator | None = None) -> np.ndarray:
     rng = rng or np.random.default_rng()
-    rank = rank or d
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho)

@@ -27,7 +27,6 @@ from . import __version__
 from .channels import (
     Channel,
     apply,
-    compose,
     depolarizing_channel,
     from_kraus,
     identity_channel,
@@ -49,7 +48,6 @@ from .combs import (
 from .linalg import check_state, is_hermitian
 from .pauli import PAULI_LETTERS, offdiag_mass, pauli_labels, pauli_matrix, qubit_count
 from .pec import (
-    SingularNoiseError,
     _exact_from_table,
     _sample_from_table,
     _term_values,
@@ -65,7 +63,7 @@ from .twirl import (
     sampled_twirl,
     tv_distance,
 )
-from .vcp import reference_purified, vcp_comb
+from .vcp import purified_weights, reference_purified, vcp_comb
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -437,7 +435,7 @@ def cmd_pec(args) -> int:
     ideal = float(np.trace(obs @ ideal_state).real)
     noisy = float(np.trace(obs @ apply_comb(comb, layers, rho)).real)
     # One term table serves the exact value and the sampled estimate.
-    values = _term_values(comb, decomp, layers, rho, obs, "plain")
+    values = _term_values(comb, decomp, layers, rho, obs)
     corrected = _exact_from_table(decomp, values)
     out = {
         "gamma": decomp.gamma,
@@ -513,16 +511,15 @@ def cmd_vcp(args) -> int:
 
 
 def _write_table_csv(path: str, table: PauliDiagTable) -> None:
-    p2 = sum(p * p for p in table.probs.values())
+    virtual = purified_weights(table, "virtual")
+    physical = purified_weights(table, "physical")
     lines = [
         ",".join(f"tooth_{m + 1}" for m in range(table.teeth))
         + ",prob,virtual_weight,physical_weight"
     ]
     for key in sorted(table.probs):
-        p = table.probs[key]
         lines.append(
-            ",".join(key)
-            + f",{p!r},{p * p / p2!r},{(p + p * p) / (1 + p2)!r}"
+            ",".join(key) + f",{table.probs[key]!r},{virtual[key]!r},{physical[key]!r}"
         )
     _write_lines(path, lines)
 
@@ -628,9 +625,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SingularNoiseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

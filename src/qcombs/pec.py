@@ -28,11 +28,10 @@ from .channels import (
     to_ptm,
     unitary_channel,
 )
-from .combs import Comb, _check_layers, _close, choi_channel
-from .linalg import apply_on, choi_to_superop, partial_trace, permute_wires, psd_check
+from .combs import Comb, _check_layers, _close, _tooth_order, choi_channel
+from .linalg import apply_on, choi_to_superop, partial_trace, psd_check
 from .pauli import pauli_matrix, qubit_count
 
-PTM_CONDITION_CUTOFF = 1e10
 SINGULAR_VALUE_FLOOR = 1e-10
 ALPHA_CLEAN = 1e-12
 
@@ -199,31 +198,26 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
     The comb is read as one channel from all inputs to all outputs, its
     transfer matrix is inverted, and the inverse is expanded over tensor
     products of basis operations by solving one linear system per tooth
-    axis.  Raises SingularNoiseError when the noise is too close to
-    singular for the inverse to mean anything.
+    axis.  Raises SingularNoiseError, before any division, when the
+    smallest singular value of the transfer matrix is at most
+    SINGULAR_VALUE_FLOOR times the largest, as it is for a zero matrix.
     """
     n = qubit_count(comb.d_sys)
     basis = basis or default_basis(n)
     r = to_ptm(choi_channel(comb))
     svals = np.linalg.svd(r, compute_uv=False)
-    if svals[-1] < SINGULAR_VALUE_FLOOR * svals[0]:
+    if svals[-1] <= SINGULAR_VALUE_FLOOR * svals[0]:
         raise SingularNoiseError(
             f"noise transfer matrix is singular (smallest singular value "
             f"{svals[-1]:.3e})"
         )
     cond = float(svals[0] / svals[-1])
-    if cond > PTM_CONDITION_CUTOFF:
-        raise SingularNoiseError(
-            f"noise transfer matrix condition number {cond:.3e} exceeds "
-            f"{PTM_CONDITION_CUTOFF:.0e}"
-        )
     r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
 
     q = 4**n
     m_teeth = comb.teeth
     t = r_inv.reshape((q,) * (2 * m_teeth))
-    order = [ax for m in range(m_teeth) for ax in (m, m + m_teeth)]
-    y = t.transpose(order).reshape((q * q,) * m_teeth)
+    y = t.transpose(_tooth_order(m_teeth)).reshape((q * q,) * m_teeth)
 
     w = basis.ptm_stack
     alpha = y
@@ -253,25 +247,12 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
     )
 
 
-def _insertion_ops(decomp: QuasiProbDecomposition, insertion: str) -> list[Channel]:
-    if insertion == "plain":
-        return list(decomp.basis.ops)
-    if insertion == "transpose":
-        d = 2**decomp.n_qubits
-        return [
-            Channel(choi=permute_wires(op.choi, [d, d], [1, 0]), d_in=d, d_out=d)
-            for op in decomp.basis.ops
-        ]
-    raise ValueError(f"unknown insertion convention {insertion!r}")
-
-
 def _term_values(
     comb: Comb,
     decomp: QuasiProbDecomposition,
     layers,
     rho: np.ndarray,
     observable: np.ndarray,
-    insertion: str,
 ) -> np.ndarray:
     """Expectation value of every insertion pattern, in one contraction.
 
@@ -282,9 +263,10 @@ def _term_values(
     out_M.  Stacking each slot's plug over all operations turns the whole
     table into one closing of the comb, leading plug first, and one last
     tensordot, which keeps M=4-5 teeth and two-qubit systems
-    (256 operations) cheap.
+    (256 operations) cheap.  The inserted operations are the
+    decomposition's own basis, ``decomp.basis.ops``.
     """
-    ops = _insertion_ops(decomp, insertion)
+    ops = decomp.basis.ops
     layers = _check_layers(comb, layers)
     d = comb.d_sys
     for name, mat in (("input state", rho), ("observable", observable)):
@@ -321,8 +303,6 @@ def pec_correct_exact(
     layers,
     rho: np.ndarray,
     observable: np.ndarray,
-    *,
-    insertion: str = "plain",
 ) -> float:
     """Deterministically reweighted expectation value.
 
@@ -330,7 +310,7 @@ def pec_correct_exact(
     pattern; with the decomposition of the comb's inverse this cancels
     the noise exactly, up to the numerical residual of the expansion.
     """
-    return _exact_from_table(decomp, _term_values(comb, decomp, layers, rho, observable, insertion))
+    return _exact_from_table(decomp, _term_values(comb, decomp, layers, rho, observable))
 
 
 def _exact_from_table(decomp: QuasiProbDecomposition, values: np.ndarray) -> float:
@@ -346,8 +326,6 @@ def pec_sample(
     observable: np.ndarray,
     shots: int,
     rng: np.random.Generator | None = None,
-    *,
-    insertion: str = "plain",
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the corrected expectation value.
 
@@ -358,7 +336,7 @@ def pec_sample(
     if shots < 2:
         raise ValueError("need at least two shots for an error estimate")
     rng = rng or np.random.default_rng()
-    values = _term_values(comb, decomp, layers, rho, observable, insertion)
+    values = _term_values(comb, decomp, layers, rho, observable)
     return _sample_from_table(decomp, values, shots, rng)
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
-from math import fsum, log2
+from math import fsum, log2, prod
 
 import numpy as np
 
 from .channels import Channel, apply, from_chi, to_chi
-from .combs import Comb, EnvModel, _thin_factor, comb_chi, comb_from_chi
+from .combs import Comb, EnvModel, _thin_factor, _tooth_order, comb_chi, comb_from_chi
 from .pauli import (
     commutation_signs,
     label_index,
@@ -106,11 +106,6 @@ def _table_keys(teeth: int, n: int) -> tuple[tuple[str, ...], ...]:
 def _key_index(teeth: int, n: int) -> dict[tuple[str, ...], int]:
     """Position of every table key in :func:`_table_keys` order, its label index."""
     return {key: i for i, key in enumerate(_table_keys(teeth, n))}
-
-
-def _tooth_order(teeth: int) -> list[int]:
-    """Axes (row_1..row_M, col_1..col_M) of tooth wire pairs, as (row_m, col_m) per tooth."""
-    return [ax for m in range(teeth) for ax in (m, m + teeth)]
 
 
 def _pauli_diag(comb: Comb, n: int) -> np.ndarray:
@@ -328,17 +323,10 @@ def marginals(table: PauliDiagTable) -> list[dict[str, float]]:
 
 def product_of_marginals(table: PauliDiagTable) -> PauliDiagTable:
     """The uncorrelated table with the same per-tooth statistics."""
-    margs = marginals(table)
-    probs: dict[tuple[str, ...], float] = {}
-
-    def grow(prefix, weight, m):
-        if m == table.teeth:
-            probs[tuple(prefix)] = weight
-            return
-        for lbl, p in margs[m].items():
-            grow(prefix + [lbl], weight * p, m + 1)
-
-    grow([], 1.0, 0)
+    probs = {
+        tuple(lbl for lbl, _ in entries): prod(p for _, p in entries)
+        for entries in product(*(m.items() for m in marginals(table)))
+    }
     return PauliDiagTable(probs=probs, teeth=table.teeth, n_qubits=table.n_qubits)
 
 

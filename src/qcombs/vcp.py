@@ -81,15 +81,13 @@ def _branches(tau: np.ndarray, d: int) -> VcpResult:
     )
 
 
-def vcp_channel(noise: Channel, rho: np.ndarray, copies: int = 2) -> VcpResult:
+def vcp_channel(noise: Channel, rho: np.ndarray) -> VcpResult:
     """Purify a single noise channel acting once on a state.
 
     The control conditionally swaps main and ancilla before and after
     one application of the noise to each register: :func:`vcp_comb` with
     the one-tooth comb of the noise as both copies.
     """
-    if copies != 2:
-        raise ValueError("only the two-copy protocol is implemented")
     comb = markovian_comb([noise])
     return vcp_comb(comb, comb, [], rho)
 
@@ -201,20 +199,23 @@ def _coherence(copy1: EnvModel, copy2: EnvModel, layers, rho: np.ndarray) -> np.
     return np.einsum("mefeMf->mM", r.reshape(d, e1, e2, e1, d, e2))
 
 
-def reference_purified(
-    table: PauliDiagTable, layers, rho: np.ndarray, which: str = "virtual"
-) -> np.ndarray:
-    """Closed-form purified states for correlated Pauli noise.
+def purified_weights(table: PauliDiagTable, which: str) -> dict[tuple[str, ...], float]:
+    """The error table's weights after purification, in the table's key order.
 
-    The virtual state squares every weight of the error table and
-    renormalizes; the physical (+ branch) state mixes the raw and the
-    squared weights.
+    The virtual state squares every weight and renormalizes; the physical
+    (+ branch) state mixes the raw and the squared weights.
     """
     p2 = sum(p * p for p in table.probs.values())
     if which == "virtual":
-        weights = {k: p * p / p2 for k, p in table.probs.items()}
-    elif which == "physical":
-        weights = {k: (p + p * p) / (1.0 + p2) for k, p in table.probs.items()}
-    else:
-        raise ValueError(f"unknown target {which!r}")
-    return _pauli_mixture(table, weights, layers, rho)
+        return {k: p * p / p2 for k, p in table.probs.items()}
+    if which == "physical":
+        return {k: (p + p * p) / (1.0 + p2) for k, p in table.probs.items()}
+    raise ValueError(f"unknown target {which!r}")
+
+
+def reference_purified(
+    table: PauliDiagTable, layers, rho: np.ndarray, which: str = "virtual"
+) -> np.ndarray:
+    """Closed-form purified states for correlated Pauli noise: the Pauli
+    mixture of :func:`purified_weights`."""
+    return _pauli_mixture(table, purified_weights(table, which), layers, rho)

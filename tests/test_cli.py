@@ -170,6 +170,16 @@ def test_singular_noise_is_exit_1(capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_zero_transfer_matrix_is_exit_1_with_one_error_line():
+    zero = [[0.0] * 16 for _ in range(16)]
+    spec = json.dumps({"kind": "choi_explicit", "teeth": 2, "payload": {"choi_op": zero}})
+    proc = run_subprocess("pec", spec)
+    assert proc.returncode == 1
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: noise transfer matrix is singular")
+
+
 def test_teeth_mismatch_is_exit_2(capsys):
     spec = json.dumps(
         {

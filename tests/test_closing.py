@@ -116,7 +116,7 @@ def test_closing_matches_plug_tensor_reference(teeth, n_sys, n_env, strength):
     )
     obs = _random_observable(rng, d)
     want = _term_values_ref(comb, basis.ops, layers, rho, obs)
-    got_values = _term_values(comb, decomp, layers, rho, obs, "plain")
+    got_values = _term_values(comb, decomp, layers, rho, obs)
     assert got_values.shape == want.shape
     assert np.abs(got_values - want).max() < 1e-12
     assert abs(pec_correct_exact(comb, decomp, layers, rho, obs) - np.sum(alpha * want)) < 1e-12

@@ -1,6 +1,8 @@
 """Tests for the quasi-probability noise cancellation."""
 
 import itertools
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,13 @@ from qcombs.channels import (
     random_density_matrix,
     unitary_channel,
 )
-from qcombs.combs import apply_comb, comb_from_env_model, markovian_comb, random_env_model
+from qcombs.combs import (
+    Comb,
+    apply_comb,
+    comb_from_env_model,
+    markovian_comb,
+    random_env_model,
+)
 from qcombs.linalg import permute_wires
 from qcombs.pauli import pauli_basis, pauli_matrix
 from qcombs.pec import (
@@ -189,6 +197,14 @@ def test_singular_noise_is_rejected():
         )
 
 
+def test_zero_transfer_matrix_is_singular():
+    comb = Comb(choi_op=np.zeros((16, 16)), teeth=2, d_sys=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularNoiseError, match="noise transfer matrix is singular"):
+            decompose_inverse(comb)
+
+
 def test_non_qubit_comb_is_rejected():
     comb = markovian_comb([identity_channel(3)])
     with pytest.raises(ValueError, match="qubit"):
@@ -277,6 +293,16 @@ def reference_term_values(comb, ops, layers, rho, observable):
     return values
 
 
+def transposed_insertion(decomp):
+    """The decomposition with every basis operation's two wires swapped."""
+    d = 2**decomp.n_qubits
+    ops = tuple(
+        Channel(choi=permute_wires(op.choi, [d, d], [1, 0]), d_in=d, d_out=d)
+        for op in decomp.basis.ops
+    )
+    return replace(decomp, basis=BasisOpSet(ops, decomp.basis.names, decomp.n_qubits))
+
+
 @pytest.mark.parametrize("teeth", [1, 2, 3])
 def test_term_values_match_pattern_loop(teeth):
     rng = np.random.default_rng(70 + teeth)
@@ -288,14 +314,9 @@ def test_term_values_match_pattern_loop(teeth):
         layers = [random_channel(2, rng=rng) for _ in range(teeth - 1)]
         rho = random_density_matrix(2, rng)
         obs = pauli_matrix(str(rng.choice(list("IXYZ"))))
-        plain = list(decomp.basis.ops)
-        transposed = [
-            Channel(choi=permute_wires(op.choi, [2, 2], [1, 0]), d_in=2, d_out=2)
-            for op in plain
-        ]
-        for insertion, ops in (("plain", plain), ("transpose", transposed)):
-            got = _term_values(comb, decomp, layers, rho, obs, insertion)
-            want = reference_term_values(comb, ops, layers, rho, obs)
+        for inserted in (decomp, transposed_insertion(decomp)):
+            got = _term_values(comb, inserted, layers, rho, obs)
+            want = reference_term_values(comb, inserted.basis.ops, layers, rho, obs)
             assert got.shape == (16,) * teeth
             assert np.abs(got - want).max() <= 1e-12
 
@@ -324,16 +345,9 @@ def test_transpose_insertion_breaks_cancellation():
     rho = np.diag([0.9, 0.1]).astype(complex)
     ideal = ideal_value([layer], rho, Z)
     plain = pec_correct_exact(comb, decomp, [layer], rho, Z)
-    flipped = pec_correct_exact(comb, decomp, [layer], rho, Z, insertion="transpose")
+    flipped = pec_correct_exact(comb, transposed_insertion(decomp), [layer], rho, Z)
     assert plain == pytest.approx(ideal, abs=1e-8)
     assert abs(flipped - ideal) > 1e-3
-
-
-def test_unknown_insertion_rejected():
-    comb = markovian_comb([depolarizing_channel(0.2)])
-    decomp = decompose_inverse(comb)
-    with pytest.raises(ValueError, match="insertion"):
-        pec_correct_exact(comb, decomp, [], np.eye(2) / 2, Z, insertion="sideways")
 
 
 def test_layer_count_checked():

@@ -177,11 +177,6 @@ def test_states_are_physical():
 # argument validation
 
 
-def test_channel_rejects_more_copies():
-    with pytest.raises(ValueError, match="two-copy"):
-        vcp_channel(identity_channel(2), RHO, copies=3)
-
-
 def test_channel_rejects_mismatched_state():
     with pytest.raises(ValueError, match="dimension"):
         vcp_channel(identity_channel(2), np.eye(4) / 4)
