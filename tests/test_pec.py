@@ -20,13 +20,7 @@ from qcombs.channels import (
     random_density_matrix,
     unitary_channel,
 )
-from qcombs.combs import (
-    Comb,
-    apply_comb,
-    comb_from_env_model,
-    markovian_comb,
-    random_env_model,
-)
+from qcombs.combs import Comb, apply_comb, comb_from_env_model, markovian_comb, random_env_model
 from qcombs.linalg import permute_wires
 from qcombs.pauli import pauli_basis, pauli_matrix
 from qcombs.pec import (
