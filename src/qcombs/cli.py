@@ -425,7 +425,9 @@ def cmd_pec(args) -> int:
     if args.shots < 0 or args.shots == 1:
         raise CliError(f"--shots must be 0 or at least 2, got {args.shots}")
     comb, _, _, _ = load_spec(args.spec)
-    decomp = decompose_inverse(comb)
+    decomp = decompose_inverse(comb)  # an all-zero comb is refused as singular noise first
+    if not (report := validate_comb(comb, tol=args.tol)).passes:
+        raise ValueError(f"comb fails validation: {report}")
     layers = _resolve_layers(args, comb)
     rho = _parse_state(args.input, comb.d_sys)
     obs = _parse_observable(args.observable, comb.d_sys)

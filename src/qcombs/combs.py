@@ -15,16 +15,13 @@ channel from in_1 to out_M.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .channels import Channel, random_density_matrix, random_unitary
 from .linalg import (
-    apply_on,
     check_state,
     is_hermitian,
-    max_entangled,
     permute_wires,
     psd_check,
     psd_check_factored,
@@ -113,25 +110,27 @@ def comb_from_env_model(model: EnvModel, validate: bool = True) -> Comb:
     """Choi operator of the process generated by an environment dilation.
 
     Each tooth is fed half of an unnormalized maximally entangled pair,
-    and ``env_init = sum_j w_j v_j v_j^dag`` is purified into a vector on
-    (environment, purifier) whose columns are sqrt|w_j| v_j.  The
-    interactions act in sequence on (out_m, environment) of this one
-    state vector.  Tracing out environment and purifier is then the
-    matrix product ``a diag(sign w) a^dag``, with ``a`` the vector viewed
-    as wires by (environment, purifier); the signs reproduce exactly an
-    ``env_init`` whose eigenvalues dip below zero within tolerance.  The
-    pair ``(a, sign)`` is the comb's ``factor``; the dense operator is
-    only formed if something asks for ``choi_op``.
+    and ``env_init = sum_j w_j v_j v_j^dag`` is purified into the matrix
+    ``a = v sqrt|w|`` on (environment, purifier).  The pair makes out_m
+    equal to in_m before the m-th interaction acts on (out_m,
+    environment), so each tooth is one batched matmul: the interaction
+    viewed as ``[(in_m, out_m, env'), env]`` times the running factor
+    viewed as (prefix, env, purifier), which appends the tooth's two
+    wires to the prefix.  Tracing out environment and purifier is then
+    the matrix product ``a diag(sign w) a^dag``, with ``a`` the factor
+    viewed as wires by (environment, purifier); the signs reproduce
+    exactly an ``env_init`` whose eigenvalues dip below zero within
+    tolerance.  The pair ``(a, sign)`` is the comb's ``factor``; the
+    dense operator is only formed if something asks for ``choi_op``.
     """
     d, de, m_teeth = model.d_sys, model.d_env, model.teeth
     w, v = np.linalg.eigh(model.env_init)
-    k = v * np.sqrt(np.abs(w))
-    psi = reduce(np.kron, [max_entangled(d)] * m_teeth + [k.reshape(-1)])
-    dims = [d] * (2 * m_teeth) + [de, de]
-    for m, u in enumerate(model.interactions):
-        psi = apply_on(psi, dims, [2 * m + 1, 2 * m_teeth], u)
-    a = psi.reshape(d ** (2 * m_teeth), de * de)
-    comb = Comb(teeth=m_teeth, d_sys=d, factor=(a, np.tile(np.sign(w), de)))
+    a = v * np.sqrt(np.abs(w))
+    for u in model.interactions:
+        # u[(out', env'), (out, env)] with out = in_m, as [(in_m, out', env'), env].
+        u_t = u.reshape(d, de, d, de).transpose(2, 0, 1, 3).reshape(d * d * de, de)
+        a = np.matmul(u_t, a.reshape(-1, de, de))
+    comb = Comb(teeth=m_teeth, d_sys=d, factor=(a.reshape(-1, de * de), np.tile(np.sign(w), de)))
     if validate:
         report = validate_comb(comb)
         if not report.passes:

@@ -29,13 +29,6 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_entangled(d: int) -> np.ndarray:
-    """Unnormalized maximally entangled vector sum_i |ii> on a d*d space."""
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0
-    return v
-
-
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.ndarray:
     """Trace out all wires except ``keep``.
 
@@ -96,17 +89,6 @@ def apply_on(m: np.ndarray, dims, axes, op: np.ndarray) -> np.ndarray:
     op_t = np.reshape(op, sub + sub)
     out = np.tensordot(op_t, np.reshape(m, dims), axes=(list(range(k, 2 * k)), axes))
     return np.moveaxis(out, range(k), axes).reshape(np.shape(m))
-
-
-def conjugate_on(rho: np.ndarray, dims, targets, u: np.ndarray) -> np.ndarray:
-    """``u rho u^dag`` with ``u`` acting on the wires ``targets`` only.
-
-    ``u`` multiplies their row indices and ``u.conj()`` their column indices.
-    """
-    n = len(dims)
-    full = list(dims) * 2
-    half = apply_on(rho, full, targets, u)
-    return apply_on(half, full, [t + n for t in targets], np.conj(u))
 
 
 # Entries per row block of is_hermitian's deviation (256 kB of complex).

@@ -29,7 +29,7 @@ from .channels import (
     unitary_channel,
 )
 from .combs import Comb, _check_layers, _close, _tooth_order, choi_channel
-from .linalg import apply_on, choi_to_superop, partial_trace, psd_check
+from .linalg import choi_to_superop, partial_trace, psd_check
 from .pauli import pauli_matrix, qubit_count
 
 SINGULAR_VALUE_FLOOR = 1e-10
@@ -38,6 +38,11 @@ ALPHA_CLEAN = 1e-12
 
 class SingularNoiseError(ValueError):
     """The noise channel cannot be inverted reliably."""
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -59,9 +64,24 @@ class BasisOpSet:
     @cached_property
     def ptm_stack(self) -> np.ndarray:
         """Rows are the flattened transfer matrices of the operations (read-only)."""
-        w = np.array([to_ptm(op).reshape(-1) for op in self.ops])
-        w.setflags(write=False)
-        return w
+        return _read_only(np.array([to_ptm(op).reshape(-1) for op in self.ops]))
+
+    @cached_property
+    def ptm_dual(self) -> np.ndarray:
+        """``inv(ptm_stack.T)``: maps a flattened transfer matrix to its
+        weights over the operations (read-only)."""
+        return _read_only(np.linalg.inv(self.ptm_stack.T))
+
+    @cached_property
+    def choi_stack(self) -> np.ndarray:
+        """Choi matrices of the operations, stacked (read-only)."""
+        return _read_only(np.array([op.choi for op in self.ops]))
+
+    @cached_property
+    def superop_stack(self) -> np.ndarray:
+        """Superoperators of the operations, stacked (read-only)."""
+        d = 2**self.n_qubits
+        return _read_only(choi_to_superop(self.choi_stack, d, d))
 
     def __len__(self):
         return len(self.ops)
@@ -192,15 +212,25 @@ class QuasiProbDecomposition:
     n_qubits: int
 
 
+def _each_tooth(x: np.ndarray, mat_t: np.ndarray) -> np.ndarray:
+    """``(mat (x) ... (x) mat) x`` for ``x`` with one axis per tooth, given
+    ``mat_t = mat.T``.  Each matmul contracts the leading axis and leaves it
+    last, so after one per axis they are back in order, with no copy."""
+    teeth, (k, n) = x.ndim, mat_t.shape
+    for _ in range(teeth):
+        x = x.reshape(k, -1).T @ mat_t
+    return x.reshape((n,) * teeth)
+
+
 def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbDecomposition:
     """Quasi-probability weights cancelling the comb's channel form.
 
     The comb is read as one channel from all inputs to all outputs, its
     transfer matrix is inverted, and the inverse is expanded over tensor
-    products of basis operations by solving one linear system per tooth
-    axis.  Raises SingularNoiseError, before any division, when the
-    smallest singular value of the transfer matrix is at most
-    SINGULAR_VALUE_FLOOR times the largest, as it is for a zero matrix.
+    products of basis operations by one matmul per tooth axis with the
+    basis's cached ``ptm_dual``.  Raises SingularNoiseError, before any
+    division, when the smallest singular value of the transfer matrix is
+    at most SINGULAR_VALUE_FLOOR times the largest, as for a zero matrix.
     """
     n = qubit_count(comb.d_sys)
     basis = basis or default_basis(n)
@@ -214,27 +244,13 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
     cond = float(svals[0] / svals[-1])
     r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
 
-    q = 4**n
-    m_teeth = comb.teeth
+    q, m_teeth = 4**n, comb.teeth
     t = r_inv.reshape((q,) * (2 * m_teeth))
     y = t.transpose(_tooth_order(m_teeth)).reshape((q * q,) * m_teeth)
 
-    w = basis.ptm_stack
-    alpha = y
-    for ax in range(m_teeth):
-        moved = np.moveaxis(alpha, ax, 0)
-        flat = moved.reshape(len(basis), -1)
-        solved = np.linalg.solve(w.T, flat)
-        alpha = np.moveaxis(solved.reshape(moved.shape), 0, ax)
-
-    peak = np.abs(alpha).max()
-    if peak > 0:
-        alpha = np.where(np.abs(alpha) < ALPHA_CLEAN * peak, 0.0, alpha)
-
-    recon = alpha
-    for ax in range(m_teeth):
-        recon = apply_on(recon, recon.shape, [ax], w.T)
-    residual = float(np.linalg.norm(recon - y))
+    alpha = _each_tooth(y, basis.ptm_dual.T)
+    alpha = np.where(np.abs(alpha) < ALPHA_CLEAN * np.abs(alpha).max(), 0.0, alpha)
+    residual = float(np.linalg.norm(_each_tooth(alpha, basis.ptm_stack) - y))
 
     return QuasiProbDecomposition(
         alpha=alpha,
@@ -264,9 +280,9 @@ def _term_values(
     table into one closing of the comb, leading plug first, and one last
     tensordot, which keeps M=4-5 teeth and two-qubit systems
     (256 operations) cheap.  The inserted operations are the
-    decomposition's own basis, ``decomp.basis.ops``.
+    decomposition's own basis, read through its cached Choi and
+    superoperator stacks.
     """
-    ops = decomp.basis.ops
     layers = _check_layers(comb, layers)
     d = comb.d_sys
     for name, mat in (("input state", rho), ("observable", observable)):
@@ -281,9 +297,8 @@ def _term_values(
     # comb's plug order (out_m, in_{m+1}) = (i, a) for rows and (j, b)
     # for columns.  op^dag(O) enters transposed ("nij" below), as the
     # effect plug on out_M.
-    n = len(ops)
-    chois = np.array([op.choi for op in ops])
-    superops = choi_to_superop(chois, d, d)
+    n = len(decomp.basis)
+    chois, superops = decomp.basis.choi_stack, decomp.basis.superop_stack
     slots = [
         (choi_to_superop(layer.choi, d, d) @ superops)
         .reshape(n, d, d, d, d)

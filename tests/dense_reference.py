@@ -1,10 +1,32 @@
 """Dense reference operators that the tests hold the wire-local paths against."""
 
+from functools import reduce
 from math import prod
 
 import numpy as np
 
-from qcombs.linalg import permute_wires, tensor
+from qcombs.channels import to_ptm
+from qcombs.combs import _tooth_order, choi_channel
+from qcombs.linalg import apply_on, permute_wires, tensor
+from qcombs.pec import ALPHA_CLEAN
+
+
+def conjugate_on(rho: np.ndarray, dims, targets, u: np.ndarray) -> np.ndarray:
+    """``u rho u^dag`` with ``u`` acting on the wires ``targets`` only.
+
+    ``u`` multiplies their row indices and ``u.conj()`` their column indices.
+    """
+    n = len(dims)
+    full = list(dims) * 2
+    half = apply_on(rho, full, targets, u)
+    return apply_on(half, full, [t + n for t in targets], np.conj(u))
+
+
+def max_entangled(d: int) -> np.ndarray:
+    """Unnormalized maximally entangled vector sum_i |ii> on a d*d space."""
+    v = np.zeros(d * d, dtype=complex)
+    v[:: d + 1] = 1.0
+    return v
 
 
 def embed(op: np.ndarray, dims, targets) -> np.ndarray:
@@ -54,3 +76,40 @@ def _swap_index(d: int, rest: int) -> tuple[np.ndarray, np.ndarray]:
     perm = np.argmax(_cswap(d), axis=1)
     idx = (perm[:, None] * rest + np.arange(rest)).reshape(-1)
     return np.ix_(idx, idx)
+
+
+def purified_factor(model) -> np.ndarray:
+    """The factor ``a`` of ``comb_from_env_model`` from one purified vector.
+
+    ``max_entangled(d)^(x)M (x) vec(v sqrt|w|)`` carries every tooth's
+    pair, the environment and its purifier; each interaction acts on
+    (out_m, environment) of it through ``apply_on``, and the vector is
+    viewed as rows of the 2M wires by columns of (environment, purifier).
+    """
+    d, de, m_teeth = model.d_sys, model.d_env, model.teeth
+    w, v = np.linalg.eigh(model.env_init)
+    k = v * np.sqrt(np.abs(w))
+    psi = reduce(np.kron, [max_entangled(d)] * m_teeth + [k.reshape(-1)])
+    dims = [d] * (2 * m_teeth) + [de, de]
+    for m, u in enumerate(model.interactions):
+        psi = apply_on(psi, dims, [2 * m + 1, 2 * m_teeth], u)
+    return psi.reshape(d ** (2 * m_teeth), de * de)
+
+
+def solved_alpha(comb, basis) -> np.ndarray:
+    """Quasi-probability weights by one ``np.linalg.solve`` per tooth axis.
+
+    The inverse transfer matrix, grouped per tooth, is solved against
+    ``basis.ptm_stack.T`` along each axis in turn; entries below
+    ``ALPHA_CLEAN`` times the largest are zeroed as in ``decompose_inverse``.
+    """
+    r = to_ptm(choi_channel(comb))
+    q, m_teeth = comb.d_sys**2, comb.teeth
+    t = np.linalg.inv(r).reshape((q,) * (2 * m_teeth))
+    alpha = t.transpose(_tooth_order(m_teeth)).reshape((q * q,) * m_teeth)
+    for ax in range(m_teeth):
+        moved = np.moveaxis(alpha, ax, 0)
+        solved = np.linalg.solve(basis.ptm_stack.T, moved.reshape(len(basis), -1))
+        alpha = np.moveaxis(solved.reshape(moved.shape), 0, ax)
+    peak = np.abs(alpha).max()
+    return np.where(np.abs(alpha) < ALPHA_CLEAN * peak, 0.0, alpha)

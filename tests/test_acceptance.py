@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dense_reference import permutation_matrix
+from dense_reference import max_entangled, permutation_matrix
 from qcombs.channels import (
     apply,
     apply_channel_on,
@@ -41,12 +41,7 @@ from qcombs.combs import (
     slot_channel,
     validate_comb,
 )
-from qcombs.linalg import (
-    max_entangled,
-    partial_trace,
-    tensor,
-    trace_distance,
-)
+from qcombs.linalg import partial_trace, tensor, trace_distance
 from qcombs.pauli import pauli_labels
 from qcombs.pec import decompose_inverse, pec_correct_exact, pec_sample
 from qcombs.twirl import (

@@ -180,6 +180,19 @@ def test_zero_transfer_matrix_is_exit_1_with_one_error_line():
     assert lines[0].startswith("error: noise transfer matrix is singular")
 
 
+def test_pec_rejects_a_comb_that_fails_validation(capsys):
+    doc = json.loads(Path(CHOI).read_text())
+    doc["payload"]["choi_op"] = (2 * np.array(doc["payload"]["choi_op"])).tolist()
+    spec = json.dumps(doc)
+    assert main(["pec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: comb fails validation")
+    assert main(["validate", spec]) == 1
+
+
 def test_teeth_mismatch_is_exit_2(capsys):
     spec = json.dumps(
         {

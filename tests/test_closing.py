@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import _cswap, _swap_index
+from dense_reference import _cswap, _swap_index, conjugate_on
 from qcombs.channels import (
     Channel,
     apply,
@@ -29,7 +29,7 @@ from qcombs.combs import (
     random_env_model,
     simulate_env_model,
 )
-from qcombs.linalg import conjugate_on, partial_trace, tensor
+from qcombs.linalg import partial_trace, tensor
 from qcombs.pec import QuasiProbDecomposition, _term_values, default_basis, pec_correct_exact
 from qcombs.vcp import _branches, vcp_channel, vcp_comb
 

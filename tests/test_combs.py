@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_reference import permutation_matrix
+from dense_reference import conjugate_on, max_entangled, permutation_matrix
 from qcombs.channels import (
     apply,
     compose,
@@ -29,8 +29,6 @@ from qcombs.combs import (
     validate_comb,
 )
 from qcombs.linalg import (
-    conjugate_on,
-    max_entangled,
     partial_trace,
     permute_wires,
     tensor,

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import purified_factor
 from qcombs import combs, pec, twirl
 from qcombs.channels import (
     apply_channel_on,
@@ -316,3 +317,50 @@ def test_table_comb_indexes_keys_in_any_order():
         p[label_index("".join(key))] = w
     got = twirl.comb_from_pauli_table(table).choi_op
     assert np.array_equal(got, twirl._comb_from_diag(p, 3, 1).choi_op)
+
+
+# --- tooth-by-tooth build --------------------------------------------------
+
+# (teeth, system qubits, environment qubits).
+BUILD_SWEEP = [(m, 1, n_env) for m in range(1, 7) for n_env in (1, 2)] + [
+    (m, 2, n_env) for m in (1, 2, 3) for n_env in (1, 2)
+]
+
+
+def _assert_build_matches_purified_vector(model: EnvModel):
+    """The factor equals the one-vector construction's to 1e-12, with the
+    same signs; so does ``choi_op`` wherever it is small enough to form."""
+    comb = comb_from_env_model(model, validate=False)
+    a, s = comb.factor
+    want = purified_factor(model)
+    assert a.shape == want.shape
+    assert np.abs(a - want).max() < 1e-12
+    w = np.linalg.eigvalsh(model.env_init)
+    assert np.array_equal(s, np.tile(np.sign(w), model.d_env))
+    if a.shape[0] <= 1024:
+        dense = (want * s) @ want.conj().T
+        assert np.abs(comb.choi_op - dense).max() < 1e-12
+    return comb
+
+
+@pytest.mark.parametrize("strength", [0.3, None])
+@pytest.mark.parametrize("teeth, n_sys, n_env", BUILD_SWEEP)
+def test_tooth_by_tooth_build_matches_purified_vector(teeth, n_sys, n_env, strength):
+    rng = np.random.default_rng([121, teeth, n_sys, n_env, int(10 * (strength or 0))])
+    model = random_env_model(
+        teeth, n_sys_qubits=n_sys, n_env_qubits=n_env, rng=rng, interaction_strength=strength
+    )
+    _assert_build_matches_purified_vector(model)
+
+
+@pytest.mark.parametrize("n_env", [1, 2])
+def test_tooth_by_tooth_build_keeps_a_negative_weight(n_env):
+    rng = np.random.default_rng([122, n_env])
+    model = random_env_model(4, n_env_qubits=n_env, rng=rng, interaction_strength=0.3)
+    de = model.d_env
+    w = np.full(de, 1.0 / (de - 1))
+    w[0], w[-1] = w[0] + 1e-10, -1e-10
+    model = EnvModel(d_sys=2, d_env=de, env_init=np.diag(w), interactions=model.interactions)
+    comb = _assert_build_matches_purified_vector(model)
+    assert -1.0 in comb.factor[1]
+    assert validate_comb(comb).passes

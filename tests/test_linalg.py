@@ -3,13 +3,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dense_reference import embed, permutation_matrix
+from dense_reference import conjugate_on, embed, max_entangled, permutation_matrix
 from qcombs.linalg import (
     apply_on,
     choi_to_superop,
-    conjugate_on,
     is_hermitian,
-    max_entangled,
     partial_trace,
     permute_wires,
     psd_check,

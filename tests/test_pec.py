@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense_reference import solved_alpha
 from qcombs.channels import (
     Channel,
     apply,
@@ -197,6 +198,42 @@ def test_zero_transfer_matrix_is_singular():
         warnings.simplefilter("error")
         with pytest.raises(SingularNoiseError, match="noise transfer matrix is singular"):
             decompose_inverse(comb)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("teeth, n_sys", [(1, 1), (2, 1), (3, 1), (2, 2)])
+def test_alpha_matches_per_axis_solves(teeth, n_sys, seed):
+    rng = np.random.default_rng([62, teeth, n_sys, seed])
+    model = random_env_model(teeth, n_sys_qubits=n_sys, rng=rng, interaction_strength=0.3)
+    comb = comb_from_env_model(model, validate=False)
+    decomp = decompose_inverse(comb)
+    assert np.abs(decomp.alpha - solved_alpha(comb, decomp.basis)).max() < 1e-12
+    assert decomp.residual <= 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_basis_stacks_are_cached_and_read_only(n_qubits):
+    basis = default_basis(n_qubits)
+    for name in ("ptm_dual", "choi_stack", "superop_stack"):
+        arr = getattr(basis, name)
+        assert arr is getattr(basis, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    k = len(basis)
+    assert np.abs(basis.ptm_dual @ basis.ptm_stack.T - np.eye(k)).max() < 1e-12
+    assert np.array_equal(basis.choi_stack, [op.choi for op in basis.ops])
+
+
+def test_custom_basis_gets_its_own_dual():
+    default = default_basis(1)
+    custom = BasisOpSet(ops=default.ops[::-1], names=default.names[::-1], n_qubits=1)
+    assert custom.ptm_dual is not default.ptm_dual
+    assert np.abs(custom.ptm_dual - default.ptm_dual[::-1]).max() < 1e-12
+    rng = np.random.default_rng(63)
+    comb = comb_from_env_model(random_env_model(2, rng=rng, interaction_strength=0.3))
+    got = decompose_inverse(comb, basis=custom).alpha
+    assert np.abs(got - decompose_inverse(comb).alpha[::-1, ::-1]).max() < 1e-12
 
 
 def test_non_qubit_comb_is_rejected():
