@@ -48,6 +48,7 @@ from .combs import (
 from .linalg import check_state, is_hermitian
 from .pauli import PAULI_LETTERS, offdiag_mass, pauli_labels, pauli_matrix, qubit_count
 from .pec import (
+    _STATES,
     _exact_from_table,
     _sample_from_table,
     _term_values,
@@ -66,16 +67,6 @@ from .twirl import (
 from .vcp import purified_weights, reference_purified, vcp_comb
 
 _SQ2 = 1.0 / np.sqrt(2.0)
-
-_STATES = {
-    "zero": np.array([[1, 0], [0, 0]], dtype=complex),
-    "one": np.array([[0, 0], [0, 1]], dtype=complex),
-    "plus": np.full((2, 2), 0.5, dtype=complex),
-    "minus": np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex),
-    "plus_i": np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
-    "minus_i": np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex),
-    "mixed": np.eye(2, dtype=complex) / 2,
-}
 
 _OBSERVABLES = {name: pauli_matrix(name.upper()) for name in "ixyz"}
 

@@ -274,11 +274,6 @@ def _channel_order(teeth: int) -> list[int]:
     return [2 * m + 1 for m in range(teeth)] + [2 * m for m in range(teeth)]
 
 
-def _tooth_order(teeth: int) -> list[int]:
-    """Axes (row_1..row_M, col_1..col_M) of tooth wire pairs, as (row_m, col_m) per tooth."""
-    return [ax for m in range(teeth) for ax in (m, m + teeth)]
-
-
 def slot_channel(comb: Comb) -> Channel:
     """Channel form with the final output leading the output registers.
 

@@ -64,21 +64,38 @@ def commutation_signs(n: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=None)
-def _vec_basis(n: int) -> np.ndarray:
-    """Matrix whose columns are the vectorized Pauli matrices.
+# Columns are the vectorized one-qubit Paulis vec(g_a), rows (r, c) of g.
+# Every n-qubit basis is the Kronecker product of n copies, so every Pauli
+# view below contracts this 4 x 4 matrix into one axis at a time.
+_VEC = np.array([g.reshape(-1) for g in _SINGLE.values()]).T
 
-    Satisfies B^dag B = B B^dag = 2**n * identity.
+
+def _pair_order(k: int) -> list[int]:
+    """Axes (row_1..row_k, col_1..col_k) regrouped as (row_i, col_i) pairs."""
+    return [ax for i in range(k) for ax in (i, i + k)]
+
+
+def _each_axis(x: np.ndarray, mat_t: np.ndarray, axes: int) -> np.ndarray:
+    """``(mat (x) ... (x) mat)`` on the ``axes`` leading axes of ``x``, given
+    ``mat_t = mat.T``, for ``x`` read as (k,)*axes + (rest,).
+
+    Each matmul contracts the leading axis and appends its image last, so
+    the result is (rest, n**axes), the new axes in order, with no copy
+    between steps.
     """
-    cols = [g.reshape(-1) for g in pauli_basis(n)]
-    return np.array(cols, dtype=complex).T
+    k, n = mat_t.shape
+    for _ in range(axes):
+        x = x.reshape(k, -1).T @ mat_t
+    return x.reshape(-1, n**axes)
 
 
 @lru_cache(maxsize=None)
 def tooth_basis(n: int) -> np.ndarray:
-    """:func:`_vec_basis` with its rows in a tooth's (in, out) wire order (read-only)."""
-    d = 2**n
-    b = _vec_basis(n).reshape(d, d, 4**n).transpose(1, 0, 2).reshape(d * d, 4**n)
+    """Vectorized n-qubit Paulis with rows in a tooth's (in, out) wire order (read-only)."""
+    # Rows of the Kronecker product run (r_1, c_1, ..., r_n, c_n); a tooth
+    # reads out = r and in = c, its input wires slowest.
+    b = reduce(np.kron, [_VEC] * n).reshape((2,) * (2 * n) + (4**n,))
+    b = b.transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2), 2 * n]).reshape(4**n, 4**n)
     b.setflags(write=False)
     return b
 
@@ -114,15 +131,25 @@ def _qubits_from_dim(d_sq: int) -> int:
     return qubit_count(d)
 
 
+def _qubit_pairs(n: int) -> list[int]:
+    """Axes of a d**2-square matrix on n qubits, rows and columns both
+    (r_1..r_n, c_1..c_n) of 2 entries each, as one (r_k, c_k) pair per qubit."""
+    pairs = _pair_order(n)
+    return pairs + [2 * n + ax for ax in pairs]
+
+
 def chi_from_choi(choi: np.ndarray) -> np.ndarray:
     """Process matrix chi with E(rho) = sum_ab chi[a,b] G_a rho G_b.
 
-    For a trace-preserving map the diagonal of chi sums to one.
+    For a trace-preserving map the diagonal of chi sums to one.  chi is
+    ``B^dag choi B / d**2`` for the vectorized Pauli basis B, the Kronecker
+    product of one 4 x 4 basis per qubit: one transpose puts each qubit's
+    (r, c) pair of the rows and of the columns on one axis, the rows
+    contract with conj(basis) and move last, then the columns contract.
     """
     n = _qubits_from_dim(choi.shape[0])
-    b = _vec_basis(n)
-    d = 2**n
-    return b.conj().T @ choi @ b / d**2
+    t = choi.reshape((2,) * (4 * n)).transpose(_qubit_pairs(n))
+    return _each_axis(_each_axis(t, _VEC.conj(), n), _VEC, n) / choi.shape[0]
 
 
 def offdiag_mass(chi: np.ndarray) -> float:
@@ -131,24 +158,21 @@ def offdiag_mass(chi: np.ndarray) -> float:
 
 
 def choi_from_chi(chi: np.ndarray) -> np.ndarray:
+    """``B chi B^dag``, the reverse of :func:`chi_from_choi` one qubit at a time."""
     n = _qubits_from_dim(chi.shape[0])
-    b = _vec_basis(n)
-    return b @ chi @ b.conj().T
+    t = _each_axis(_each_axis(chi, _VEC.T, n), _VEC.conj().T, n)
+    return t.reshape((2,) * (4 * n)).transpose(np.argsort(_qubit_pairs(n))).reshape(chi.shape)
 
 
 def ptm_from_superop(s: np.ndarray) -> np.ndarray:
     """Pauli transfer matrix R[a,b] = Tr[G_a E(G_b)] / 2**n.
 
-    Assumes a Hermiticity-preserving map, so R is real.
+    Assumes a Hermiticity-preserving map, so R is real.  R is
+    ``B^dag s B / 2**n``, the sandwich of :func:`chi_from_choi`; the
+    power-of-two rescaling is exact.
     """
-    n = _qubits_from_dim(s.shape[0])
-    b = _vec_basis(n)
-    d = 2**n
-    return (b.conj().T @ s @ b).real / d
+    return chi_from_choi(s).real * isqrt(s.shape[0])
 
 
 def superop_from_ptm(r: np.ndarray) -> np.ndarray:
-    n = _qubits_from_dim(r.shape[0])
-    b = _vec_basis(n)
-    d = 2**n
-    return b @ r.astype(complex) @ b.conj().T / d
+    return choi_from_chi(r.astype(complex)) / isqrt(r.shape[0])

@@ -16,8 +16,10 @@ from math import fsum, log2, prod
 import numpy as np
 
 from .channels import Channel, apply, from_chi, to_chi
-from .combs import Comb, EnvModel, _thin_factor, _tooth_order, comb_chi, comb_from_chi
+from .combs import Comb, EnvModel, _thin_factor, comb_chi, comb_from_chi
 from .pauli import (
+    _each_axis,
+    _pair_order,
     commutation_signs,
     label_index,
     offdiag_mass,
@@ -125,18 +127,10 @@ def _pauli_diag(comb: Comb, n: int) -> np.ndarray:
     q = comb.d_sys**2
     if (factor := _thin_factor(comb)) is not None:
         a, s = factor
-        b = tooth_basis(n).conj()
-        for _ in range(comb.teeth):
-            # The leading tooth contracts and its Pauli axis joins the end.
-            a = a.reshape(q, -1).T @ b
-        a = a.reshape(s.size, -1)
+        a = _each_axis(a, tooth_basis(n).conj(), comb.teeth)
         return s @ (a.real**2 + a.imag**2) / comb.d_sys ** (2 * comb.teeth)
-    k = tooth_kernel(n)
-    t = comb.choi_op.reshape((q,) * (2 * comb.teeth)).transpose(_tooth_order(comb.teeth))
-    for _ in range(comb.teeth):
-        # The leading tooth contracts and its Pauli axis joins the end.
-        t = t.reshape(q * q, -1).T @ k
-    return t.reshape(-1) / comb.d_sys ** (2 * comb.teeth)
+    t = comb.choi_op.reshape((q,) * (2 * comb.teeth)).transpose(_pair_order(comb.teeth))
+    return _each_axis(t, tooth_kernel(n), comb.teeth)[0] / comb.d_sys ** (2 * comb.teeth)
 
 
 def pauli_table(comb: Comb) -> PauliDiagTable:
@@ -173,12 +167,8 @@ def _comb_from_diag(p: np.ndarray, teeth: int, n: int) -> Comb:
     up to roundoff.
     """
     q = 4**n  # Pauli labels per tooth, and entries of a tooth's wire pair
-    k_back = tooth_kernel(n).conj().T
-    t = p
-    for _ in range(teeth):
-        # The leading Pauli axis expands into its tooth's wire pairs at the end.
-        t = t.reshape(q, -1).T @ k_back
-    t = t.reshape((q,) * (2 * teeth)).transpose(np.argsort(_tooth_order(teeth)))
+    t = _each_axis(p, tooth_kernel(n).conj().T, teeth)
+    t = t.reshape((q,) * (2 * teeth)).transpose(np.argsort(_pair_order(teeth)))
     return Comb(choi_op=t.reshape(q**teeth, q**teeth), teeth=teeth, d_sys=2**n)
 
 
@@ -188,8 +178,10 @@ def sampled_twirl(
     """Monte Carlo estimate of :func:`twirl_comb` from random frames.
 
     Each draw picks one Pauli per tooth.  Frame f multiplies chi[a, b] by
-    signs[f, a] * signs[f, b], so the average over the draws multiplies
-    chi by signs^T diag(counts) signs / samples, with counts[f] the
+    signs[f, a] * signs[f, b] = signs[f, a ^ b], since G_a G_b is G_(a^b)
+    up to a phase (the XOR of label indices multiplies the Paulis qubit by
+    qubit).  So the draws multiply chi by w[a ^ b] / samples, with
+    w = signs^T counts contracted one qubit at a time and counts[f] the
     number of draws of frame f.
     """
     if samples < 1:
@@ -200,8 +192,9 @@ def sampled_twirl(
     # A frame's label index joins its per-tooth labels in tooth order.
     frames = draws @ (4**n) ** np.arange(comb.teeth - 1, -1, -1)
     counts = np.bincount(frames, minlength=4 ** (n * comb.teeth))
-    signs = commutation_signs(n * comb.teeth)
-    chi = comb_chi(comb) * (signs.T @ (counts[:, None] * signs) / samples)
+    w = _each_axis(counts.astype(float), commutation_signs(1), n * comb.teeth)[0]
+    labels = np.arange(counts.size)
+    chi = comb_chi(comb) * (w[labels[:, None] ^ labels] / samples)
     return comb_from_chi(chi, comb.teeth, comb.d_sys)
 
 
@@ -255,9 +248,9 @@ def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
     (nonzero,) = np.nonzero(p)
     if nonzero.size == p.size:
         return comb
-    v = np.ones((1, nonzero.size))
-    for labels in np.unravel_index(nonzero, (4**n,) * teeth):
-        v = (v[:, None, :] * tooth_basis(n)[:, labels]).reshape(-1, nonzero.size)
+    pick = np.zeros((p.size, nonzero.size))
+    pick[nonzero, np.arange(nonzero.size)] = 1.0
+    v = _each_axis(pick, tooth_basis(n).T, teeth).T
     return Comb(choi_op=comb.choi_op, teeth=teeth, d_sys=2**n, factor=(v, p[nonzero]))
 
 

@@ -1,13 +1,13 @@
 """Dense reference operators that the tests hold the wire-local paths against."""
 
-from functools import reduce
-from math import prod
+from functools import lru_cache, reduce
+from math import isqrt, prod
 
 import numpy as np
 
-from qcombs.channels import to_ptm
-from qcombs.combs import _tooth_order, choi_channel
-from qcombs.linalg import apply_on, permute_wires, tensor
+from qcombs.combs import choi_channel
+from qcombs.linalg import apply_on, choi_to_superop, permute_wires, tensor
+from qcombs.pauli import _pair_order, pauli_basis, qubit_count
 from qcombs.pec import ALPHA_CLEAN
 
 
@@ -96,17 +96,53 @@ def purified_factor(model) -> np.ndarray:
     return psi.reshape(d ** (2 * m_teeth), de * de)
 
 
+@lru_cache(maxsize=None)
+def vec_basis(n: int) -> np.ndarray:
+    """Matrix whose columns are the vectorized n-qubit Pauli matrices.
+
+    Satisfies B^dag B = B B^dag = 2**n * identity.
+    """
+    return np.array([g.reshape(-1) for g in pauli_basis(n)], dtype=complex).T
+
+
+def _basis_for(m: np.ndarray) -> np.ndarray:
+    return vec_basis(qubit_count(isqrt(m.shape[0])))
+
+
+def chi_from_choi(choi: np.ndarray) -> np.ndarray:
+    """Dense ``B^dag choi B / d**2`` over the whole vectorized Pauli basis."""
+    b = _basis_for(choi)
+    return b.conj().T @ choi @ b / choi.shape[0]
+
+
+def choi_from_chi(chi: np.ndarray) -> np.ndarray:
+    b = _basis_for(chi)
+    return b @ chi @ b.conj().T
+
+
+def ptm_from_superop(s: np.ndarray) -> np.ndarray:
+    b = _basis_for(s)
+    return (b.conj().T @ s @ b).real / isqrt(s.shape[0])
+
+
+def superop_from_ptm(r: np.ndarray) -> np.ndarray:
+    b = _basis_for(r)
+    return b @ r.astype(complex) @ b.conj().T / isqrt(r.shape[0])
+
+
 def solved_alpha(comb, basis) -> np.ndarray:
     """Quasi-probability weights by one ``np.linalg.solve`` per tooth axis.
 
-    The inverse transfer matrix, grouped per tooth, is solved against
-    ``basis.ptm_stack.T`` along each axis in turn; entries below
-    ``ALPHA_CLEAN`` times the largest are zeroed as in ``decompose_inverse``.
+    The inverse of the dense reference transfer matrix, grouped per tooth,
+    is solved against ``basis.ptm_stack.T`` along each axis in turn; entries
+    below ``ALPHA_CLEAN`` times the largest are zeroed as in
+    ``decompose_inverse``.
     """
-    r = to_ptm(choi_channel(comb))
+    d_tot = comb.d_sys**comb.teeth
+    r = ptm_from_superop(choi_to_superop(choi_channel(comb).choi, d_tot, d_tot))
     q, m_teeth = comb.d_sys**2, comb.teeth
     t = np.linalg.inv(r).reshape((q,) * (2 * m_teeth))
-    alpha = t.transpose(_tooth_order(m_teeth)).reshape((q * q,) * m_teeth)
+    alpha = t.transpose(_pair_order(m_teeth)).reshape((q * q,) * m_teeth)
     for ax in range(m_teeth):
         moved = np.moveaxis(alpha, ax, 0)
         solved = np.linalg.solve(basis.ptm_stack.T, moved.reshape(len(basis), -1))

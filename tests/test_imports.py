@@ -1,8 +1,12 @@
-"""Every name a qcombs module imports is used by that module.
+"""Every name a qcombs module imports is used by that module, and every
+private module-level name is read somewhere in the package.
 
-No linter runs on the package, so an import left behind by a refactor
-would otherwise go unnoticed.  A name counts as used when the module
-reads it, or, for the package's ``__init__``, when ``__all__`` exports it.
+No linter runs on the package, so an import or a private helper left
+behind by a refactor would otherwise go unnoticed.  A name counts as used
+when the module reads it, or, for the package's ``__init__``, when
+``__all__`` exports it.  A private name (one leading underscore) counts as
+read when any module of the package loads it, reads it as an attribute or
+imports it.
 """
 
 import ast
@@ -47,3 +51,52 @@ def test_module_uses_every_import(path):
 def test_detects_an_unused_import():
     tree = ast.parse("from .channels import apply, compose\n\napply(1, 2)\n")
     assert set(imported_names(tree)) - used_names(tree) == {"compose"}
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level names with a leading underscore, not dunders, with their line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound = [node.target.id]
+        else:
+            continue
+        private = [n for n in bound if n.startswith("_") and not n.startswith("__")]
+        names.update(dict.fromkeys(private, node.lineno))
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module loads, reads as attributes or imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_package_reads_every_private_name():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    read = set().union(*map(read_names, trees.values()))
+    orphans = {
+        f"{module}:{line}": name
+        for module, tree in sorted(trees.items())
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    }
+    assert not orphans, f"private names no module reads: {orphans}"
+
+
+def test_detects_an_orphaned_private_name():
+    helper = ast.parse("_USED = 1\n_ORPHAN = 2\n\ndef _left_behind(x):\n    return x\n")
+    caller = ast.parse("from .helper import _USED\n\nprint(_USED)\n")
+    read = read_names(helper) | read_names(caller)
+    assert set(private_definitions(helper)) - read == {"_ORPHAN", "_left_behind"}

@@ -86,7 +86,7 @@ def test_unitaries_and_resets_alone_are_rank_deficient():
         unitary_channel(_rotation([0, 1, 1])),
         unitary_channel(_rotation([1, 0, 1])),
         unitary_channel(_rotation([1, 1, 0])),
-    ] + [_reset_channel(_STATES[k]) for k in ("0", "1", "plus", "minus", "plus_i", "minus_i")]
+    ] + [_reset_channel(_STATES[k]) for k in ("zero", "one", "plus", "minus", "plus_i", "minus_i")]
     basis = BasisOpSet(ops=tuple(ops), names=tuple(str(i) for i in range(16)), n_qubits=1)
     with pytest.raises(ValueError, match="spans only 13"):
         verify_basis_completeness(basis)
