@@ -13,12 +13,10 @@ trace preservation is Tr_out[choi] = identity on the input wire.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
 from .linalg import (
-    apply_on,
     choi_to_superop,
     is_hermitian,
     partial_trace,
@@ -29,12 +27,10 @@ from .linalg import (
 )
 from .pauli import (
     chi_from_choi,
-    choi_from_chi,
     label_index,
     pauli_basis,
     pauli_labels,
     ptm_from_superop,
-    superop_from_ptm,
 )
 
 
@@ -57,9 +53,6 @@ class Channel:
     def is_trace_preserving(self, tol: float = 1e-9) -> bool:
         red = partial_trace(self.choi, [self.d_out, self.d_in], keep=[1])
         return bool(np.allclose(red, np.eye(self.d_in), atol=tol * max(self.d_in, 1)))
-
-    def is_completely_positive(self, tol: float = 1e-9) -> bool:
-        return psd_check(self.choi, tol=tol).is_psd
 
     def validate(self, tol: float = 1e-9) -> None:
         """Raise ValueError unless the map is CPTP within tolerance."""
@@ -133,16 +126,6 @@ def unitary_channel(u: np.ndarray) -> Channel:
     return from_kraus([u])
 
 
-def completely_depolarizing(d: int) -> Channel:
-    """The channel sending every state to the maximally mixed state."""
-    ops = [
-        np.outer(np.eye(d)[i], np.eye(d)[j]) / np.sqrt(d)
-        for i in range(d)
-        for j in range(d)
-    ]
-    return from_kraus(ops)
-
-
 def pauli_channel(probs: dict[str, float]) -> Channel:
     """Mixture of Pauli conjugations, keyed by label strings."""
     labels = list(probs)
@@ -175,39 +158,11 @@ def to_ptm(channel: Channel) -> np.ndarray:
     return ptm_from_superop(choi_to_superop(channel.choi, channel.d_in, channel.d_out))
 
 
-def from_ptm(r: np.ndarray) -> Channel:
-    s = superop_from_ptm(np.asarray(r, dtype=float))
-    d = int(round(np.sqrt(s.shape[0])))
-    return Channel(choi=superop_to_choi(s, d, d), d_in=d, d_out=d)
-
-
 def to_chi(channel: Channel) -> np.ndarray:
     """Process matrix over the Pauli basis, E(rho) = sum chi[a,b] G_a rho G_b."""
     if channel.d_in != channel.d_out:
         raise ValueError("Pauli forms need matching input and output dimensions")
     return chi_from_choi(channel.choi)
-
-
-def from_chi(chi: np.ndarray) -> Channel:
-    choi = choi_from_chi(np.asarray(chi, dtype=complex))
-    d = int(round(np.sqrt(choi.shape[0])))
-    return Channel(choi=choi, d_in=d, d_out=d)
-
-
-def apply_channel_on(rho: np.ndarray, dims, targets, channel: Channel) -> np.ndarray:
-    """Act with a channel on selected wires of a joint density matrix.
-
-    The channel must preserve the dimension of the chosen wires.  Its
-    superoperator acts on their row and column indices together, and
-    wires come back in their original order.
-    """
-    dims = list(dims)
-    targets = list(targets)
-    d_t = prod(dims[t] for t in targets)
-    if channel.d_in != d_t or channel.d_out != d_t:
-        raise ValueError("channel dimension does not match target wires")
-    s = choi_to_superop(channel.choi, d_t, d_t)
-    return apply_on(rho, dims + dims, targets + [t + len(dims) for t in targets], s)
 
 
 def random_unitary(d: int, rng: np.random.Generator | None = None) -> np.ndarray:

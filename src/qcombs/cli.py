@@ -256,12 +256,11 @@ def load_spec(arg: str):
         if not teeth:
             first = next(iter(payload["probs"]))
             teeth = len(first.split(":"))
-        try:
-            n_qubits = qubit_count(d_sys)
-        except ValueError:
-            n_qubits = 0
-        if n_qubits == 0:
-            raise CliError(f"pauli_correlated d_sys must be a power of two, got {d_sys}")
+        n_qubits = d_sys.bit_length() - 1
+        if n_qubits < 1 or d_sys != 2**n_qubits:
+            raise CliError(
+                f"pauli_correlated d_sys must be a power of two of at least 2, got {d_sys}"
+            )
         table = _table_from_payload(payload, teeth, n_qubits)
         return comb_from_pauli_table(table), None, table, doc
     m = decode_matrix(payload["choi_op"])

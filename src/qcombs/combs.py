@@ -27,7 +27,7 @@ from .linalg import (
     psd_check_factored,
     tensor,
 )
-from .pauli import chi_from_choi, choi_from_chi
+from .pauli import _each_axis, qubit_count, tooth_basis
 
 
 class Comb:
@@ -264,14 +264,10 @@ def choi_channel(comb: Comb) -> Channel:
     the form on which Pauli twirling and quasi-probability decompositions
     operate.
     """
-    choi = permute_wires(comb.choi_op, comb.wire_dims, _channel_order(comb.teeth))
+    order = [2 * m + 1 for m in range(comb.teeth)] + [2 * m for m in range(comb.teeth)]
+    choi = permute_wires(comb.choi_op, comb.wire_dims, order)
     d_tot = comb.d_sys**comb.teeth
     return Channel(choi=choi, d_in=d_tot, d_out=d_tot)
-
-
-def _channel_order(teeth: int) -> list[int]:
-    """Comb wires in :func:`choi_channel` order: (out_1..out_M, in_1..in_M)."""
-    return [2 * m + 1 for m in range(teeth)] + [2 * m for m in range(teeth)]
 
 
 def slot_channel(comb: Comb) -> Channel:
@@ -290,25 +286,54 @@ def slot_channel(comb: Comb) -> Channel:
     return Channel(choi=choi, d_in=d_tot, d_out=d_tot)
 
 
-def comb_choi_state(comb: Comb) -> np.ndarray:
-    """Choi matrix of the channel form; its trace is d_sys**teeth."""
-    return choi_channel(comb).choi
+def _tooth_sandwich(x: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:
+    """``B^dag x B`` for B the Kronecker product of ``teeth`` copies of
+    :func:`tooth_basis`, contracted one tooth at a time, rows first."""
+    b = tooth_basis(qubit_count(d_sys))
+    return _each_axis(_each_axis(x, b.conj(), teeth), b, teeth)
 
 
 def comb_chi(comb: Comb) -> np.ndarray:
-    """Process matrix of the channel form over the multi-qubit Pauli basis."""
-    return chi_from_choi(comb_choi_state(comb))
+    """Process matrix of the channel form over the multi-qubit Pauli basis.
+
+    chi is ``B^dag J B / d**(2M)`` on the channel form J, whose Pauli
+    label joins one label per tooth, tooth 1 slowest.  The comb's rows
+    and columns already list each tooth's (in_m, out_m) pair in that
+    order, and :func:`tooth_basis` is the vectorized basis with its rows
+    in a tooth's (in, out) order, so chi is the sandwich of the operator
+    as stored, with no transpose.
+    """
+    return _tooth_sandwich(comb.choi_op, comb.teeth, comb.d_sys) / comb.d_sys ** (2 * comb.teeth)
 
 
 def comb_from_chi(chi: np.ndarray, teeth: int, d_sys: int) -> Comb:
     """The comb whose channel form has process matrix ``chi``.
 
-    Inverse of :func:`comb_chi`: builds the channel-form Choi matrix and
-    moves its wires back to (in_1, out_1, ..., in_M, out_M).
+    Inverse of :func:`comb_chi`: ``B chi B^dag``, one tooth at a time,
+    lands on the comb's wires as stored.
     """
-    inverse = np.argsort(_channel_order(teeth))
-    choi_op = permute_wires(choi_from_chi(chi), [d_sys] * (2 * teeth), inverse)
+    b = tooth_basis(qubit_count(d_sys))
+    choi_op = _each_axis(_each_axis(chi, b.T, teeth), b.conj().T, teeth)
     return Comb(choi_op=choi_op, teeth=teeth, d_sys=d_sys)
+
+
+def _comb_ptm(comb: Comb) -> np.ndarray:
+    """Pauli transfer matrix of the channel form, R[a, b] = Tr[G_a E(G_b)] / d**M.
+
+    R is ``B^dag S B / d**M`` for the superoperator S, which holds the
+    channel form's output row and column on its rows and its input row
+    and column on its columns.  :func:`tooth_basis` reads a wire pair as
+    (column, row) of the Pauli, so one transpose realigns the comb for
+    the sandwich of :func:`comb_chi`, tooth by tooth: each tooth's
+    (out column, out row) pair on the rows and its (in column, in row)
+    pair on the columns.  Assumes a Hermiticity-preserving map, so R is
+    real.
+    """
+    d, m = comb.d_sys, comb.teeth
+    rows = [ax for k in range(m) for ax in (2 * m + 2 * k + 1, 2 * k + 1)]
+    cols = [ax for k in range(m) for ax in (2 * m + 2 * k, 2 * k)]
+    s = comb.choi_op.reshape((d,) * (4 * m)).transpose(rows + cols).reshape(d ** (2 * m), -1)
+    return _tooth_sandwich(s, m, d).real / d**m
 
 
 def _check_layers(process: Comb | EnvModel, layers) -> list[Channel]:

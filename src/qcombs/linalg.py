@@ -75,22 +75,6 @@ def permute_wires(m: np.ndarray, dims, perm) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def apply_on(m: np.ndarray, dims, axes, op: np.ndarray) -> np.ndarray:
-    """``op @ x`` on the listed axes of ``m`` viewed with axis sizes ``dims``.
-
-    ``op`` is a square matrix on those axes in the listed order, first
-    slowest, contracted in with one tensordot; the result keeps the
-    shape and axis order of ``m``.  A matrix on wires of sizes ``w`` is
-    viewed with ``dims = w + w``: row indices, then column indices.
-    """
-    dims, axes = list(dims), list(axes)
-    sub = [dims[a] for a in axes]
-    k = len(axes)
-    op_t = np.reshape(op, sub + sub)
-    out = np.tensordot(op_t, np.reshape(m, dims), axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, range(k), axes).reshape(np.shape(m))
-
-
 # Entries per row block of is_hermitian's deviation (256 kB of complex).
 _HERMITIAN_BLOCK = 16384
 
@@ -156,15 +140,6 @@ def check_state(rho: np.ndarray, what: str, tol: float = 1e-9) -> None:
         )
     if abs(np.trace(rho) - 1.0) > tol:
         raise ValueError(f"{what} must have unit trace")
-
-
-def trace_norm(m: np.ndarray) -> float:
-    return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of the difference."""
-    return 0.5 * trace_norm(a - b)
 
 
 def choi_to_superop(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:

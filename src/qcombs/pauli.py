@@ -157,13 +157,6 @@ def offdiag_mass(chi: np.ndarray) -> float:
     return float(np.abs(chi).sum() - np.abs(np.diag(chi)).sum())
 
 
-def choi_from_chi(chi: np.ndarray) -> np.ndarray:
-    """``B chi B^dag``, the reverse of :func:`chi_from_choi` one qubit at a time."""
-    n = _qubits_from_dim(chi.shape[0])
-    t = _each_axis(_each_axis(chi, _VEC.T, n), _VEC.conj().T, n)
-    return t.reshape((2,) * (4 * n)).transpose(np.argsort(_qubit_pairs(n))).reshape(chi.shape)
-
-
 def ptm_from_superop(s: np.ndarray) -> np.ndarray:
     """Pauli transfer matrix R[a,b] = Tr[G_a E(G_b)] / 2**n.
 
@@ -172,7 +165,3 @@ def ptm_from_superop(s: np.ndarray) -> np.ndarray:
     power-of-two rescaling is exact.
     """
     return chi_from_choi(s).real * isqrt(s.shape[0])
-
-
-def superop_from_ptm(r: np.ndarray) -> np.ndarray:
-    return choi_from_chi(r.astype(complex)) / isqrt(r.shape[0])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .channels import (
     to_ptm,
     unitary_channel,
 )
-from .combs import Comb, _check_layers, _close, choi_channel
+from .combs import Comb, _check_layers, _close, _comb_ptm
 from .linalg import choi_to_superop, partial_trace, psd_check
 from .pauli import _each_axis, _pair_order, pauli_matrix, qubit_count
 
@@ -145,22 +145,13 @@ def default_basis(n_qubits: int = 1) -> BasisOpSet:
         ("select_minus", _projection_channel(_STATES["minus"])),
         ("select_minus_i", _projection_channel(_STATES["minus_i"])),
     ]
-    if n_qubits == 1:
-        return BasisOpSet(
-            ops=tuple(op for _, op in singles),
-            names=tuple(name for name, _ in singles),
-            n_qubits=1,
-        )
-    ops, names = [], []
-    for combo in itertools.product(range(16), repeat=n_qubits):
-        op = singles[combo[0]][1]
-        name = singles[combo[0]][0]
-        for c in combo[1:]:
-            op = tensor_channels(op, singles[c][1])
-            name += "," + singles[c][0]
-        ops.append(op)
-        names.append(name)
-    return BasisOpSet(ops=tuple(ops), names=tuple(names), n_qubits=n_qubits)
+    # One factor per qubit, the first slowest; a single qubit's ops are the singles themselves.
+    combos = list(itertools.product(singles, repeat=n_qubits))
+    return BasisOpSet(
+        ops=tuple(reduce(tensor_channels, [op for _, op in combo]) for combo in combos),
+        names=tuple(",".join(name for name, _ in combo) for combo in combos),
+        n_qubits=n_qubits,
+    )
 
 
 @dataclass(frozen=True)
@@ -216,16 +207,18 @@ class QuasiProbDecomposition:
 def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbDecomposition:
     """Quasi-probability weights cancelling the comb's channel form.
 
-    The comb is read as one channel from all inputs to all outputs, its
-    transfer matrix is inverted, and the inverse is expanded over tensor
-    products of basis operations by one matmul per tooth axis with the
-    basis's cached ``ptm_dual``.  Raises SingularNoiseError, before any
-    division, when the smallest singular value of the transfer matrix is
-    at most SINGULAR_VALUE_FLOOR times the largest, as for a zero matrix.
+    The comb is read as one channel from all inputs to all outputs.  Its
+    transfer matrix comes off the comb's wires by one realignment
+    transpose and the per-tooth Pauli sandwich (:func:`combs._comb_ptm`),
+    is inverted, and the inverse is expanded over tensor products of basis
+    operations by one matmul per tooth axis with the basis's cached
+    ``ptm_dual``.  Raises SingularNoiseError, before any division, when
+    the smallest singular value of the transfer matrix is at most
+    SINGULAR_VALUE_FLOOR times the largest, as for a zero matrix.
     """
     n = qubit_count(comb.d_sys)
     basis = basis or default_basis(n)
-    r = to_ptm(choi_channel(comb))
+    r = _comb_ptm(comb)
     svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= SINGULAR_VALUE_FLOOR * svals[0]:
         raise SingularNoiseError(

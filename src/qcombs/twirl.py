@@ -15,7 +15,7 @@ from math import fsum, log2, prod
 
 import numpy as np
 
-from .channels import Channel, apply, from_chi, to_chi
+from .channels import apply
 from .combs import Comb, EnvModel, _thin_factor, comb_chi, comb_from_chi
 from .pauli import (
     _each_axis,
@@ -198,36 +198,23 @@ def sampled_twirl(
     return comb_from_chi(chi, comb.teeth, comb.d_sys)
 
 
-def twirl_channel(channel: Channel) -> Channel:
-    """Full Pauli twirl of a channel on qubits, P E P averaged over P.
-
-    As for :func:`twirl_comb`, this keeps the diagonal of the process matrix.
-    """
-    return from_chi(np.diag(np.diag(to_chi(channel))))
-
-
 def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDiagTable:
     """Read the correlated Pauli table off a twirled comb.
 
     Raises ValueError when the comb's process matrix carries more
     off-diagonal weight than ``max_offdiag_mass``, since then the comb
     is not a correlated Pauli process and the diagonal is not the whole
-    story.  With ``max_offdiag_mass=None`` nothing is checked and the
-    table is :func:`pauli_table`'s.
+    story.  The table is :func:`pauli_table`'s; with
+    ``max_offdiag_mass=None`` nothing is checked.
     """
-    if max_offdiag_mass is None:
-        return pauli_table(comb)
-    n = qubit_count(comb.d_sys)
-    chi = comb_chi(comb)
-    diag = np.real(np.diag(chi))
-    off_mass = offdiag_mass(chi)
-    if off_mass > max_offdiag_mass:
-        raise ValueError(
-            f"process matrix has off-diagonal mass {off_mass:.3e}; "
-            "twirl the comb first"
-        )
-    probs = dict(zip(_table_keys(comb.teeth, n), diag.tolist()))
-    return PauliDiagTable(probs=probs, teeth=comb.teeth, n_qubits=n)
+    if max_offdiag_mass is not None:
+        off_mass = offdiag_mass(comb_chi(comb))
+        if off_mass > max_offdiag_mass:
+            raise ValueError(
+                f"process matrix has off-diagonal mass {off_mass:.3e}; "
+                "twirl the comb first"
+            )
+    return pauli_table(comb)
 
 
 def comb_from_pauli_table(table: PauliDiagTable) -> Comb:

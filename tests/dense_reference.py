@@ -5,10 +5,66 @@ from math import isqrt, prod
 
 import numpy as np
 
+from qcombs.channels import Channel, from_kraus
 from qcombs.combs import choi_channel
-from qcombs.linalg import apply_on, choi_to_superop, permute_wires, tensor
+from qcombs.linalg import choi_to_superop, permute_wires, psd_check, tensor
 from qcombs.pauli import _pair_order, pauli_basis, qubit_count
 from qcombs.pec import ALPHA_CLEAN
+
+
+def apply_on(m: np.ndarray, dims, axes, op: np.ndarray) -> np.ndarray:
+    """``op @ x`` on the listed axes of ``m`` viewed with axis sizes ``dims``.
+
+    ``op`` is a square matrix on those axes in the listed order, first
+    slowest, contracted in with one tensordot; the result keeps the
+    shape and axis order of ``m``.  A matrix on wires of sizes ``w`` is
+    viewed with ``dims = w + w``: row indices, then column indices.
+    """
+    dims, axes = list(dims), list(axes)
+    sub = [dims[a] for a in axes]
+    k = len(axes)
+    op_t = np.reshape(op, sub + sub)
+    out = np.tensordot(op_t, np.reshape(m, dims), axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, range(k), axes).reshape(np.shape(m))
+
+
+def apply_channel_on(rho: np.ndarray, dims, targets, channel: Channel) -> np.ndarray:
+    """Act with a channel on selected wires of a joint density matrix.
+
+    The channel must preserve the dimension of the chosen wires.  Its
+    superoperator acts on their row and column indices together, and
+    wires come back in their original order.
+    """
+    dims = list(dims)
+    targets = list(targets)
+    d_t = prod(dims[t] for t in targets)
+    if channel.d_in != d_t or channel.d_out != d_t:
+        raise ValueError("channel dimension does not match target wires")
+    s = choi_to_superop(channel.choi, d_t, d_t)
+    return apply_on(rho, dims + dims, targets + [t + len(dims) for t in targets], s)
+
+
+def completely_depolarizing(d: int) -> Channel:
+    """The channel sending every state to the maximally mixed state."""
+    ops = [
+        np.outer(np.eye(d)[i], np.eye(d)[j]) / np.sqrt(d)
+        for i in range(d)
+        for j in range(d)
+    ]
+    return from_kraus(ops)
+
+
+def is_completely_positive(channel: Channel, tol: float = 1e-9) -> bool:
+    return psd_check(channel.choi, tol=tol).is_psd
+
+
+def trace_norm(m: np.ndarray) -> float:
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the trace norm of the difference."""
+    return 0.5 * trace_norm(a - b)
 
 
 def conjugate_on(rho: np.ndarray, dims, targets, u: np.ndarray) -> np.ndarray:

@@ -15,10 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dense_reference import max_entangled, permutation_matrix
+from dense_reference import apply_channel_on, max_entangled, permutation_matrix, trace_distance
 from qcombs.channels import (
     apply,
-    apply_channel_on,
     compose,
     depolarizing_channel,
     identity_channel,
@@ -41,7 +40,7 @@ from qcombs.combs import (
     slot_channel,
     validate_comb,
 )
-from qcombs.linalg import partial_trace, tensor, trace_distance
+from qcombs.linalg import partial_trace, tensor
 from qcombs.pauli import pauli_labels
 from qcombs.pec import decompose_inverse, pec_correct_exact, pec_sample
 from qcombs.twirl import (

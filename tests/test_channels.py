@@ -4,8 +4,6 @@ import pytest
 from qcombs.channels import (
     Channel,
     apply,
-    apply_channel_on,
-    completely_depolarizing,
     compose,
     depolarizing_channel,
     from_kraus,
@@ -17,12 +15,17 @@ from qcombs.channels import (
     tensor_channels,
     to_chi,
     to_ptm,
-    from_chi,
-    from_ptm,
     unitary_channel,
 )
-from dense_reference import embed
-from qcombs.linalg import tensor
+import dense_reference as ref
+from dense_reference import (
+    apply_channel_on,
+    completely_depolarizing,
+    embed,
+    is_completely_positive,
+)
+from qcombs.combs import choi_channel, comb_from_chi
+from qcombs.linalg import choi_to_superop, tensor
 from qcombs.pauli import pauli_basis
 
 
@@ -51,7 +54,7 @@ def test_from_kraus_rejects_non_tp():
 def test_from_kraus_allows_trace_decreasing_when_asked():
     ch = from_kraus([0.5 * np.eye(2)], require_tp=False)
     assert not ch.is_trace_preserving()
-    assert ch.is_completely_positive()
+    assert is_completely_positive(ch)
 
 
 def test_channel_shape_validation():
@@ -157,8 +160,10 @@ def test_completely_depolarizing_output():
 def test_ptm_chi_roundtrips():
     rng = np.random.default_rng(7)
     ch = random_channel(2, rng=rng)
-    assert np.allclose(from_ptm(to_ptm(ch)).choi, ch.choi)
-    assert np.allclose(from_chi(to_chi(ch)).choi, ch.choi)
+    assert np.allclose(ref.superop_from_ptm(to_ptm(ch)), choi_to_superop(ch.choi, 2, 2))
+    assert np.allclose(ref.choi_from_chi(to_chi(ch)), ch.choi)
+    # A channel is the one-tooth comb, whose channel form is the channel itself.
+    assert np.allclose(choi_channel(comb_from_chi(to_chi(ch), 1, 2)).choi, ch.choi)
 
 
 def test_ptm_of_tp_channel_first_row():

@@ -287,6 +287,8 @@ def test_wrong_typed_payload_is_exit_2(capsys, spec, message):
          "'Q' is not a 1-qubit label"),
         (_inline("pauli_correlated", {"probs": {"X:I": 1.0}}, d_sys=3),
          "d_sys must be a power of two"),
+        (_inline("pauli_correlated", {"probs": {"X:I": 1.0}}, d_sys=1),
+         "d_sys must be a power of two of at least 2, got 1"),
         (_inline("markovian", {"channels": [{"choi": np.eye(3).tolist()}]}),
          "choi must be a d^2 x d^2 matrix"),
         (_inline("markovian", {"channels": [{"name": "identity", "d": 2},
@@ -301,7 +303,7 @@ def test_wrong_typed_payload_is_exit_2(capsys, spec, message):
     ],
     ids=[
         "teeth_word", "interaction_shape", "env_init_shape", "table_letter",
-        "pauli_channel_letter", "table_d_sys_3", "choi_size", "mixed_dimensions",
+        "pauli_channel_letter", "table_d_sys_3", "table_d_sys_1", "choi_size", "mixed_dimensions",
         "kraus_shapes", "unitary_not_square", "bare_matrix_not_square",
     ],
 )

@@ -11,12 +11,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import _cswap, _swap_index, conjugate_on
+from dense_reference import (
+    _cswap,
+    _swap_index,
+    apply_channel_on,
+    completely_depolarizing,
+    conjugate_on,
+)
 from qcombs.channels import (
     Channel,
     apply,
-    apply_channel_on,
-    completely_depolarizing,
     compose,
     random_channel,
     random_density_matrix,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_reference import conjugate_on, max_entangled, permutation_matrix
+from dense_reference import apply_channel_on, conjugate_on, max_entangled, permutation_matrix
 from qcombs.channels import (
     apply,
     compose,
@@ -19,7 +19,6 @@ from qcombs.combs import (
     apply_comb,
     choi_channel,
     comb_chi,
-    comb_choi_state,
     comb_from_env_model,
     markovian_comb,
     output_channel,
@@ -33,7 +32,6 @@ from qcombs.linalg import (
     permute_wires,
     tensor,
 )
-from qcombs.channels import apply_channel_on
 from qcombs.pauli import pauli_basis
 from qcombs.twirl import PauliDiagTable, env_model_from_pauli_table
 
@@ -395,7 +393,7 @@ def test_comb_choi_state_trace():
     for teeth in (1, 2, 3):
         model = random_env_model(teeth, rng=rng)
         comb = comb_from_env_model(model)
-        trace = np.trace(comb_choi_state(comb)).real
+        trace = np.trace(choi_channel(comb).choi).real
         assert abs(trace - 2**teeth) < 1e-9
 
 

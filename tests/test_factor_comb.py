@@ -15,10 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import purified_factor
+from dense_reference import apply_channel_on, purified_factor
 from qcombs import combs, pec, twirl
 from qcombs.channels import (
-    apply_channel_on,
     from_kraus,
     random_channel,
     random_density_matrix,

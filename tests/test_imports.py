@@ -1,12 +1,13 @@
 """Every name a qcombs module imports is used by that module, and every
-private module-level name is read somewhere in the package.
+module-level private name, function and class is read somewhere in the
+package.
 
-No linter runs on the package, so an import or a private helper left
-behind by a refactor would otherwise go unnoticed.  A name counts as used
-when the module reads it, or, for the package's ``__init__``, when
-``__all__`` exports it.  A private name (one leading underscore) counts as
-read when any module of the package loads it, reads it as an attribute or
-imports it.
+No linter runs on the package, so an import or a helper left behind by a
+refactor would otherwise go unnoticed.  A name counts as used when the
+module reads it, or, for the package's ``__init__``, when ``__all__``
+exports it.  A defined name counts as read when any module of the package
+loads it, reads it as an attribute or imports it; ``__init__`` imports
+every name that ``__all__`` exports, so an exported function is read.
 """
 
 import ast
@@ -83,20 +84,54 @@ def read_names(tree: ast.Module) -> set[str]:
     return read
 
 
-def test_package_reads_every_private_name():
-    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and classes without a leading underscore, with their line."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def orphans(trees: dict[str, ast.Module], definitions) -> dict[str, str]:
+    """Names from ``definitions(tree)`` that no module in ``trees`` reads, keyed module:line."""
     read = set().union(*map(read_names, trees.values()))
-    orphans = {
+    return {
         f"{module}:{line}": name
         for module, tree in sorted(trees.items())
-        for name, line in private_definitions(tree).items()
+        for name, line in definitions(tree).items()
         if name not in read
     }
-    assert not orphans, f"private names no module reads: {orphans}"
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+
+
+def test_package_reads_every_private_name():
+    found = orphans(package_trees(), private_definitions)
+    assert not found, f"private names no module reads: {found}"
+
+
+def test_package_reads_or_exports_every_public_name():
+    found = orphans(package_trees(), public_definitions)
+    assert not found, f"functions and classes no module reads or exports: {found}"
 
 
 def test_detects_an_orphaned_private_name():
     helper = ast.parse("_USED = 1\n_ORPHAN = 2\n\ndef _left_behind(x):\n    return x\n")
     caller = ast.parse("from .helper import _USED\n\nprint(_USED)\n")
-    read = read_names(helper) | read_names(caller)
-    assert set(private_definitions(helper)) - read == {"_ORPHAN", "_left_behind"}
+    found = orphans({"helper.py": helper, "caller.py": caller}, private_definitions)
+    assert set(found.values()) == {"_ORPHAN", "_left_behind"}
+
+
+def test_detects_an_orphaned_public_name():
+    helper = ast.parse(
+        "def used(x):\n    return x\n\ndef exported(x):\n    return x\n\n"
+        "def left_behind(x):\n    return x\n\nclass Orphan:\n    pass\n"
+    )
+    caller = ast.parse("from .helper import used\n\nused(1)\n")
+    init = ast.parse("from .helper import exported\n\n__all__ = ['exported']\n")
+    trees = {"helper.py": helper, "caller.py": caller, "__init__.py": init}
+    found = orphans(trees, public_definitions)
+    assert found == {"helper.py:7": "left_behind", "helper.py:10": "Orphan"}

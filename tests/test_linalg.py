@@ -3,9 +3,16 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dense_reference import conjugate_on, embed, max_entangled, permutation_matrix
-from qcombs.linalg import (
+from dense_reference import (
     apply_on,
+    conjugate_on,
+    embed,
+    max_entangled,
+    permutation_matrix,
+    trace_distance,
+    trace_norm,
+)
+from qcombs.linalg import (
     choi_to_superop,
     is_hermitian,
     partial_trace,
@@ -14,8 +21,6 @@ from qcombs.linalg import (
     psd_check_factored,
     superop_to_choi,
     tensor,
-    trace_distance,
-    trace_norm,
 )
 
 

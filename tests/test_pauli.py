@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+import dense_reference as ref
+from qcombs.combs import choi_channel, comb_from_chi
 from qcombs.pauli import (
     chi_from_choi,
-    choi_from_chi,
     label_index,
     pauli_basis,
     pauli_labels,
     pauli_matrix,
     ptm_from_superop,
-    superop_from_ptm,
 )
 
 
@@ -88,7 +88,9 @@ def test_choi_chi_roundtrip():
     rng = np.random.default_rng(1)
     kraus = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
     choi = _choi_of_kraus(kraus)
-    assert np.allclose(choi_from_chi(chi_from_choi(choi)), choi)
+    assert np.allclose(ref.choi_from_chi(chi_from_choi(choi)), choi)
+    # The one-tooth comb whose channel form has this chi is the channel itself.
+    assert np.allclose(choi_channel(comb_from_chi(chi_from_choi(choi), 1, 2)).choi, choi)
 
 
 def test_chi_from_choi_rejects_odd_dimension():
@@ -116,7 +118,7 @@ def test_ptm_superop_roundtrip():
     kraus = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
     superop = sum(np.kron(k, k.conj()) for k in kraus)
     r = ptm_from_superop(superop)
-    assert np.allclose(superop_from_ptm(r), superop)
+    assert np.allclose(ref.superop_from_ptm(r), superop)
 
 
 def test_ptm_entry_definition():

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 import dense_reference as ref
-from qcombs.channels import random_channel, to_ptm
+from qcombs.channels import Channel, random_channel, to_ptm
 from qcombs.combs import (
+    _comb_ptm,
     choi_channel,
     comb_chi,
     comb_from_chi,
     comb_from_env_model,
+    markovian_comb,
     random_env_model,
 )
 from qcombs.linalg import choi_to_superop
-from qcombs.pauli import chi_from_choi, choi_from_chi, ptm_from_superop, superop_from_ptm
+from qcombs.pauli import chi_from_choi, ptm_from_superop
 
 # (teeth, system qubits, interaction strength; None is Haar).
 DILATIONS = [(m, 1, s) for m in (1, 2, 3, 4) for s in (0.3, None)] + [(5, 1, 0.3)] + [
@@ -32,14 +34,21 @@ def _comb(m, n_sys, strength):
     return comb_from_env_model(model, validate=False)
 
 
+def _one_tooth_choi(chi, d):
+    """``B chi B^dag`` through the one-tooth comb, whose channel form is the channel."""
+    return choi_channel(comb_from_chi(chi, 1, d)).choi
+
+
 def _assert_transforms_match(choi, d):
     chi = ref.chi_from_choi(choi)
     assert_close(chi_from_choi(choi), chi)
-    assert_close(choi_from_chi(chi), ref.choi_from_chi(chi))
+    assert_close(_one_tooth_choi(chi, d), ref.choi_from_chi(chi))
+    tooth = markovian_comb([Channel(choi=choi, d_in=d, d_out=d)])
+    assert_close(comb_chi(tooth), chi)
     superop = choi_to_superop(choi, d, d)
     ptm = ref.ptm_from_superop(superop)
     assert_close(ptm_from_superop(superop), ptm)
-    assert_close(superop_from_ptm(ptm), ref.superop_from_ptm(ptm))
+    assert_close(_comb_ptm(tooth), ptm)
 
 
 @pytest.mark.parametrize("m, n_sys, strength", DILATIONS)
@@ -58,6 +67,7 @@ def test_comb_views_match_dense_basis(m, n_sys, strength):
     assert_close(choi_channel(comb_from_chi(chi, m, comb.d_sys)).choi, ref.choi_from_chi(chi))
     superop = choi_to_superop(channel.choi, channel.d_in, channel.d_out)
     assert_close(to_ptm(channel), ref.ptm_from_superop(superop))
+    assert_close(_comb_ptm(comb), ref.ptm_from_superop(superop))
     assert_close(comb_from_chi(comb_chi(comb), m, comb.d_sys).choi_op, comb.choi_op)
 
 
@@ -68,4 +78,4 @@ def test_random_channel_transforms_match_dense_basis(n):
     # Any complex matrix, so no symmetry of a channel hides an index mix-up.
     g = rng.standard_normal((4**n, 4**n)) + 1j * rng.standard_normal((4**n, 4**n))
     assert_close(chi_from_choi(g), ref.chi_from_choi(g))
-    assert_close(choi_from_chi(g), ref.choi_from_chi(g))
+    assert_close(_one_tooth_choi(g, 2**n), ref.choi_from_chi(g))

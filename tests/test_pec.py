@@ -7,11 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dense_reference import solved_alpha
+from dense_reference import completely_depolarizing, solved_alpha
 from qcombs.channels import (
     Channel,
     apply,
-    completely_depolarizing,
     compose,
     depolarizing_channel,
     from_kraus,

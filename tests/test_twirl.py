@@ -12,6 +12,7 @@ from qcombs.channels import (
 )
 from qcombs.combs import (
     apply_comb,
+    choi_channel,
     comb_chi,
     comb_from_chi,
     comb_from_env_model,
@@ -32,11 +33,15 @@ from qcombs.twirl import (
     product_of_marginals,
     sampled_twirl,
     tv_distance,
-    twirl_channel,
     twirl_comb,
 )
 
 PAULIS = pauli_basis(1)
+
+
+def twirl_channel(channel):
+    """A channel's full Pauli twirl, as the twirl of its one-tooth comb."""
+    return choi_channel(twirl_comb(markovian_comb([channel])))
 
 
 def cnot_comb():
