@@ -56,6 +56,7 @@ from .pec import (
 )
 from .twirl import (
     PauliDiagTable,
+    _keys_of,
     comb_from_pauli_table,
     marginals,
     mutual_information,
@@ -394,7 +395,9 @@ def cmd_twirl(args) -> int:
         table = pauli_table(sampled_twirl(comb, args.samples, rng))
     else:
         table = pauli_table(comb)
-    probs = {":".join(k): v for k, v in sorted(table.probs.items()) if v > args.prune}
+    keep = np.flatnonzero(table.vector > args.prune)
+    keys = _keys_of(keep, table.teeth, table.n_qubits)
+    probs = dict(zip(map(":".join, keys), table.vector[keep].tolist()))
     margs = [dict(sorted(m.items())) for m in marginals(table)]
     mi = mutual_information(table) if table.teeth == 2 else None
     _emit(

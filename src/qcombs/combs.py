@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, random_density_matrix, random_unitary
+from .channels import Channel, random_density_matrix, random_unitary, to_ptm
 from .linalg import (
     check_state,
     is_hermitian,
@@ -27,7 +27,8 @@ from .linalg import (
     psd_check_factored,
     tensor,
 )
-from .pauli import _each_axis, qubit_count, tooth_basis
+from .pauli import (_each_axis, _pair_order, commutation_signs, pauli_basis, qubit_count,
+                    tooth_basis, tooth_kernel)
 
 
 class Comb:
@@ -37,16 +38,23 @@ class Comb:
     slowest, every wire of dimension ``d_sys``.  ``factor``, when given,
     is a pair ``(a, s)`` with ``a`` of shape (d_sys**(2M), r) and real
     signs ``s`` of length r such that ``choi_op = a diag(s) a^dag``, so
-    the operator is Hermitian by construction.  A comb given only its
-    factor derives ``choi_op`` on first access and keeps it.
+    the operator is Hermitian by construction.  ``pauli``, when given,
+    holds real weights p, one per Pauli label in label-index order, and
+    the comb's process matrix (:func:`comb_chi`) is ``diag(p)``.  A comb
+    given no operator derives ``choi_op`` on first access, from p when it
+    has both, and keeps it.
     """
 
     def __init__(self, choi_op: np.ndarray | None = None, *, teeth: int, d_sys: int,
-                 factor: tuple[np.ndarray, np.ndarray] | None = None):
-        self.teeth, self.d_sys, self.factor, self._choi_op = teeth, d_sys, factor, choi_op
+                 factor: tuple[np.ndarray, np.ndarray] | None = None,
+                 pauli: np.ndarray | None = None):
+        self.teeth, self.d_sys, self.factor, self.pauli = teeth, d_sys, factor, pauli
+        self._choi_op = choi_op
         d = d_sys ** (2 * teeth)
-        if choi_op is None and factor is None:
-            raise ValueError("a comb needs its operator or its factor")
+        if choi_op is None and factor is None and pauli is None:
+            raise ValueError("a comb needs its operator or its factor, or its Pauli weights")
+        if pauli is not None and (pauli.shape != (d,) or np.iscomplexobj(pauli)):
+            raise ValueError(f"a comb's Pauli weights must be {d} real numbers")
         if choi_op is not None and choi_op.shape != (d, d):
             raise ValueError(
                 f"comb operator shape {choi_op.shape} does not match "
@@ -64,7 +72,9 @@ class Comb:
 
     @property
     def choi_op(self) -> np.ndarray:
-        if self._choi_op is None:
+        if self._choi_op is None and self.pauli is not None:
+            self._choi_op = _pauli_op(self.pauli, self.teeth, self.d_sys)
+        elif self._choi_op is None:
             a, s = self.factor
             self._choi_op = (a * s) @ a.conj().T
         return self._choi_op
@@ -72,6 +82,18 @@ class Comb:
     @property
     def wire_dims(self) -> list[int]:
         return [self.d_sys] * (2 * self.teeth)
+
+
+def _pauli_op(p: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:
+    """The comb operator whose process matrix is ``diag(p)``: conj(K) of
+    :func:`tooth_kernel` per tooth, then one transpose onto the comb's
+    wires, with no process matrix; ``comb_from_chi(np.diag(p))`` up to
+    roundoff."""
+    n = qubit_count(d_sys)
+    q = 4**n  # Pauli labels per tooth, and entries of a tooth's wire pair
+    t = _each_axis(p, tooth_kernel(n).conj().T, teeth)
+    t = t.reshape((q,) * (2 * teeth)).transpose(np.argsort(_pair_order(teeth)))
+    return t.reshape(q**teeth, q**teeth)
 
 
 @dataclass(frozen=True)
@@ -218,11 +240,12 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     own factor is thin (:func:`_factor_residual`); the first level that
     is not is formed from the factor.  Every other comb starts from the
     dense operator.  Dense levels trace one wire at a time.  A factor's
-    real signs make the comb Hermitian, so only a comb without one is
-    checked for it.
+    real signs, or real Pauli weights, make the comb Hermitian, so only a
+    comb with neither is checked for it.
     """
     d, m = comb.d_sys, comb.teeth
-    herm_ok = comb.factor is not None or is_hermitian(comb.choi_op, tol=tol)
+    herm_ok = (comb.factor is not None or comb.pauli is not None
+               or is_hermitian(comb.choi_op, tol=tol))
     residuals = []
     if (factor := _thin_factor(comb)) is not None:
         a, s = factor
@@ -428,13 +451,44 @@ def _close_factor(
     return np.tensordot(x.reshape(shape) * s, b.conj().reshape(shape), axes=([0, 2], [0, 2]))
 
 
+def _pauli_close(comb: Comb, rho: np.ndarray | None, layers) -> np.ndarray:
+    """Close a Pauli-diagonal comb in Pauli coordinates, forming no operator.
+
+    A tooth conjugates by G_a with probability p[a], which multiplies
+    Pauli coordinate b by the commutation sign S[a, b], so the teeth act
+    through f = S^(x M) p, contracted one qubit at a time.  With
+    ``L_m = to_ptm(layer_m)`` and ``r_0[b] = Tr[G_b rho]``,
+
+        r[b_M] = sum f(b_1..b_M) L_{M-1}[b_M, b_{M-1}] ... L_1[b_2, b_1] r_0[b_1],
+
+    summed one tooth at a time: each step contracts b_m with L_m and
+    meets b_{m+1} on the same axis of f.  Returns the state
+    ``sum_b r[b] G_b / d``.  With ``rho=None`` r_0 is the identity, so
+    r is the transfer matrix R of the in_1 to out_M channel, and the
+    result is its Choi matrix ``sum_ab R[a, b] G_a (x) conj(G_b) / d``.
+    """
+    n, d = qubit_count(comb.d_sys), comb.d_sys
+    q, g = 4**n, np.array(pauli_basis(n))
+    f = _each_axis(comb.pauli, commutation_signs(1), n * comb.teeth)
+    first = np.eye(q) if rho is None else np.einsum("bij,ji->b", g, rho)[:, None]
+    x = first.T[:, :, None] * f.reshape(q, -1)  # (in_1 column, b_m, b_(m+1)..b_M)
+    for layer in _check_layers(comb, layers):
+        x = np.einsum("ji,cijr->cjr", to_ptm(layer), x.reshape(len(x), q, q, -1))
+    if rho is not None:
+        return np.tensordot(x[0, :, 0], g, 1) / d
+    return np.einsum("ba,axy,bij->xiyj", x[:, :, 0], g, g.conj()).reshape(d * d, d * d) / d
+
+
 def output_channel(comb: Comb, layers) -> Channel:
     """The in_1 to out_M channel obtained by fixing the slot contents.
 
-    A comb with a thin factor closes through it (:func:`_close_factor`),
-    every other comb through the dense operator (:func:`_close`).
+    A Pauli-diagonal comb closes in Pauli coordinates (:func:`_pauli_close`),
+    a comb with a thin factor through it (:func:`_close_factor`), every
+    other comb through the dense operator (:func:`_close`).
     """
     d = comb.d_sys
+    if comb.pauli is not None:
+        return Channel(choi=_pauli_close(comb, None, layers), d_in=d, d_out=d)
     plugs = _layer_plugs(comb, layers)
     if (factor := _thin_factor(comb)) is not None:
         choi = _close_factor(*factor, d, None, plugs)
@@ -455,6 +509,8 @@ def apply_comb(comb: Comb, layers, rho: np.ndarray) -> np.ndarray:
     d = comb.d_sys
     if rho.shape != (d, d):
         raise ValueError("input state dimension does not match the comb")
+    if comb.pauli is not None:
+        return _pauli_close(comb, rho, layers)
     plugs = _layer_plugs(comb, layers)
     if (factor := _thin_factor(comb)) is not None:
         return _close_factor(*factor, d, rho, plugs)

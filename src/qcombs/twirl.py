@@ -8,10 +8,9 @@ which are classical probability tables over per-tooth Pauli labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, product
-from math import fsum, log2, prod
+from functools import cached_property, lru_cache, reduce
+from itertools import product
+from math import fsum
 
 import numpy as np
 
@@ -34,40 +33,49 @@ _NEG_CLAMP = 1e-10
 _SUM_SLACK = 1e-8
 
 
-@dataclass(frozen=True)
 class PauliDiagTable:
     """Joint distribution over per-tooth Pauli labels.
 
-    Keys of ``probs`` are tuples like ("X", "Z") with one n-qubit label
-    per tooth.  Construction clamps roundoff negatives, checks the total
-    and renormalizes it to exactly one.
+    ``vector`` holds one probability per label index (the per-tooth
+    labels joined, first tooth slowest, so index order is sorted key
+    order).  ``probs`` is the keyed view, with keys like ("X", "Z"),
+    built on first read: a dict table lists its own keys in its order,
+    explicit zeros included, and a vector table every label.
+    Construction clamps roundoff negatives, checks the total and
+    renormalizes it to exactly one.
     """
 
-    probs: dict[tuple[str, ...], float]
-    teeth: int
-    n_qubits: int
-
-    def __post_init__(self):
-        values = list(self.probs.values())
-        if (
-            _keys_fit(self.probs, self.teeth, self.n_qubits)
-            and (low := min(values, default=0.0)) >= -_NEG_CLAMP
-        ):
-            keys = self.probs.keys()
-            clean = list(map(float, values))
-            if low < 0.0:
-                clean = [max(p, 0.0) for p in clean]
+    def __init__(self, probs: dict | np.ndarray, teeth: int, n_qubits: int):
+        self.teeth, self.n_qubits = teeth, n_qubits
+        if isinstance(probs, np.ndarray):
+            self._listed, values = None, self._check_vector(probs)
         else:
-            keys, clean = self._check_entries()
-        total = sum(clean)
+            self._listed, values = self._check_entries(probs)
+        total = sum(values.tolist())
         if abs(total - 1.0) > _SUM_SLACK:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", dict(zip(keys, (np.array(clean) / total).tolist())))
+        if self._listed is None:
+            self.vector = values / total
+        else:
+            self.vector = np.zeros(4 ** (n_qubits * teeth))
+            self.vector[self._listed] = values / total
+        self.vector.setflags(write=False)
 
-    def _check_entries(self) -> tuple[list[tuple[str, ...]], list[float]]:
-        """Entry-by-entry check that words the first error in key order."""
+    def _check_vector(self, p: np.ndarray) -> np.ndarray:
+        """Clamp roundoff negatives of a vector in index order."""
+        if p.shape != (4 ** (self.n_qubits * self.teeth),):
+            raise ValueError(f"a table of {self.teeth} teeth of {self.n_qubits} qubits "
+                             f"needs {4 ** (self.n_qubits * self.teeth)} probabilities")
+        if (bad := np.flatnonzero(p < -_NEG_CLAMP)).size:
+            (key,) = _keys_of(bad[:1], self.teeth, self.n_qubits)
+            raise ValueError(f"probability of {key} is negative ({p[bad[0]]:.3e})")
+        return np.where(p < 0.0, 0.0, p)
+
+    def _check_entries(self, probs: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Entry-by-entry check that words the first error in key order;
+        returns each key's label index and clamped probability."""
         clean = {}
-        for key, p in self.probs.items():
+        for key, p in probs.items():
             key = tuple(key)
             if len(key) != self.teeth or any(len(lbl) != self.n_qubits for lbl in key):
                 raise ValueError(f"key {key} does not match {self.teeth} teeth "
@@ -77,25 +85,19 @@ class PauliDiagTable:
                     raise ValueError(f"bad Pauli label {lbl!r}")
             if p < -_NEG_CLAMP:
                 raise ValueError(f"probability of {key} is negative ({p:.3e})")
-            clean[key] = max(float(p), 0.0)
-        return list(clean), list(clean.values())
+            clean[label_index("".join(key))] = max(float(p), 0.0)
+        return np.array(list(clean), dtype=int), np.array(list(clean.values()))
+
+    @cached_property
+    def probs(self) -> dict[tuple[str, ...], float]:
+        """The listed keys with their probabilities."""
+        if self._listed is None:
+            return dict(zip(_table_keys(self.teeth, self.n_qubits), self.vector.tolist()))
+        keys = _keys_of(self._listed, self.teeth, self.n_qubits)
+        return dict(zip(keys, self.vector[self._listed].tolist()))
 
     def prob(self, key: tuple[str, ...]) -> float:
         return self.probs.get(tuple(key), 0.0)
-
-
-@lru_cache(maxsize=None)
-def _label_set(n: int) -> frozenset[str]:
-    return frozenset(pauli_labels(n))
-
-
-def _keys_fit(probs: dict, teeth: int, n: int) -> bool:
-    """Whether every key is a tuple of ``teeth`` n-qubit Pauli labels."""
-    return (
-        set(map(type, probs)) <= {tuple}
-        and set(map(len, probs)) <= {teeth}
-        and _label_set(n).issuperset(chain.from_iterable(probs))
-    )
 
 
 @lru_cache(maxsize=None)
@@ -104,10 +106,14 @@ def _table_keys(teeth: int, n: int) -> tuple[tuple[str, ...], ...]:
     return tuple(product(pauli_labels(n), repeat=teeth))
 
 
-@lru_cache(maxsize=None)
-def _key_index(teeth: int, n: int) -> dict[tuple[str, ...], int]:
-    """Position of every table key in :func:`_table_keys` order, its label index."""
-    return {key: i for i, key in enumerate(_table_keys(teeth, n))}
+def _digits(index: np.ndarray, teeth: int, n: int) -> np.ndarray:
+    """Per-tooth label indices of table label indices, one row each."""
+    return index[:, None] // 4 ** (n * np.arange(teeth - 1, -1, -1)) % 4**n
+
+
+def _keys_of(index: np.ndarray, teeth: int, n: int) -> list[tuple[str, ...]]:
+    """The table keys of the given label indices."""
+    return list(map(tuple, np.array(pauli_labels(n))[_digits(index, teeth, n)].tolist()))
 
 
 def _pauli_diag(comb: Comb, n: int) -> np.ndarray:
@@ -122,9 +128,11 @@ def _pauli_diag(comb: Comb, n: int) -> np.ndarray:
     A comb with a thin factor ``J = a diag(s) a^dag`` reads it from ``a``
     alone: with ã the contraction of each tooth's row pair of every
     column of ``a`` with conj(b) (:func:`tooth_basis`), the diagonal is
-    the real ``(|ã|^2 @ s) / d**(2M)``.
+    the real ``(|ã|^2 @ s) / d**(2M)``.  A Pauli-diagonal comb holds it.
     """
     q = comb.d_sys**2
+    if comb.pauli is not None:
+        return comb.pauli
     if (factor := _thin_factor(comb)) is not None:
         a, s = factor
         a = _each_axis(a, tooth_basis(n).conj(), comb.teeth)
@@ -137,11 +145,10 @@ def pauli_table(comb: Comb) -> PauliDiagTable:
     """The comb's correlated Pauli table, the diagonal of :func:`comb_chi`.
 
     This is the table of :func:`twirl_comb`'s output, read off the comb
-    tooth by tooth with no process matrix.
+    tooth by tooth with no process matrix, and it lists every label.
     """
     n = qubit_count(comb.d_sys)
-    probs = dict(zip(_table_keys(comb.teeth, n), _pauli_diag(comb, n).real.tolist()))
-    return PauliDiagTable(probs=probs, teeth=comb.teeth, n_qubits=n)
+    return PauliDiagTable(_pauli_diag(comb, n).real, teeth=comb.teeth, n_qubits=n)
 
 
 def twirl_comb(comb: Comb) -> Comb:
@@ -152,24 +159,16 @@ def twirl_comb(comb: Comb) -> Comb:
     s(P, a) s(P, b), the signs with which P commutes with G_a and G_b,
     and the mean of that product over all 4**(n*teeth) frames is one on
     the diagonal and zero off it.  So the twirl keeps the diagonal of
-    :func:`comb_chi`.  The comb with that diagonal as its process matrix
-    is the reverse of :func:`_pauli_diag` (:func:`_comb_from_diag`).
+    :func:`comb_chi`, real for a Hermitian comb, and returns the
+    Pauli-diagonal comb of its real part (:func:`_comb_from_diag`).
     """
     n = qubit_count(comb.d_sys)
-    return _comb_from_diag(_pauli_diag(comb, n), comb.teeth, n)
+    return _comb_from_diag(_pauli_diag(comb, n).real, comb.teeth, n)
 
 
 def _comb_from_diag(p: np.ndarray, teeth: int, n: int) -> Comb:
-    """The comb whose channel form has the diagonal process matrix diag(p).
-
-    The reverse of :func:`_pauli_diag`, tooth by tooth with conj(K), so
-    no process matrix is formed; the same as ``comb_from_chi(np.diag(p))``
-    up to roundoff.
-    """
-    q = 4**n  # Pauli labels per tooth, and entries of a tooth's wire pair
-    t = _each_axis(p, tooth_kernel(n).conj().T, teeth)
-    t = t.reshape((q,) * (2 * teeth)).transpose(np.argsort(_pair_order(teeth)))
-    return Comb(choi_op=t.reshape(q**teeth, q**teeth), teeth=teeth, d_sys=2**n)
+    """The Pauli-diagonal comb whose channel form has process matrix diag(p)."""
+    return Comb(teeth=teeth, d_sys=2**n, pauli=p)
 
 
 def sampled_twirl(
@@ -205,9 +204,10 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
     off-diagonal weight than ``max_offdiag_mass``, since then the comb
     is not a correlated Pauli process and the diagonal is not the whole
     story.  The table is :func:`pauli_table`'s; with
-    ``max_offdiag_mass=None`` nothing is checked.
+    ``max_offdiag_mass=None`` nothing is checked, nor for a
+    Pauli-diagonal comb, whose off-diagonal mass is zero by construction.
     """
-    if max_offdiag_mass is not None:
+    if max_offdiag_mass is not None and comb.pauli is None:
         off_mass = offdiag_mass(comb_chi(comb))
         if off_mass > max_offdiag_mass:
             raise ValueError(
@@ -220,25 +220,22 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
 def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
     """Comb of the correlated Pauli process described by a table.
 
-    Its channel form has a diagonal process matrix holding the table's
-    probabilities, indexed by the per-tooth labels joined in tooth order.
-    A table with fewer nonzero entries than the operator has rows also
-    carries the factor ``(v, p)``: one column ``v_k`` per entry, the
-    Kronecker product over teeth of its Paulis as tooth vectors
-    (:func:`tooth_basis`), with the entry's probability as its sign.
+    It is the Pauli-diagonal comb of the table's vector: its channel form
+    has the diagonal process matrix holding the probabilities, indexed by
+    the per-tooth labels joined in tooth order.  A table with fewer
+    nonzero entries than the operator has rows also carries the factor
+    ``(v, p)``, which :func:`~qcombs.combs.validate_comb` reads: one
+    column ``v_k`` per entry, the Kronecker product over teeth of its
+    Paulis as tooth vectors (:func:`tooth_basis`), with the entry's
+    probability as its sign.
     """
-    n, teeth = table.n_qubits, table.teeth
-    index = _key_index(teeth, n)
-    p = np.zeros(4 ** (n * teeth))
-    p[[index[key] for key in table.probs]] = list(table.probs.values())
-    comb = _comb_from_diag(p, teeth, n)
+    n, teeth, p = table.n_qubits, table.teeth, table.vector
     (nonzero,) = np.nonzero(p)
     if nonzero.size == p.size:
-        return comb
-    pick = np.zeros((p.size, nonzero.size))
-    pick[nonzero, np.arange(nonzero.size)] = 1.0
-    v = _each_axis(pick, tooth_basis(n).T, teeth).T
-    return Comb(choi_op=comb.choi_op, teeth=teeth, d_sys=2**n, factor=(v, p[nonzero]))
+        return _comb_from_diag(p, teeth, n)
+    b, (first, *rest) = tooth_basis(n), _digits(nonzero, teeth, n).T
+    v = reduce(lambda v, a: (v[:, None] * b[:, a]).reshape(-1, a.size), rest, b[:, first])
+    return Comb(teeth=teeth, d_sys=2**n, factor=(v, p[nonzero]), pauli=p)
 
 
 def env_model_from_pauli_table(table: PauliDiagTable) -> EnvModel:
@@ -292,42 +289,66 @@ def _pauli_mixture(table: PauliDiagTable, weights, layers, rho: np.ndarray) -> n
     return out
 
 
+def _tooth_labels(table: PauliDiagTable) -> list[np.ndarray]:
+    """Per tooth, the label indices that the table's listed keys use there."""
+    if table._listed is None:
+        return [np.arange(4**table.n_qubits)] * table.teeth
+    return [np.unique(a) for a in _digits(table._listed, table.teeth, table.n_qubits).T]
+
+
+def _marginal_vectors(table: PauliDiagTable) -> list[np.ndarray]:
+    """Per-tooth sums over every other tooth, for all 4**n labels, added in
+    index order: a contiguous (other teeth, label) copy summed down axis 0."""
+    q = 4**table.n_qubits
+    p = table.vector
+    return [
+        np.ascontiguousarray(p.reshape(q**m, q, -1).transpose(0, 2, 1)).reshape(-1, q).sum(axis=0)
+        for m in range(table.teeth)
+    ]
+
+
 def marginals(table: PauliDiagTable) -> list[dict[str, float]]:
-    """Per-tooth label distributions."""
-    out = [{} for _ in range(table.teeth)]
-    for key, p in table.probs.items():
-        for m, lbl in enumerate(key):
-            out[m][lbl] = out[m].get(lbl, 0.0) + p
-    return out
+    """Per-tooth label distributions, over the labels the table lists there."""
+    labels = pauli_labels(table.n_qubits)
+    return [
+        dict(zip([labels[i] for i in listed], vec[listed].tolist()))
+        for listed, vec in zip(_tooth_labels(table), _marginal_vectors(table))
+    ]
 
 
 def product_of_marginals(table: PauliDiagTable) -> PauliDiagTable:
-    """The uncorrelated table with the same per-tooth statistics."""
-    probs = {
-        tuple(lbl for lbl, _ in entries): prod(p for _, p in entries)
-        for entries in product(*(m.items() for m in marginals(table)))
-    }
-    return PauliDiagTable(probs=probs, teeth=table.teeth, n_qubits=table.n_qubits)
+    """The uncorrelated table with the same per-tooth statistics.
+
+    Its vector is the outer product of the marginals.  It lists every
+    combination of the labels the table lists per tooth.
+    """
+    teeth, n = table.teeth, table.n_qubits
+    vec = reduce(np.multiply.outer, _marginal_vectors(table)).reshape(-1)
+    if table._listed is None:
+        return PauliDiagTable(vec, teeth=teeth, n_qubits=n)
+    index = reduce(lambda a, b: (a[:, None] * 4**n + b).reshape(-1), _tooth_labels(table))
+    probs = dict(zip(_keys_of(index, teeth, n), vec[index].tolist()))
+    return PauliDiagTable(probs, teeth=teeth, n_qubits=n)
 
 
 def tv_distance(a: PauliDiagTable, b: PauliDiagTable) -> float:
-    """Total variation distance between two tables.
+    """Total variation distance between two tables of one shape.
 
-    Summed exactly in key order, so the result does not depend on the
-    iteration order of the tables (and hence not on string hashing).
+    Summed exactly (``fsum``), so the result does not depend on the order
+    of the terms.
     """
-    keys = sorted(set(a.probs) | set(b.probs))
-    return 0.5 * fsum(abs(a.prob(k) - b.prob(k)) for k in keys)
+    if (a.teeth, a.n_qubits) != (b.teeth, b.n_qubits):
+        raise ValueError("tables must have the same teeth and qubits")
+    return 0.5 * fsum(np.abs(a.vector - b.vector).tolist())
 
 
 def mutual_information(table: PauliDiagTable) -> float:
     """Mutual information in bits between the two teeth of a table."""
     if table.teeth != 2:
         raise ValueError("mutual information is defined here for two teeth")
-    margs = marginals(table)
-    total = 0.0
-    for (l1, l2), p in table.probs.items():
-        if p <= 0.0:
-            continue
-        total += p * log2(p / (margs[0][l1] * margs[1][l2]))
-    return total
+    q = 4**table.n_qubits
+    joint = table.vector.reshape(q, q)
+    m0, m1 = _marginal_vectors(table)
+    live = joint > 0.0
+    p = joint[live]
+    return sum((p * np.log2(p / np.outer(m0, m1)[live])).tolist())

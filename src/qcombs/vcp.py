@@ -139,13 +139,19 @@ def _product_coherence(c1: Comb, c2: Comb, layers, rho: np.ndarray) -> np.ndarra
     so the ancilla joins copy 1's column indices to copy 2's row indices:
     on in_m with weight 1/d, on out_m by the trace.  That is the matrix
     product ``C1 C2 / d**M``, closed with the same input and slots on
-    the row and column indices left open.  A thin factor on either side
-    closes it through factors (:func:`_close_factor`): ``C1 a2 / d**M``
-    against ``a2``, with ``C1 a2`` formed from ``a1`` when copy 1 is thin
-    too, or ``a1`` against ``C2^dag a1 / d**M``.  Only two dense copies
-    form the dense product.
+    the row and column indices left open.  Two Pauli-diagonal copies have
+    the product ``B diag(p1 p2) B^dag`` for the Pauli basis B of the
+    comb's wires, since ``B^dag B = d**M``: the Pauli-diagonal comb of the
+    entrywise product ``p1 p2``, closed in Pauli coordinates.  Otherwise a
+    thin factor on either side closes it through factors
+    (:func:`_close_factor`): ``C1 a2 / d**M`` against ``a2``, with
+    ``C1 a2`` formed from ``a1`` when copy 1 is thin too, or ``a1``
+    against ``C2^dag a1 / d**M``.  Only two dense copies form the dense
+    product.
     """
     d, scale = c1.d_sys, c1.d_sys**c1.teeth
+    if c1.pauli is not None and c2.pauli is not None:
+        return apply_comb(Comb(teeth=c1.teeth, d_sys=d, pauli=c1.pauli * c2.pauli), layers, rho)
     f1, f2 = _thin_factor(c1), _thin_factor(c2)
     plugs = _layer_plugs(c1, layers)
     if f2 is not None:

@@ -1,7 +1,8 @@
 """Dense reference operators that the tests hold the wire-local paths against."""
 
 from functools import lru_cache, reduce
-from math import isqrt, prod
+from itertools import product
+from math import fsum, isqrt, log2, prod
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from qcombs.combs import choi_channel
 from qcombs.linalg import choi_to_superop, permute_wires, psd_check, tensor
 from qcombs.pauli import _pair_order, pauli_basis, qubit_count
 from qcombs.pec import ALPHA_CLEAN
+from qcombs.twirl import PauliDiagTable
 
 
 def apply_on(m: np.ndarray, dims, axes, op: np.ndarray) -> np.ndarray:
@@ -205,3 +207,42 @@ def solved_alpha(comb, basis) -> np.ndarray:
         alpha = np.moveaxis(solved.reshape(moved.shape), 0, ax)
     peak = np.abs(alpha).max()
     return np.where(np.abs(alpha) < ALPHA_CLEAN * peak, 0.0, alpha)
+
+
+# Pauli-table arithmetic on the keyed view, entry by entry in key order,
+# which the vector forms in qcombs.twirl replaced.
+
+
+def marginals(table: PauliDiagTable) -> list[dict[str, float]]:
+    """Per-tooth label distributions."""
+    out = [{} for _ in range(table.teeth)]
+    for key, p in table.probs.items():
+        for m, lbl in enumerate(key):
+            out[m][lbl] = out[m].get(lbl, 0.0) + p
+    return out
+
+
+def product_of_marginals(table: PauliDiagTable) -> PauliDiagTable:
+    """The uncorrelated table with the same per-tooth statistics."""
+    probs = {
+        tuple(lbl for lbl, _ in entries): prod(p for _, p in entries)
+        for entries in product(*(m.items() for m in marginals(table)))
+    }
+    return PauliDiagTable(probs=probs, teeth=table.teeth, n_qubits=table.n_qubits)
+
+
+def tv_distance(a: PauliDiagTable, b: PauliDiagTable) -> float:
+    """Total variation distance between two tables, summed exactly in key order."""
+    keys = sorted(set(a.probs) | set(b.probs))
+    return 0.5 * fsum(abs(a.prob(k) - b.prob(k)) for k in keys)
+
+
+def mutual_information(table: PauliDiagTable) -> float:
+    """Mutual information in bits between the two teeth of a table."""
+    margs = marginals(table)
+    total = 0.0
+    for (l1, l2), p in table.probs.items():
+        if p <= 0.0:
+            continue
+        total += p * log2(p / (margs[0][l1] * margs[1][l2]))
+    return total
