@@ -330,11 +330,6 @@ def _emit(doc) -> None:
 def cmd_validate(args) -> int:
     comb, _, _, doc = load_spec(args.spec)
     report = validate_comb(comb, tol=args.tol)
-    if comb.factor is None:
-        trace = float(np.trace(comb.choi_op).real)
-    else:
-        # The diagonal of a diag(s) a^dag is |a|^2 @ s.
-        trace = float(np.sum(np.abs(comb.factor[0]) ** 2 @ comb.factor[1]))
     _emit(
         {
             "kind": doc["kind"],
@@ -344,7 +339,7 @@ def cmd_validate(args) -> int:
             "psd_ok": report.psd_ok,
             "min_eigenvalue": report.min_eigenvalue,
             "per_level_residuals": list(report.per_level_residuals),
-            "trace": trace,
+            "trace": comb.trace,
             "expected_trace": float(comb.d_sys**comb.teeth),
         }
     )

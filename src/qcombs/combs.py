@@ -20,6 +20,7 @@ import numpy as np
 
 from .channels import Channel, random_density_matrix, random_unitary, to_ptm
 from .linalg import (
+    PsdReport,
     check_state,
     is_hermitian,
     permute_wires,
@@ -40,9 +41,9 @@ class Comb:
     signs ``s`` of length r such that ``choi_op = a diag(s) a^dag``, so
     the operator is Hermitian by construction.  ``pauli``, when given,
     holds real weights p, one per Pauli label in label-index order, and
-    the comb's process matrix (:func:`comb_chi`) is ``diag(p)``.  A comb
-    given no operator derives ``choi_op`` on first access, from p when it
-    has both, and keeps it.
+    the comb's process matrix (:func:`comb_chi`) is ``diag(p)``; a Pauli
+    comb holds nothing else, so it takes no factor.  A comb given no
+    operator derives ``choi_op`` on first access and keeps it.
     """
 
     def __init__(self, choi_op: np.ndarray | None = None, *, teeth: int, d_sys: int,
@@ -53,6 +54,8 @@ class Comb:
         d = d_sys ** (2 * teeth)
         if choi_op is None and factor is None and pauli is None:
             raise ValueError("a comb needs its operator or its factor, or its Pauli weights")
+        if pauli is not None and factor is not None:
+            raise ValueError("a Pauli comb holds only its weights, not a factor")
         if pauli is not None and (pauli.shape != (d,) or np.iscomplexobj(pauli)):
             raise ValueError(f"a comb's Pauli weights must be {d} real numbers")
         if choi_op is not None and choi_op.shape != (d, d):
@@ -78,6 +81,15 @@ class Comb:
             a, s = self.factor
             self._choi_op = (a * s) @ a.conj().T
         return self._choi_op
+
+    @property
+    def trace(self) -> float:
+        """Tr C from the comb's own store: ``d**M sum(p)``, or ``|a|^2 @ s``."""
+        if self.pauli is not None:
+            return float(self.d_sys**self.teeth * self.pauli.sum())
+        if self.factor is not None:
+            return float(np.sum(np.abs(self.factor[0]) ** 2 @ self.factor[1]))
+        return float(np.trace(self.choi_op).real)
 
     @property
     def wire_dims(self) -> list[int]:
@@ -234,7 +246,10 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     """Check positivity and the trace hierarchy of a comb operator.
 
     The residual at level m measures, relative to the operator norm
-    scale, how far Tr_out_m[C^(m)] is from C^(m-1) (x) I.  A comb whose
+    scale, how far Tr_out_m[C^(m)] is from C^(m-1) (x) I.  A Pauli comb
+    ``B diag(p) B^dag``, with ``B^dag B = d**M``, has spectrum ``d**M p``;
+    out_m traces a tooth's Pauli to I on in_m, so every level above the
+    first is causal exactly, and the first is ``sum(p) I``.  A comb whose
     factor has fewer columns r than the operator has rows takes its
     spectrum from the factor, and each level from it while the level's
     own factor is thin (:func:`_factor_residual`); the first level that
@@ -247,7 +262,11 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     herm_ok = (comb.factor is not None or comb.pauli is not None
                or is_hermitian(comb.choi_op, tol=tol))
     residuals = []
-    if (factor := _thin_factor(comb)) is not None:
+    if comb.pauli is not None:
+        total, lo = float(comb.pauli.sum()), d**m * float(comb.pauli.min())
+        rep = PsdReport(is_psd=lo >= -tol * max(abs(d**m * total), 1.0), min_eigenvalue=lo)
+        residuals, traced, m = [0.0] * (m - 1), total * np.eye(d), 1
+    elif (factor := _thin_factor(comb)) is not None:
         a, s = factor
         rep = psd_check_factored(a, s, tol=tol)
         # Tr_out_m C^(m) is A diag(sig) A^dag with A the view of a whose

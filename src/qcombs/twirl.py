@@ -14,7 +14,6 @@ from math import fsum
 
 import numpy as np
 
-from .channels import apply
 from .combs import Comb, EnvModel, _thin_factor, comb_chi, comb_from_chi
 from .pauli import (
     _each_axis,
@@ -160,15 +159,10 @@ def twirl_comb(comb: Comb) -> Comb:
     and the mean of that product over all 4**(n*teeth) frames is one on
     the diagonal and zero off it.  So the twirl keeps the diagonal of
     :func:`comb_chi`, real for a Hermitian comb, and returns the
-    Pauli-diagonal comb of its real part (:func:`_comb_from_diag`).
+    Pauli-diagonal comb of its real part.
     """
-    n = qubit_count(comb.d_sys)
-    return _comb_from_diag(_pauli_diag(comb, n).real, comb.teeth, n)
-
-
-def _comb_from_diag(p: np.ndarray, teeth: int, n: int) -> Comb:
-    """The Pauli-diagonal comb whose channel form has process matrix diag(p)."""
-    return Comb(teeth=teeth, d_sys=2**n, pauli=p)
+    p = _pauli_diag(comb, qubit_count(comb.d_sys)).real
+    return Comb(teeth=comb.teeth, d_sys=comb.d_sys, pauli=p)
 
 
 def sampled_twirl(
@@ -218,24 +212,10 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
 
 
 def comb_from_pauli_table(table: PauliDiagTable) -> Comb:
-    """Comb of the correlated Pauli process described by a table.
-
-    It is the Pauli-diagonal comb of the table's vector: its channel form
-    has the diagonal process matrix holding the probabilities, indexed by
-    the per-tooth labels joined in tooth order.  A table with fewer
-    nonzero entries than the operator has rows also carries the factor
-    ``(v, p)``, which :func:`~qcombs.combs.validate_comb` reads: one
-    column ``v_k`` per entry, the Kronecker product over teeth of its
-    Paulis as tooth vectors (:func:`tooth_basis`), with the entry's
-    probability as its sign.
-    """
-    n, teeth, p = table.n_qubits, table.teeth, table.vector
-    (nonzero,) = np.nonzero(p)
-    if nonzero.size == p.size:
-        return _comb_from_diag(p, teeth, n)
-    b, (first, *rest) = tooth_basis(n), _digits(nonzero, teeth, n).T
-    v = reduce(lambda v, a: (v[:, None] * b[:, a]).reshape(-1, a.size), rest, b[:, first])
-    return Comb(teeth=teeth, d_sys=2**n, factor=(v, p[nonzero]), pauli=p)
+    """Comb of a table's correlated Pauli process, holding the table's vector
+    alone, full or sparse: its channel form has the diagonal process matrix
+    of the probabilities, indexed by the per-tooth labels in tooth order."""
+    return Comb(teeth=table.teeth, d_sys=2**table.n_qubits, pauli=table.vector)
 
 
 def env_model_from_pauli_table(table: PauliDiagTable) -> EnvModel:
@@ -265,28 +245,27 @@ def env_model_from_pauli_table(table: PauliDiagTable) -> EnvModel:
 def apply_correlated_pauli(table: PauliDiagTable, layers, rho: np.ndarray) -> np.ndarray:
     """Reference action of a correlated Pauli process on a state.
 
-    Walks the table entry by entry, conjugating by the per-tooth Paulis
+    Runs the table entry by entry, conjugating by the per-tooth Paulis
     and running the slot channels in between.
     """
     return _pauli_mixture(table, table.probs, layers, rho)
 
 
 def _pauli_mixture(table: PauliDiagTable, weights, layers, rho: np.ndarray) -> np.ndarray:
-    """:func:`apply_correlated_pauli` with ``weights`` in place of the table's probabilities."""
+    """:func:`apply_correlated_pauli` with ``weights``, in the table's key order, in place of
+    its probabilities: all entries run as one stack of states, two batched matmuls per
+    tooth and one einsum per slot, and one tensordot sums them with the weights."""
     layers = list(layers)
     if len(layers) != table.teeth - 1:
         raise ValueError(f"expected {table.teeth - 1} slot channels")
-    singles = pauli_basis(table.n_qubits)
-    out = np.zeros_like(rho, dtype=complex)
-    for key, w in weights.items():
-        cur = rho
-        for m, lbl in enumerate(key):
-            g = singles[label_index(lbl)]
-            cur = g @ cur @ g
-            if m < len(layers):
-                cur = apply(layers[m], cur)
-        out += w * cur
-    return out
+    listed = np.arange(table.vector.size) if table._listed is None else table._listed
+    paulis = np.array(pauli_basis(table.n_qubits))[_digits(listed, table.teeth, table.n_qubits)]
+    cur, d = rho, rho.shape[0]
+    for m in range(table.teeth):
+        cur = paulis[:, m] @ cur @ paulis[:, m]
+        if m < len(layers):
+            cur = np.einsum("aibj,kij->kab", layers[m].choi.reshape(d, d, d, d), cur)
+    return np.tensordot(np.fromiter(weights.values(), float, listed.size), cur, 1)
 
 
 def _tooth_labels(table: PauliDiagTable) -> list[np.ndarray]:

@@ -38,6 +38,7 @@ from .combs import (
     simulate_env_model,
 )
 from .linalg import choi_to_superop
+from .pauli import _each_axis, qubit_count, tooth_basis
 from .twirl import PauliDiagTable, _pauli_mixture
 
 
@@ -106,11 +107,12 @@ def vcp_comb(
     with a control wire is formed.  ``sigma_00`` never swaps and
     ``sigma_11`` swaps on both sides, so, traced down to the main
     register, they are half of copy 1's and half of copy 2's own output
-    on ``rho``.  Only the coherence block ``sigma_01`` needs the two
-    copies together, and ``sigma_10`` is its adjoint.  Two dilations
-    evolve it on both environments (:func:`_coherence`).  Any other pair
-    runs as two combs, a dilation taken as its comb, and the block closes
-    their product (:func:`_product_coherence`).
+    on ``rho``, run once when both copies are one object.  Only the
+    coherence block ``sigma_01`` needs the two copies together, and
+    ``sigma_10`` is its adjoint.  Two dilations evolve it on both
+    environments (:func:`_coherence`).  Any other pair runs as two combs,
+    a dilation taken as its comb, and the block closes their product
+    (:func:`_product_coherence`).
     """
     if copy1.d_sys != copy2.d_sys or copy1.teeth != copy2.teeth:
         raise ValueError("the two copies must describe the same process shape")
@@ -119,15 +121,14 @@ def vcp_comb(
         raise ValueError("state dimension does not match the process")
     layers = _check_layers(copy1, layers)
     if isinstance(copy1, EnvModel) and isinstance(copy2, EnvModel):
-        t00, t11 = (simulate_env_model(c, layers, rho) for c in (copy1, copy2))
-        t01 = _coherence(copy1, copy2, layers, rho)
+        run, t01 = simulate_env_model, _coherence(copy1, copy2, layers, rho)
     else:
-        c1, c2 = (c if isinstance(c, Comb) else comb_from_env_model(c, validate=False)
-                  for c in (copy1, copy2))
-        t00, t11 = (apply_comb(c, layers, rho) for c in (c1, c2))
-        t01 = _product_coherence(c1, c2, layers, rho)
-    tau = 0.5 * np.block([[t00, t01], [t01.conj().T, t11]])
-    return _branches(tau, d)
+        copy1, copy2 = (c if isinstance(c, Comb) else comb_from_env_model(c, validate=False)
+                        for c in (copy1, copy2))
+        run, t01 = apply_comb, _product_coherence(copy1, copy2, layers, rho)
+    t00 = run(copy1, layers, rho)
+    t11 = t00 if copy2 is copy1 else run(copy2, layers, rho)
+    return _branches(0.5 * np.block([[t00, t01], [t01.conj().T, t11]]), d)
 
 
 def _product_coherence(c1: Comb, c2: Comb, layers, rho: np.ndarray) -> np.ndarray:
@@ -144,25 +145,31 @@ def _product_coherence(c1: Comb, c2: Comb, layers, rho: np.ndarray) -> np.ndarra
     comb's wires, since ``B^dag B = d**M``: the Pauli-diagonal comb of the
     entrywise product ``p1 p2``, closed in Pauli coordinates.  Otherwise a
     thin factor on either side closes it through factors
-    (:func:`_close_factor`): ``C1 a2 / d**M`` against ``a2``, with
-    ``C1 a2`` formed from ``a1`` when copy 1 is thin too, or ``a1``
-    against ``C2^dag a1 / d**M``.  Only two dense copies form the dense
-    product.
+    (:func:`_close_factor`): ``C1 a2 / d**M`` against ``a2``, or ``a1``
+    against ``C2^dag a1 / d**M``, the other copy acting from its own store
+    (:func:`_times`).  Only copies with neither form the dense product.
     """
     d, scale = c1.d_sys, c1.d_sys**c1.teeth
     if c1.pauli is not None and c2.pauli is not None:
         return apply_comb(Comb(teeth=c1.teeth, d_sys=d, pauli=c1.pauli * c2.pauli), layers, rho)
-    f1, f2 = _thin_factor(c1), _thin_factor(c2)
     plugs = _layer_plugs(c1, layers)
-    if f2 is not None:
-        a2, s2 = f2
-        left = c1.choi_op @ a2 if f1 is None else f1[0] @ (f1[1][:, None] * (f1[0].conj().T @ a2))
-        return _close_factor(left / scale, s2, d, rho, plugs, b=a2)
-    if f1 is not None:
-        a1, s1 = f1
-        return _close_factor(a1, s1, d, rho, plugs, b=c2.choi_op.conj().T @ a1 / scale)
+    if (f2 := _thin_factor(c2)) is not None:
+        return _close_factor(_times(c1, f2[0]) / scale, f2[1], d, rho, plugs, b=f2[0])
+    if (f1 := _thin_factor(c1)) is not None:
+        return _close_factor(*f1, d, rho, plugs, b=_times(c2, f1[0], adjoint=True) / scale)
     product = Comb(choi_op=c1.choi_op @ c2.choi_op / scale, teeth=c1.teeth, d_sys=d)
     return _close(product, rho[None], plugs).reshape(d, d)
+
+
+def _times(comb: Comb, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """``C a``, or ``C^dag a``, from the comb's own store: ``B diag(p) B^dag a`` in Pauli
+    coordinates or ``f diag(s) f^dag a``, both Hermitian; only a dense comb reads ``adjoint``."""
+    if comb.pauli is not None:
+        b, m = tooth_basis(qubit_count(comb.d_sys)), comb.teeth
+        return _each_axis((_each_axis(a, b.conj(), m) * comb.pauli).T, b.T, m).T
+    if (f := _thin_factor(comb)) is not None:
+        return f[0] @ (f[1][:, None] * (f[0].conj().T @ a))
+    return (comb.choi_op.conj().T if adjoint else comb.choi_op) @ a
 
 
 def _coherence(copy1: EnvModel, copy2: EnvModel, layers, rho: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 from qcombs.channels import Channel, from_kraus
 from qcombs.combs import choi_channel
 from qcombs.linalg import choi_to_superop, permute_wires, psd_check, tensor
-from qcombs.pauli import _pair_order, pauli_basis, qubit_count
+from qcombs.pauli import _pair_order, pauli_basis, pauli_matrix, qubit_count
 from qcombs.pec import ALPHA_CLEAN
 from qcombs.twirl import PauliDiagTable
 
@@ -152,6 +152,15 @@ def purified_factor(model) -> np.ndarray:
     for m, u in enumerate(model.interactions):
         psi = apply_on(psi, dims, [2 * m + 1, 2 * m_teeth], u)
     return psi.reshape(d ** (2 * m_teeth), de * de)
+
+
+def table_factor(table: PauliDiagTable) -> tuple[np.ndarray, np.ndarray]:
+    """A factor ``(v, p)`` of a table's comb operator, one column per nonzero
+    entry: the Kronecker product over teeth of the entry's Paulis, each as
+    a vector on a tooth's (in, out) wires, with its probability as the sign."""
+    keys = [key for key, p in table.probs.items() if p]
+    cols = [reduce(np.kron, [pauli_matrix(lbl).T.reshape(-1) for lbl in key]) for key in keys]
+    return np.array(cols).T, np.array([table.probs[key] for key in keys])
 
 
 @lru_cache(maxsize=None)

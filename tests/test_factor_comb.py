@@ -315,7 +315,7 @@ def test_table_comb_indexes_keys_in_any_order():
     for key, w in table.probs.items():
         p[label_index("".join(key))] = w
     got = twirl.comb_from_pauli_table(table).choi_op
-    assert np.array_equal(got, twirl._comb_from_diag(p, 3, 1).choi_op)
+    assert np.array_equal(got, Comb(pauli=p, teeth=3, d_sys=2).choi_op)
 
 
 # --- tooth-by-tooth build --------------------------------------------------

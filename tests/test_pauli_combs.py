@@ -7,13 +7,14 @@ dense closing of the derived operator, the pointer-dilation oracle, the
 closed-form purified states and the keyed forms in ``dense_reference``.
 """
 
+import json
 from functools import reduce
 
 import numpy as np
 import pytest
 
 import dense_reference as ref
-from qcombs import combs
+from qcombs import cli, combs
 from qcombs.channels import (
     from_kraus,
     random_channel,
@@ -31,6 +32,7 @@ from qcombs.combs import (
     output_channel,
     random_env_model,
     simulate_env_model,
+    validate_comb,
 )
 from qcombs.pauli import pauli_labels
 from qcombs.twirl import (
@@ -118,8 +120,9 @@ def test_chain_matches_dense_closing(teeth, n, entries):
 @pytest.mark.parametrize("entries", [None, 5])
 def test_chain_at_three_teeth_of_two_qubits(entries):
     """At n=2 and M=3 the derived operator is 4096 x 4096, so the chain is
-    held against the factor closing of a sparse table and the entry-by-entry
-    closed form of a full one."""
+    held against the factor closing of a sparse table, with one factor
+    column per entry (``dense_reference.table_factor``), and the
+    entry-by-entry closed form of a full one."""
     rng = np.random.default_rng([3, 2, entries or 0])
     table = _table(rng, 3, 2, entries)
     comb = comb_from_pauli_table(table)
@@ -128,7 +131,7 @@ def test_chain_at_three_teeth_of_two_qubits(entries):
     if entries is None:
         want = apply_correlated_pauli(table, layers, rho)
     else:
-        want = _close_factor(*comb.factor, 4, rho, _layer_plugs(comb, layers))
+        want = _close_factor(*ref.table_factor(table), 4, rho, _layer_plugs(comb, layers))
     assert np.abs(apply_comb(comb, layers, rho) - want).max() < 1e-12
     assert comb._choi_op is None
 
@@ -222,6 +225,104 @@ def test_pauli_weights_must_be_real_and_fit():
         Comb(teeth=2, d_sys=2, pauli=np.ones(16, dtype=complex) / 16)
     with pytest.raises(ValueError, match="16 real numbers"):
         Comb(teeth=2, d_sys=2, pauli=np.ones(4) / 4)
+
+
+# ---------------------------------------------------------------------------
+# validity and mixed pairings read from the weights
+
+
+def _assert_report_matches_operator(comb):
+    """The report read from p against the one of the derived operator."""
+    got = validate_comb(comb)
+    want = validate_comb(Comb(choi_op=comb.choi_op, teeth=comb.teeth, d_sys=comb.d_sys))
+    assert (got.passes, got.psd_ok) == (want.passes, want.psd_ok)
+    assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-12 * comb.d_sys**comb.teeth
+    assert len(got.per_level_residuals) == comb.teeth
+    assert np.abs(np.subtract(got.per_level_residuals, want.per_level_residuals)).max() <= 1e-12
+    return got
+
+
+@pytest.mark.parametrize("entries", [None, 3])
+@pytest.mark.parametrize("teeth, n", CHAIN_CASES)
+def test_pauli_report_matches_the_derived_operator(teeth, n, entries):
+    rng = np.random.default_rng([teeth, n, entries or 0, 43])
+    comb = comb_from_pauli_table(_table(rng, teeth, n, entries))
+    assert _assert_report_matches_operator(comb).passes
+
+
+@pytest.mark.parametrize("teeth", [1, 2, 3])
+def test_pauli_report_refuses_a_negative_weight_and_a_wrong_sum(teeth):
+    p = _table(np.random.default_rng([teeth, 47]), teeth, 1).vector.copy()
+    negative = p.copy()
+    negative[[0, -1]] += [0.05, -0.05 - p[-1]]
+    report = _assert_report_matches_operator(Comb(teeth=teeth, d_sys=2, pauli=negative))
+    assert not report.psd_ok and not report.passes
+    assert report.min_eigenvalue == pytest.approx(-0.05 * 2**teeth, rel=1e-12)
+    report = _assert_report_matches_operator(Comb(teeth=teeth, d_sys=2, pauli=1.01 * p))
+    assert report.psd_ok and not report.passes
+    assert report.per_level_residuals[0] == pytest.approx(0.01 / 1.01)
+    assert report.per_level_residuals[1:] == (0.0,) * (teeth - 1)
+
+
+def _assert_vcp_close(got, want):
+    """Within 1e-12, the virtual state times the gap it was divided by."""
+    assert got.p_plus == pytest.approx(want.p_plus, abs=1e-12)
+    assert got.p_minus == pytest.approx(want.p_minus, abs=1e-12)
+    assert np.abs(got.p_gap * got.virtual_state - want.p_gap * want.virtual_state).max() < 1e-12
+    assert np.abs(got.physical_state - want.physical_state).max() < 1e-12
+
+
+@pytest.mark.parametrize("teeth, n, entries",
+                         [(m, 1, e) for m in range(1, 6) for e in (None, 3)]
+                         + [(m, 2, e) for m in (1, 2) for e in (None, 3)])
+def test_mixed_vcp_matches_the_pointer_dilation(teeth, n, entries):
+    """A table comb beside a dilation comb, in both orders, against the
+    table's pointer dilation beside the dilation.  A full table's pointer
+    environment has 4**(n M) levels, so where the coherence would evolve
+    more than 2048 levels the reference is the table comb's derived
+    operator instead (n=1, M=5 and n=2, M=2)."""
+    rng = np.random.default_rng([teeth, n, entries or 0, 53])
+    table = _table(rng, teeth, n, entries)
+    model = random_env_model(teeth, n_sys_qubits=n, rng=rng, interaction_strength=0.3)
+    comb, dilation = comb_from_pauli_table(table), comb_from_env_model(model, validate=False)
+    layers = _layers(rng, teeth, n)
+    rho = random_density_matrix(2**n, rng)
+    small = len(table.probs) * 2**n <= 512
+    pointer = env_model_from_pauli_table(table) if small else _dense(comb)
+    _assert_vcp_close(vcp_comb(comb, dilation, layers, rho), vcp_comb(pointer, model, layers, rho))
+    _assert_vcp_close(vcp_comb(dilation, comb, layers, rho), vcp_comb(model, pointer, layers, rho))
+    # A dilation whose factor is not thin (n=1, M=1) closes the dense product.
+    assert (comb._choi_op is None) == (dilation.factor[0].shape[1] < 4 ** (n * teeth))
+
+
+def test_pauli_reads_form_no_operator_at_seven_teeth(monkeypatch, tmp_path, capsys):
+    """Validation, the CLI trace and both mixed VCP orders run at M=7, where
+    the derived operator would have 16384 rows, and mixed VCP matches the
+    pointer dilation of the table."""
+    def refuse(*args):
+        raise AssertionError("the operator of a Pauli comb was formed")
+
+    monkeypatch.setattr(combs, "_pauli_op", refuse)
+    rng = np.random.default_rng(59)
+    table = _table(rng, 7, 1, 6)
+    comb = comb_from_pauli_table(table)
+    assert validate_comb(comb).passes
+    model = random_env_model(7, rng=rng, interaction_strength=0.3)
+    dilation = comb_from_env_model(model, validate=False)
+    layers = _layers(rng, 7, 1)
+    rho = random_density_matrix(2, rng)
+    pointer = env_model_from_pauli_table(table)
+    _assert_vcp_close(vcp_comb(comb, dilation, layers, rho), vcp_comb(pointer, model, layers, rho))
+    _assert_vcp_close(vcp_comb(dilation, comb, layers, rho), vcp_comb(model, pointer, layers, rho))
+    probs = {":".join(key): p for key, p in table.probs.items()}
+    spec = tmp_path / "table.json"
+    spec.write_text(json.dumps({"kind": "pauli_correlated", "teeth": 7, "d_sys": 2,
+                                "payload": {"probs": probs}}))
+    assert cli.main(["validate", str(spec)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passes"] is True
+    assert doc["trace"] == pytest.approx(doc["expected_trace"], abs=1e-12)
+    assert len(doc["per_level_residuals"]) == 7
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_reference as ref
 from qcombs import cli, twirl, vcp
 from qcombs.channels import random_channel, random_density_matrix
 from qcombs.combs import Comb, comb_from_env_model, random_env_model
@@ -142,25 +143,60 @@ def test_comb_copies_take_layers_from_a_generator(dense):
     _assert_unnormalised_close(got, vcp_comb(m1, m2, layers, rho), 1e-12)
 
 
+def test_one_object_runs_its_single_copy_block_once(monkeypatch):
+    """Both copies one object: the single-copy run is made once, and the
+    result equals that of two equal copies built apart, bit for bit."""
+    calls = []
+    for name in ("simulate_env_model", "apply_comb"):
+        run = getattr(vcp, name)
+        monkeypatch.setattr(vcp, name, lambda c, *a, run=run: calls.append(c) or run(c, *a))
+    rng = np.random.default_rng(11)
+    layers = [random_channel(2, rng=rng) for _ in range(2)]
+    rho = random_density_matrix(2, rng)
+    table = _random_table(rng, 3, 1, entries=4)
+
+    def model():
+        return random_env_model(3, rng=np.random.default_rng(5), interaction_strength=0.3)
+
+    for build in (model, lambda: comb_from_env_model(model(), validate=False),
+                  lambda: comb_from_pauli_table(table)):
+        one, other = build(), build()
+        calls.clear()
+        got = vcp_comb(one, one, layers, rho)
+        assert sum(c is one for c in calls) == 1
+        calls.clear()
+        want = vcp_comb(one, other, layers, rho)
+        assert sum(c is one for c in calls) == sum(c is other for c in calls) == 1
+        for field in ("virtual_state", "physical_state", "p_plus", "p_minus"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
 # ---------------------------------------------------------------------------
 # Pauli tables as combs
 
 
 @pytest.mark.parametrize("teeth, n", [(1, 1), (2, 1), (4, 1), (1, 2), (2, 2)])
-def test_table_combs_carry_a_factor_per_nonzero_entry(teeth, n):
-    """A sparse table's comb holds one factor column per nonzero entry,
-    which reproduces its operator; a full table's comb holds none."""
+def test_table_combs_hold_only_their_weights(teeth, n):
+    """Full and sparse tables give Pauli combs with no factor, holding the
+    table's vector; the operator of a sparse one has one factor column per
+    nonzero entry, and a Pauli comb refuses a factor."""
     rng = np.random.default_rng([teeth, n, 2])
     full = _random_table(rng, teeth, n)
-    assert comb_from_pauli_table(full).factor is None
     table = _random_table(rng, teeth, n, entries=3)
     zero = next(k for k in full.probs if k not in table.probs)
     table = PauliDiagTable(probs={**table.probs, zero: 0.0}, teeth=teeth, n_qubits=n)
-    comb = comb_from_pauli_table(table)
-    a, s = comb.factor
+    for t in (full, table):
+        comb = comb_from_pauli_table(t)
+        assert comb.factor is None
+        want = np.zeros(4 ** (n * teeth))
+        for key, p in t.probs.items():
+            want[label_index("".join(key))] = p
+        assert np.array_equal(comb.pauli, want)
+    a, s = ref.table_factor(table)
     assert a.shape == (4 ** (n * teeth), 3)
-    assert sorted(s) == sorted(p for p in table.probs.values() if p)
     assert np.abs((a * s) @ a.conj().T - comb.choi_op).max() < 1e-15
+    with pytest.raises(ValueError, match="only its weights"):
+        Comb(teeth=teeth, d_sys=2**n, pauli=comb.pauli, factor=(a, s))
 
 
 def _random_table(rng, teeth, n, entries=None):
