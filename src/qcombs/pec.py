@@ -186,6 +186,12 @@ def verify_basis_completeness(basis: BasisOpSet) -> BasisReport:
     return BasisReport(rank=rank, condition_number=float(svals[0] / svals[-1]))
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of ``a``, largest first: the one SVD behind the
+    singular-noise check and the reported condition number."""
+    return np.linalg.svd(a, compute_uv=False)
+
+
 @dataclass(frozen=True)
 class QuasiProbDecomposition:
     """Expansion of an inverse noise map over per-tooth operations.
@@ -193,15 +199,53 @@ class QuasiProbDecomposition:
     ``alpha`` has one axis per tooth, each of length len(basis), and
     sums against tensor products of basis operations to the inverse
     transfer matrix.  ``gamma`` is the total quasi-probability weight.
+    ``ptm`` is the (read-only) noise transfer matrix that was inverted.
     """
 
     alpha: np.ndarray
     gamma: float
     residual: float
-    ptm_condition_number: float
+    ptm: np.ndarray
     basis: BasisOpSet
     teeth: int
     n_qubits: int
+
+    @cached_property
+    def ptm_condition_number(self) -> float:
+        """Largest over smallest singular value of ``ptm``, computed on first read."""
+        svals = _singular_values(self.ptm)
+        return float(svals[0] / svals[-1])
+
+
+def _raise_if_singular(r: np.ndarray) -> None:
+    """Raise SingularNoiseError when the smallest singular value of ``r``
+    is at most SINGULAR_VALUE_FLOOR times the largest, as for a zero matrix."""
+    svals = _singular_values(r)
+    if svals[-1] <= SINGULAR_VALUE_FLOOR * svals[0]:
+        raise SingularNoiseError(
+            f"noise transfer matrix is singular (smallest singular value "
+            f"{svals[-1]:.3e})"
+        )
+
+
+def _checked_inverse(r: np.ndarray) -> np.ndarray:
+    """``inv(r)`` by one solve, with the singular-noise test of
+    :func:`_raise_if_singular` where the solve leaves it in doubt.
+
+    Since cond_2(r) <= ||r||_F ||inv(r)||_F, a bound ten times below
+    1/SINGULAR_VALUE_FLOOR settles the test without an SVD.  A larger or
+    non-finite bound, or a failed solve, runs the SVD test.
+    """
+    try:
+        r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
+    except np.linalg.LinAlgError:
+        _raise_if_singular(r)
+        raise
+    # Python floats: an overflowing product reads inf, without a warning.
+    bound = float(np.linalg.norm(r)) * float(np.linalg.norm(r_inv))
+    if not bound <= 0.1 / SINGULAR_VALUE_FLOOR:
+        _raise_if_singular(r)
+    return r_inv
 
 
 def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbDecomposition:
@@ -212,22 +256,21 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
     transpose and the per-tooth Pauli sandwich (:func:`combs._comb_ptm`),
     is inverted, and the inverse is expanded over tensor products of basis
     operations by one matmul per tooth axis with the basis's cached
-    ``ptm_dual``.  Raises SingularNoiseError, before any division, when
-    the smallest singular value of the transfer matrix is at most
-    SINGULAR_VALUE_FLOOR times the largest, as for a zero matrix.
+    ``ptm_dual``.  Raises SingularNoiseError when the smallest singular
+    value of the transfer matrix is at most SINGULAR_VALUE_FLOOR times the
+    largest, as for a zero matrix.  The solve decides well-conditioned
+    noise through the bound cond_2(R) <= ||R||_F ||R^-1||_F, and the SVD
+    decides only the doubtful cases (:func:`_checked_inverse`);
+    ``ptm_condition_number`` is computed on first read.
     """
     n = qubit_count(comb.d_sys)
     basis = basis or default_basis(n)
-    r = _comb_ptm(comb)
-    svals = np.linalg.svd(r, compute_uv=False)
-    if svals[-1] <= SINGULAR_VALUE_FLOOR * svals[0]:
-        raise SingularNoiseError(
-            f"noise transfer matrix is singular (smallest singular value "
-            f"{svals[-1]:.3e})"
+    if basis.n_qubits != n:
+        raise ValueError(
+            f"basis acts on {basis.n_qubits} qubit(s) but the comb's system has {n}"
         )
-    cond = float(svals[0] / svals[-1])
-    # A one-SVD inverse timed slower than values plus solve: 874 vs 597 ms at M=5, 2-CPU x86_64.
-    r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
+    r = _read_only(_comb_ptm(comb))
+    r_inv = _checked_inverse(r)
 
     q, m_teeth = 4**n, comb.teeth
     t = r_inv.reshape((q,) * (2 * m_teeth))
@@ -242,7 +285,7 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
         alpha=alpha,
         gamma=float(np.abs(alpha).sum()),
         residual=residual,
-        ptm_condition_number=cond,
+        ptm=r,
         basis=basis,
         teeth=m_teeth,
         n_qubits=n,
@@ -269,6 +312,12 @@ def _term_values(
     decomposition's own basis, read through its cached Choi and
     superoperator stacks.
     """
+    n_qubits = qubit_count(comb.d_sys)
+    if (decomp.teeth, decomp.n_qubits) != (comb.teeth, n_qubits):
+        raise ValueError(
+            f"decomposition is for {decomp.teeth} teeth on {decomp.n_qubits} qubit(s) "
+            f"but the comb has {comb.teeth} teeth on {n_qubits} qubit(s)"
+        )
     layers = _check_layers(comb, layers)
     d = comb.d_sys
     for name, mat in (("input state", rho), ("observable", observable)):

@@ -115,7 +115,7 @@ def test_closing_matches_plug_tensor_reference(teeth, n_sys, n_env, strength):
     alpha = rng.standard_normal((len(basis),) * teeth)
     alpha /= np.abs(alpha).sum()
     decomp = QuasiProbDecomposition(
-        alpha=alpha, gamma=1.0, residual=0.0, ptm_condition_number=1.0,
+        alpha=alpha, gamma=1.0, residual=0.0, ptm=np.eye(4 ** (n_sys * teeth)),
         basis=basis, teeth=teeth, n_qubits=n_sys,
     )
     obs = _random_observable(rng, d)

@@ -1,6 +1,7 @@
 """Tests for the quasi-probability noise cancellation."""
 
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -20,10 +21,19 @@ from qcombs.channels import (
     random_density_matrix,
     unitary_channel,
 )
-from qcombs.combs import Comb, apply_comb, comb_from_env_model, markovian_comb, random_env_model
+from qcombs import pec
+from qcombs.combs import (
+    Comb,
+    _comb_ptm,
+    apply_comb,
+    comb_from_env_model,
+    markovian_comb,
+    random_env_model,
+)
 from qcombs.linalg import permute_wires
 from qcombs.pauli import pauli_basis, pauli_matrix
 from qcombs.pec import (
+    SINGULAR_VALUE_FLOOR,
     BasisOpSet,
     SingularNoiseError,
     _reset_channel,
@@ -197,6 +207,69 @@ def test_zero_transfer_matrix_is_singular():
         warnings.simplefilter("error")
         with pytest.raises(SingularNoiseError, match="noise transfer matrix is singular"):
             decompose_inverse(comb)
+
+
+@pytest.mark.parametrize("delta", np.logspace(-6, -13, 29))
+def test_singular_noise_gate_matches_the_svd_test(delta):
+    # The ratio of extreme singular values is delta, so the sweep runs
+    # through all three cases: the solve bound settles it (delta >= 1e-8),
+    # the SVD passes a doubtful bound, and the SVD refuses.
+    comb = markovian_comb([depolarizing_channel(1 - delta), identity_channel(2)])
+    svals = np.linalg.svd(_comb_ptm(comb), compute_uv=False)
+    if svals[-1] <= SINGULAR_VALUE_FLOOR * svals[0]:
+        message = f"noise transfer matrix is singular (smallest singular value {svals[-1]:.3e})"
+        with pytest.raises(SingularNoiseError, match=f"^{re.escape(message)}$"):
+            decompose_inverse(comb)
+    else:
+        decomp = decompose_inverse(comb)
+        assert decomp.ptm_condition_number == float(svals[0] / svals[-1])
+
+
+def test_non_finite_solve_falls_back_to_the_svd():
+    # Subnormal pivots: the solve raises nothing but returns NaN and inf.
+    r = np.array([[1.0, 1.0, 1.0], [0.0, 1e-310, 1.0], [0.0, 0.0, 1e-310]])
+    assert not np.isfinite(np.linalg.norm(np.linalg.solve(r, np.eye(3))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularNoiseError, match="smallest singular value 0.000e"):
+            pec._checked_inverse(r)
+
+
+@pytest.mark.parametrize("teeth", [1, 2, 3, 4])
+def test_condition_number_is_the_svd_ratio(teeth):
+    rng = np.random.default_rng([19, teeth])
+    model = random_env_model(teeth, rng=rng, interaction_strength=0.3)
+    comb = comb_from_env_model(model, validate=False)
+    decomp = decompose_inverse(comb)
+    svals = np.linalg.svd(_comb_ptm(comb), compute_uv=False)
+    assert decomp.ptm_condition_number == float(svals[0] / svals[-1])
+    assert np.array_equal(decomp.ptm, _comb_ptm(comb))
+    assert not decomp.ptm.flags.writeable
+
+
+def test_well_conditioned_decomposition_runs_no_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(pec.np.linalg, "svd", counting_svd)
+    rng = np.random.default_rng(1900)
+    model = random_env_model(3, rng=rng, interaction_strength=0.3)
+    decomp = decompose_inverse(comb_from_env_model(model, validate=False))
+    assert len(calls) == 0
+    first = decomp.ptm_condition_number
+    assert len(calls) == 1
+    assert decomp.ptm_condition_number == first
+    assert len(calls) == 1
+
+
+def test_basis_for_other_qubit_count_is_rejected():
+    comb = markovian_comb([depolarizing_channel(0.2)])
+    with pytest.raises(ValueError, match="basis acts on 2 qubit.* comb's system has 1"):
+        decompose_inverse(comb, basis=default_basis(2))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -378,6 +451,30 @@ def test_transpose_insertion_breaks_cancellation():
     flipped = pec_correct_exact(comb, transposed_insertion(decomp), [layer], rho, Z)
     assert plain == pytest.approx(ideal, abs=1e-8)
     assert abs(flipped - ideal) > 1e-3
+
+
+@pytest.mark.parametrize("decomp_teeth, comb_teeth", [(2, 3), (3, 2)])
+def test_decomposition_for_other_teeth_is_rejected(decomp_teeth, comb_teeth):
+    decomp = decompose_inverse(markovian_comb([depolarizing_channel(0.2)] * decomp_teeth))
+    comb = markovian_comb([depolarizing_channel(0.2)] * comb_teeth)
+    layers = [identity_channel(2)] * (comb_teeth - 1)
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    message = f"decomposition is for {decomp_teeth} teeth .* comb has {comb_teeth} teeth"
+    with pytest.raises(ValueError, match=message):
+        pec_correct_exact(comb, decomp, layers, rho, Z)
+    with pytest.raises(ValueError, match=message):
+        pec_sample(comb, decomp, layers, rho, Z, shots=100, rng=np.random.default_rng(0))
+
+
+def test_decomposition_for_other_qubit_count_is_rejected():
+    decomp = decompose_inverse(markovian_comb([depolarizing_channel(0.2)]))
+    comb = markovian_comb([depolarizing_channel(0.2, n_qubits=2)])
+    rho, obs = np.eye(4) / 4, pauli_matrix("ZZ")
+    message = "on 1 qubit.* comb has 1 teeth on 2 qubit"
+    with pytest.raises(ValueError, match=message):
+        pec_correct_exact(comb, decomp, [], rho, obs)
+    with pytest.raises(ValueError, match=message):
+        pec_sample(comb, decomp, [], rho, obs, shots=100)
 
 
 def test_layer_count_checked():
