@@ -25,13 +25,7 @@ from .linalg import (
     superop_to_choi,
     tensor,
 )
-from .pauli import (
-    chi_from_choi,
-    label_index,
-    pauli_basis,
-    pauli_labels,
-    ptm_from_superop,
-)
+from .pauli import label_index, pauli_basis, pauli_labels, tooth_ptm, tooth_sandwich
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,18 +145,25 @@ def depolarizing_channel(p: float, n_qubits: int = 1) -> Channel:
     return pauli_channel(probs)
 
 
-def to_ptm(channel: Channel) -> np.ndarray:
-    """Pauli transfer matrix of a qubit channel."""
+def _tooth_choi(channel: Channel) -> np.ndarray:
+    """The Choi matrix on a comb tooth's (in, out) wires, for the Pauli forms."""
     if channel.d_in != channel.d_out:
         raise ValueError("Pauli forms need matching input and output dimensions")
-    return ptm_from_superop(choi_to_superop(channel.choi, channel.d_in, channel.d_out))
+    return permute_wires(channel.choi, [channel.d_out, channel.d_in], [1, 0])
+
+
+def to_ptm(channel: Channel) -> np.ndarray:
+    """Pauli transfer matrix of a qubit channel, the one-tooth :func:`tooth_ptm`."""
+    return tooth_ptm(_tooth_choi(channel), 1, channel.d_in)
 
 
 def to_chi(channel: Channel) -> np.ndarray:
-    """Process matrix over the Pauli basis, E(rho) = sum chi[a,b] G_a rho G_b."""
-    if channel.d_in != channel.d_out:
-        raise ValueError("Pauli forms need matching input and output dimensions")
-    return chi_from_choi(channel.choi)
+    """Process matrix over the Pauli basis, E(rho) = sum chi[a,b] G_a rho G_b.
+
+    The one-tooth :func:`tooth_sandwich`, divided by d**2; for a
+    trace-preserving map the diagonal sums to one.
+    """
+    return tooth_sandwich(_tooth_choi(channel), 1, channel.d_in) / channel.d_in**2
 
 
 def random_unitary(d: int, rng: np.random.Generator | None = None) -> np.ndarray:

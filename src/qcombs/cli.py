@@ -384,6 +384,8 @@ def cmd_chi(args) -> int:
 def cmd_twirl(args) -> int:
     if args.samples < 0:
         raise CliError(f"--samples must be 0 (exact) or positive, got {args.samples}")
+    if not np.isfinite(args.prune):
+        raise CliError(f"--prune must be a finite number, got {args.prune}")
     comb, _, _, _ = load_spec(args.spec)
     if args.samples:
         rng = np.random.default_rng(args.seed)
@@ -460,6 +462,8 @@ def _write_alpha_csv(path: str, decomp) -> None:
 
 def cmd_vcp(args) -> int:
     comb, model, table, doc = load_spec(args.spec)
+    if args.csv and model is not None:
+        raise CliError("--csv writes a Pauli table, and an env_model spec has none")
     derived = table is None and model is None
     if derived:
         table = pauli_table(comb)
@@ -494,7 +498,7 @@ def cmd_vcp(args) -> int:
             "virtual": float(np.abs(res.virtual_state - ref_v).max()),
             "physical": float(np.abs(res.physical_state - ref_p).max()),
         }
-    if args.csv and table is not None:
+    if args.csv:
         _write_table_csv(args.csv, table)
     _emit(out)
     return 0

@@ -29,7 +29,7 @@ from .linalg import (
     tensor,
 )
 from .pauli import (_each_axis, _pair_order, commutation_signs, pauli_basis, qubit_count,
-                    tooth_basis, tooth_kernel)
+                    tooth_basis, tooth_kernel, tooth_ptm, tooth_sandwich)
 
 
 class Comb:
@@ -328,13 +328,6 @@ def slot_channel(comb: Comb) -> Channel:
     return Channel(choi=choi, d_in=d_tot, d_out=d_tot)
 
 
-def _tooth_sandwich(x: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:
-    """``B^dag x B`` for B the Kronecker product of ``teeth`` copies of
-    :func:`tooth_basis`, contracted one tooth at a time, rows first."""
-    b = tooth_basis(qubit_count(d_sys))
-    return _each_axis(_each_axis(x, b.conj(), teeth), b, teeth)
-
-
 def comb_chi(comb: Comb) -> np.ndarray:
     """Process matrix of the channel form over the multi-qubit Pauli basis.
 
@@ -342,10 +335,10 @@ def comb_chi(comb: Comb) -> np.ndarray:
     label joins one label per tooth, tooth 1 slowest.  The comb's rows
     and columns already list each tooth's (in_m, out_m) pair in that
     order, and :func:`tooth_basis` is the vectorized basis with its rows
-    in a tooth's (in, out) order, so chi is the sandwich of the operator
-    as stored, with no transpose.
+    in a tooth's (in, out) order, so chi is :func:`tooth_sandwich` of the
+    operator as stored, with no transpose.
     """
-    return _tooth_sandwich(comb.choi_op, comb.teeth, comb.d_sys) / comb.d_sys ** (2 * comb.teeth)
+    return tooth_sandwich(comb.choi_op, comb.teeth, comb.d_sys) / comb.d_sys ** (2 * comb.teeth)
 
 
 def comb_from_chi(chi: np.ndarray, teeth: int, d_sys: int) -> Comb:
@@ -360,22 +353,9 @@ def comb_from_chi(chi: np.ndarray, teeth: int, d_sys: int) -> Comb:
 
 
 def _comb_ptm(comb: Comb) -> np.ndarray:
-    """Pauli transfer matrix of the channel form, R[a, b] = Tr[G_a E(G_b)] / d**M.
-
-    R is ``B^dag S B / d**M`` for the superoperator S, which holds the
-    channel form's output row and column on its rows and its input row
-    and column on its columns.  :func:`tooth_basis` reads a wire pair as
-    (column, row) of the Pauli, so one transpose realigns the comb for
-    the sandwich of :func:`comb_chi`, tooth by tooth: each tooth's
-    (out column, out row) pair on the rows and its (in column, in row)
-    pair on the columns.  Assumes a Hermiticity-preserving map, so R is
-    real.
-    """
-    d, m = comb.d_sys, comb.teeth
-    rows = [ax for k in range(m) for ax in (2 * m + 2 * k + 1, 2 * k + 1)]
-    cols = [ax for k in range(m) for ax in (2 * m + 2 * k, 2 * k)]
-    s = comb.choi_op.reshape((d,) * (4 * m)).transpose(rows + cols).reshape(d ** (2 * m), -1)
-    return _tooth_sandwich(s, m, d).real / d**m
+    """Pauli transfer matrix of the channel form, R[a, b] = Tr[G_a E(G_b)] / d**M
+    (:func:`tooth_ptm` of the operator as stored)."""
+    return tooth_ptm(comb.choi_op, comb.teeth, comb.d_sys)
 
 
 def _check_layers(process: Comb | EnvModel, layers) -> list[Channel]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
-from math import isqrt
 
 import numpy as np
 
@@ -64,9 +63,8 @@ def commutation_signs(n: int) -> np.ndarray:
     return signs
 
 
-# Columns are the vectorized one-qubit Paulis vec(g_a), rows (r, c) of g.
-# Every n-qubit basis is the Kronecker product of n copies, so every Pauli
-# view below contracts this 4 x 4 matrix into one axis at a time.
+# Columns are the vectorized one-qubit Paulis vec(g_a), rows (r, c) of g;
+# :func:`tooth_basis` is the Kronecker product of n copies.
 _VEC = np.array([g.reshape(-1) for g in _SINGLE.values()]).T
 
 
@@ -124,44 +122,37 @@ def qubit_count(d: int) -> int:
     return n
 
 
-def _qubits_from_dim(d_sq: int) -> int:
-    d = isqrt(d_sq)
-    if d * d != d_sq:
-        raise ValueError(f"matrix size {d_sq} is not a perfect square")
-    return qubit_count(d)
+def tooth_sandwich(x: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:
+    """``B^dag x B`` for B the Kronecker product of ``teeth`` copies of
+    :func:`tooth_basis`, contracted one tooth at a time, rows first.
 
-
-def _qubit_pairs(n: int) -> list[int]:
-    """Axes of a d**2-square matrix on n qubits, rows and columns both
-    (r_1..r_n, c_1..c_n) of 2 entries each, as one (r_k, c_k) pair per qubit."""
-    pairs = _pair_order(n)
-    return pairs + [2 * n + ax for ax in pairs]
-
-
-def chi_from_choi(choi: np.ndarray) -> np.ndarray:
-    """Process matrix chi with E(rho) = sum_ab chi[a,b] G_a rho G_b.
-
-    For a trace-preserving map the diagonal of chi sums to one.  chi is
-    ``B^dag choi B / d**2`` for the vectorized Pauli basis B, the Kronecker
-    product of one 4 x 4 basis per qubit: one transpose puts each qubit's
-    (r, c) pair of the rows and of the columns on one axis, the rows
-    contract with conj(basis) and move last, then the columns contract.
+    Every Pauli view of a comb or a channel is this sandwich: ``x`` lists
+    each tooth's (in, out) wire pair on its rows and on its columns, tooth 1
+    slowest, and a channel is the one-tooth case.
     """
-    n = _qubits_from_dim(choi.shape[0])
-    t = choi.reshape((2,) * (4 * n)).transpose(_qubit_pairs(n))
-    return _each_axis(_each_axis(t, _VEC.conj(), n), _VEC, n) / choi.shape[0]
+    b = tooth_basis(qubit_count(d_sys))
+    return _each_axis(_each_axis(x, b.conj(), teeth), b, teeth)
+
+
+def tooth_ptm(x: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:
+    """Pauli transfer matrix R[a, b] = Tr[G_a E(G_b)] / d**M of the map whose
+    operator ``x`` lies on comb wires (in_1, out_1, ..., in_M, out_M).
+
+    R is ``B^dag S B / d**M`` for the superoperator S, which holds the
+    outputs' row and column on its rows and the inputs' row and column on
+    its columns.  :func:`tooth_basis` reads a wire pair as (column, row) of
+    the Pauli, so one transpose realigns ``x`` for :func:`tooth_sandwich`:
+    each tooth's (out column, out row) pair on the rows and its (in column,
+    in row) pair on the columns.  Assumes a Hermiticity-preserving map, so
+    R is real.
+    """
+    d, m = d_sys, teeth
+    rows = [ax for k in range(m) for ax in (2 * m + 2 * k + 1, 2 * k + 1)]
+    cols = [ax for k in range(m) for ax in (2 * m + 2 * k, 2 * k)]
+    s = x.reshape((d,) * (4 * m)).transpose(rows + cols).reshape(d ** (2 * m), -1)
+    return tooth_sandwich(s, m, d).real / d**m
 
 
 def offdiag_mass(chi: np.ndarray) -> float:
     """Summed magnitude of the off-diagonal entries; zero for Pauli channels."""
     return float(np.abs(chi).sum() - np.abs(np.diag(chi)).sum())
-
-
-def ptm_from_superop(s: np.ndarray) -> np.ndarray:
-    """Pauli transfer matrix R[a,b] = Tr[G_a E(G_b)] / 2**n.
-
-    Assumes a Hermiticity-preserving map, so R is real.  R is
-    ``B^dag s B / 2**n``, the sandwich of :func:`chi_from_choi`; the
-    power-of-two rescaling is exact.
-    """
-    return chi_from_choi(s).real * isqrt(s.shape[0])

@@ -239,6 +239,25 @@ def test_malformed_spec_is_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("prune", ["nan", "inf", "-inf"])
+def test_non_finite_prune_is_exit_2_before_printing(capsys, prune):
+    assert main(["twirl", ENV_RANDOM, f"--prune={prune}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --prune must be a finite number, got {prune}\n"
+
+
+@pytest.mark.parametrize("spec", [ENV, ENV_RANDOM], ids=["env_correlated", "env_random"])
+def test_vcp_csv_of_a_dilation_is_exit_2_and_writes_nothing(capsys, tmp_path, spec):
+    # A dilation has no Pauli table to write.
+    path = tmp_path / "table.csv"
+    assert main(["vcp", spec, "--csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --csv writes a Pauli table, and an env_model spec has none\n"
+    assert not path.exists()
+
+
 def _inline(kind, payload, **fields):
     return json.dumps({"kind": kind, **fields, "payload": payload})
 

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 import dense_reference as ref
+from qcombs.channels import Channel, to_chi, to_ptm
 from qcombs.combs import choi_channel, comb_from_chi
-from qcombs.pauli import (
-    chi_from_choi,
-    label_index,
-    pauli_basis,
-    pauli_labels,
-    pauli_matrix,
-    ptm_from_superop,
-)
+from qcombs.linalg import superop_to_choi
+from qcombs.pauli import label_index, pauli_basis, pauli_labels, pauli_matrix
 
 
 def test_labels_single_qubit_order():
@@ -61,13 +56,23 @@ def _choi_of_kraus(kraus):
     return choi
 
 
+def _chi(choi):
+    d = int(np.sqrt(choi.shape[0]))
+    return to_chi(Channel(choi=choi, d_in=d, d_out=d))
+
+
+def _ptm(superop):
+    d = int(np.sqrt(superop.shape[0]))
+    return to_ptm(Channel(choi=superop_to_choi(superop, d, d), d_in=d, d_out=d))
+
+
 def test_chi_of_x_rotation():
     # U = exp(-i theta X / 2) mixes the identity and X components with
     # weights cos^2, sin^2 and a purely imaginary cross term.
     theta = 0.7
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     u = c * np.eye(2) - 1j * s * pauli_matrix("X")
-    chi = chi_from_choi(_choi_of_kraus([u]))
+    chi = _chi(_choi_of_kraus([u]))
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = c * c
     expected[1, 1] = s * s
@@ -80,7 +85,7 @@ def test_chi_diag_sums_to_one_for_unitary():
     rng = np.random.default_rng(0)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q, _ = np.linalg.qr(g)
-    chi = chi_from_choi(_choi_of_kraus([q]))
+    chi = _chi(_choi_of_kraus([q]))
     assert np.isclose(np.trace(chi).real, 1.0)
 
 
@@ -88,16 +93,17 @@ def test_choi_chi_roundtrip():
     rng = np.random.default_rng(1)
     kraus = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]
     choi = _choi_of_kraus(kraus)
-    assert np.allclose(ref.choi_from_chi(chi_from_choi(choi)), choi)
+    assert np.allclose(ref.choi_from_chi(_chi(choi)), choi)
     # The one-tooth comb whose channel form has this chi is the channel itself.
-    assert np.allclose(choi_channel(comb_from_chi(chi_from_choi(choi), 1, 2)).choi, choi)
+    assert np.allclose(choi_channel(comb_from_chi(_chi(choi), 1, 2)).choi, choi)
 
 
-def test_chi_from_choi_rejects_odd_dimension():
-    with pytest.raises(ValueError, match="not a perfect square"):
-        chi_from_choi(np.eye(3))
-    with pytest.raises(ValueError, match="power of two"):
-        chi_from_choi(np.eye(9))
+def test_pauli_forms_reject_non_qubit_dimension():
+    with pytest.raises(ValueError, match="does not match"):
+        Channel(choi=np.eye(3), d_in=3, d_out=3)
+    for form in (to_chi, to_ptm):
+        with pytest.raises(ValueError, match="power of two"):
+            form(Channel(choi=np.eye(9), d_in=3, d_out=3))
 
 
 def test_ptm_of_x_rotation_is_bloch_rotation():
@@ -105,7 +111,7 @@ def test_ptm_of_x_rotation_is_bloch_rotation():
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     u = c * np.eye(2) - 1j * s * pauli_matrix("X")
     superop = np.kron(u, u.conj())
-    r = ptm_from_superop(superop)
+    r = _ptm(superop)
     expected = np.eye(4)
     expected[2, 2] = expected[3, 3] = np.cos(theta)
     expected[3, 2] = np.sin(theta)
@@ -117,7 +123,7 @@ def test_ptm_superop_roundtrip():
     rng = np.random.default_rng(2)
     kraus = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
     superop = sum(np.kron(k, k.conj()) for k in kraus)
-    r = ptm_from_superop(superop)
+    r = _ptm(superop)
     assert np.allclose(ref.superop_from_ptm(r), superop)
 
 
@@ -126,7 +132,7 @@ def test_ptm_entry_definition():
     rng = np.random.default_rng(3)
     k = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     superop = np.kron(k, k.conj())
-    r = ptm_from_superop(superop)
+    r = _ptm(superop)
     basis = pauli_basis(1)
     for a in range(4):
         for b in range(4):

@@ -1,10 +1,10 @@
-"""The one-qubit-at-a-time Pauli transforms against the dense basis sandwiches."""
+"""The tooth-by-tooth Pauli sandwiches of combs and channels against the dense basis."""
 
 import numpy as np
 import pytest
 
 import dense_reference as ref
-from qcombs.channels import Channel, random_channel, to_ptm
+from qcombs.channels import Channel, random_channel, to_chi, to_ptm
 from qcombs.combs import (
     _comb_ptm,
     choi_channel,
@@ -15,7 +15,6 @@ from qcombs.combs import (
     random_env_model,
 )
 from qcombs.linalg import choi_to_superop
-from qcombs.pauli import chi_from_choi, ptm_from_superop
 
 # (teeth, system qubits, interaction strength; None is Haar).
 DILATIONS = [(m, 1, s) for m in (1, 2, 3, 4) for s in (0.3, None)] + [(5, 1, 0.3)] + [
@@ -40,14 +39,14 @@ def _one_tooth_choi(chi, d):
 
 
 def _assert_transforms_match(choi, d):
+    channel = Channel(choi=choi, d_in=d, d_out=d)
     chi = ref.chi_from_choi(choi)
-    assert_close(chi_from_choi(choi), chi)
+    assert_close(to_chi(channel), chi)
     assert_close(_one_tooth_choi(chi, d), ref.choi_from_chi(chi))
-    tooth = markovian_comb([Channel(choi=choi, d_in=d, d_out=d)])
+    tooth = markovian_comb([channel])
     assert_close(comb_chi(tooth), chi)
-    superop = choi_to_superop(choi, d, d)
-    ptm = ref.ptm_from_superop(superop)
-    assert_close(ptm_from_superop(superop), ptm)
+    ptm = ref.ptm_from_superop(choi_to_superop(choi, d, d))
+    assert_close(to_ptm(channel), ptm)
     assert_close(_comb_ptm(tooth), ptm)
 
 
@@ -77,5 +76,7 @@ def test_random_channel_transforms_match_dense_basis(n):
     _assert_transforms_match(random_channel(2**n, rng=rng).choi, 2**n)
     # Any complex matrix, so no symmetry of a channel hides an index mix-up.
     g = rng.standard_normal((4**n, 4**n)) + 1j * rng.standard_normal((4**n, 4**n))
-    assert_close(chi_from_choi(g), ref.chi_from_choi(g))
+    channel = Channel(choi=g, d_in=2**n, d_out=2**n)
+    assert_close(to_chi(channel), ref.chi_from_choi(g))
+    assert_close(to_ptm(channel), ref.ptm_from_superop(choi_to_superop(g, 2**n, 2**n)))
     assert_close(_one_tooth_choi(g, 2**n), ref.choi_from_chi(g))
