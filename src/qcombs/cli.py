@@ -47,13 +47,7 @@ from .combs import (
 )
 from .linalg import check_state, is_hermitian
 from .pauli import PAULI_LETTERS, offdiag_mass, pauli_labels, pauli_matrix, qubit_count
-from .pec import (
-    _STATES,
-    _exact_from_table,
-    _sample_from_table,
-    _term_values,
-    decompose_inverse,
-)
+from .pec import _STATES, decompose_inverse, pec_correct_exact, pec_sample
 from .twirl import (
     PauliDiagTable,
     _keys_of,
@@ -426,9 +420,6 @@ def cmd_pec(args) -> int:
         ideal_state = apply(lay, ideal_state)
     ideal = float(np.trace(obs @ ideal_state).real)
     noisy = float(np.trace(obs @ apply_comb(comb, layers, rho)).real)
-    # One term table serves the exact value and the sampled estimate.
-    values = _term_values(comb, decomp, layers, rho, obs)
-    corrected = _exact_from_table(decomp, values)
     out = {
         "gamma": decomp.gamma,
         "ptm_condition_number": decomp.ptm_condition_number,
@@ -436,12 +427,13 @@ def cmd_pec(args) -> int:
         "nonzero_terms": int(np.count_nonzero(decomp.alpha)),
         "ideal": ideal,
         "noisy": noisy,
-        "corrected": corrected,
+        "corrected": pec_correct_exact(comb, decomp, layers, rho, obs),
         "sampled": None,
     }
     if args.shots:
+        # The comb kept the exact value's term table, so sampling draws from it.
         rng = np.random.default_rng(args.seed)
-        est, se = _sample_from_table(decomp, values, args.shots, rng)
+        est, se = pec_sample(comb, decomp, layers, rho, obs, args.shots, rng)
         out["sampled"] = {"estimate": est, "std_error": se, "shots": args.shots}
     if args.csv:
         _write_alpha_csv(args.csv, decomp)

@@ -43,7 +43,9 @@ class Comb:
     holds real weights p, one per Pauli label in label-index order, and
     the comb's process matrix (:func:`comb_chi`) is ``diag(p)``; a Pauli
     comb holds nothing else, so it takes no factor.  A comb given no
-    operator derives ``choi_op`` on first access and keeps it.
+    operator derives ``choi_op`` on first access and keeps it, and
+    ``pec._term_values`` keeps its last table of insertion-pattern values
+    in ``_term_memo``; both treat the comb as immutable.
     """
 
     def __init__(self, choi_op: np.ndarray | None = None, *, teeth: int, d_sys: int,
@@ -51,6 +53,7 @@ class Comb:
                  pauli: np.ndarray | None = None):
         self.teeth, self.d_sys, self.factor, self.pauli = teeth, d_sys, factor, pauli
         self._choi_op = choi_op
+        self._term_memo = None  # (key, table) of the last pec._term_values call
         d = d_sys ** (2 * teeth)
         if choi_op is None and factor is None and pauli is None:
             raise ValueError("a comb needs its operator or its factor, or its Pauli weights")
@@ -412,6 +415,11 @@ def _layer_plugs(comb: Comb, layers) -> list[np.ndarray]:
     ]
 
 
+def _layer_ptms(comb: Comb, layers) -> list[np.ndarray]:
+    """Slot channels as transfer matrices, the plugs of :func:`_pauli_close`."""
+    return [to_ptm(layer) for layer in _check_layers(comb, layers)]
+
+
 def _close_factor(
     a: np.ndarray, s: np.ndarray, d: int, rho: np.ndarray | None, plugs,
     b: np.ndarray | None = None,
@@ -450,13 +458,14 @@ def _close_factor(
     return np.tensordot(x.reshape(shape) * s, b.conj().reshape(shape), axes=([0, 2], [0, 2]))
 
 
-def _pauli_close(comb: Comb, rho: np.ndarray | None, layers) -> np.ndarray:
+def _pauli_close(comb: Comb, rho: np.ndarray | None, ptms) -> np.ndarray:
     """Close a Pauli-diagonal comb in Pauli coordinates, forming no operator.
 
     A tooth conjugates by G_a with probability p[a], which multiplies
     Pauli coordinate b by the commutation sign S[a, b], so the teeth act
     through f = S^(x M) p, contracted one qubit at a time.  With
-    ``L_m = to_ptm(layer_m)`` and ``r_0[b] = Tr[G_b rho]``,
+    ``L_m = ptms[m - 1]``, the slot channels' transfer matrices
+    (:func:`_layer_ptms`), and ``r_0[b] = Tr[G_b rho]``,
 
         r[b_M] = sum f(b_1..b_M) L_{M-1}[b_M, b_{M-1}] ... L_1[b_2, b_1] r_0[b_1],
 
@@ -471,8 +480,8 @@ def _pauli_close(comb: Comb, rho: np.ndarray | None, layers) -> np.ndarray:
     f = _each_axis(comb.pauli, commutation_signs(1), n * comb.teeth)
     first = np.eye(q) if rho is None else np.einsum("bij,ji->b", g, rho)[:, None]
     x = first.T[:, :, None] * f.reshape(q, -1)  # (in_1 column, b_m, b_(m+1)..b_M)
-    for layer in _check_layers(comb, layers):
-        x = np.einsum("ji,cijr->cjr", to_ptm(layer), x.reshape(len(x), q, q, -1))
+    for ptm in ptms:
+        x = np.einsum("ji,cijr->cjr", ptm, x.reshape(len(x), q, q, -1))
     if rho is not None:
         return np.tensordot(x[0, :, 0], g, 1) / d
     return np.einsum("ba,axy,bij->xiyj", x[:, :, 0], g, g.conj()).reshape(d * d, d * d) / d
@@ -487,7 +496,7 @@ def output_channel(comb: Comb, layers) -> Channel:
     """
     d = comb.d_sys
     if comb.pauli is not None:
-        return Channel(choi=_pauli_close(comb, None, layers), d_in=d, d_out=d)
+        return Channel(choi=_pauli_close(comb, None, _layer_ptms(comb, layers)), d_in=d, d_out=d)
     plugs = _layer_plugs(comb, layers)
     if (factor := _thin_factor(comb)) is not None:
         choi = _close_factor(*factor, d, None, plugs)
@@ -509,7 +518,7 @@ def apply_comb(comb: Comb, layers, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (d, d):
         raise ValueError("input state dimension does not match the comb")
     if comb.pauli is not None:
-        return _pauli_close(comb, rho, layers)
+        return _pauli_close(comb, rho, _layer_ptms(comb, layers))
     plugs = _layer_plugs(comb, layers)
     if (factor := _thin_factor(comb)) is not None:
         return _close_factor(*factor, d, rho, plugs)

@@ -16,6 +16,7 @@ final tooth is applied to the output state just before measurement.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -311,6 +312,12 @@ def _term_values(
     (256 operations) cheap.  The inserted operations are the
     decomposition's own basis, read through its cached Choi and
     superoperator stacks.
+
+    The comb remembers its last table, read-only.  The table depends on
+    the basis but not on alpha, so a call with the same basis and slot
+    channels (both by identity) and an equal input state and observable
+    (by value, compared against copies) returns it after the argument
+    checks, for any decomposition over that basis.
     """
     n_qubits = qubit_count(comb.d_sys)
     if (decomp.teeth, decomp.n_qubits) != (comb.teeth, n_qubits):
@@ -326,6 +333,9 @@ def _term_values(
                 f"{name} shape {np.shape(mat)} does not match the comb's "
                 f"system dimension {d}"
             )
+    key = (decomp.basis, tuple(layers), np.array(rho), np.array(observable))
+    if comb._term_memo is not None and _same_terms(comb._term_memo[0], key):
+        return comb._term_memo[1]
     # Each slot's stack is the layer's superoperator times those of all
     # operations in one matmul, reshuffled in one transpose from
     # S[n, (a, b), (i, j)] (out row, out col, in row, in col) to the
@@ -344,7 +354,15 @@ def _term_values(
     values = _close(comb, rho[None], slots)
     heisenberg = np.einsum("ba,naibj->nij", observable, chois.reshape(n, d, d, d, d))
     values = np.tensordot(values, heisenberg, axes=([0, 1], [1, 2]))
-    return values.reshape((n,) * comb.teeth).real
+    comb._term_memo = key, _read_only(values.reshape((n,) * comb.teeth).real)
+    return comb._term_memo[1]
+
+
+def _same_terms(a: tuple, b: tuple) -> bool:
+    """Whether two :func:`_term_values` keys name one table: the same basis
+    and slot channels, and the same dtype and entries of state and observable."""
+    return (a[0] is b[0] and len(a[1]) == len(b[1]) and all(map(operator.is_, a[1], b[1]))
+            and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a[2:], b[2:])))
 
 
 def pec_correct_exact(
@@ -359,13 +377,11 @@ def pec_correct_exact(
     Sums alpha against the expectation values of every insertion
     pattern; with the decomposition of the comb's inverse this cancels
     the noise exactly, up to the numerical residual of the expansion.
+    The table of values is the one :func:`pec_sample` draws from: the
+    comb keeps the last one (:func:`_term_values`), so the exact value
+    and a sampled estimate on the same inputs compute it once.
     """
-    return _exact_from_table(decomp, _term_values(comb, decomp, layers, rho, observable))
-
-
-def _exact_from_table(decomp: QuasiProbDecomposition, values: np.ndarray) -> float:
-    """The alpha-weighted sum of a :func:`_term_values` table."""
-    return float(np.sum(decomp.alpha * values))
+    return float(np.sum(decomp.alpha * _term_values(comb, decomp, layers, rho, observable)))
 
 
 def pec_sample(
@@ -381,19 +397,15 @@ def pec_sample(
 
     Insertion patterns are drawn with probability |alpha|/gamma and the
     measured values are reweighted by gamma and the pattern sign.
-    Returns the estimate and its standard error.
+    Returns the estimate and its standard error.  The pattern values
+    come from the table :func:`pec_correct_exact` reads, which the comb
+    keeps (:func:`_term_values`), so on the same inputs it is computed
+    once for both.
     """
     if shots < 2:
         raise ValueError("need at least two shots for an error estimate")
     rng = rng or np.random.default_rng()
     values = _term_values(comb, decomp, layers, rho, observable)
-    return _sample_from_table(decomp, values, shots, rng)
-
-
-def _sample_from_table(
-    decomp: QuasiProbDecomposition, values: np.ndarray, shots: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """:func:`pec_sample` on a table already computed by :func:`_term_values`."""
     flat_alpha = decomp.alpha.reshape(-1)
     flat_values = values.reshape(-1)
     probs = np.abs(flat_alpha)

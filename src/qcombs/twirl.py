@@ -98,6 +98,20 @@ class PauliDiagTable:
     def prob(self, key: tuple[str, ...]) -> float:
         return self.probs.get(tuple(key), 0.0)
 
+    @cached_property
+    def _marginal_vectors(self) -> tuple[np.ndarray, ...]:
+        """Per-tooth sums over every other tooth, for all 4**n labels, added in
+        index order: a contiguous (other teeth, label) copy summed down axis 0.
+        Computed on first read, read-only, and shared by every marginal view."""
+        q, p = 4**self.n_qubits, self.vector
+        vectors = tuple(
+            np.ascontiguousarray(p.reshape(q**m, q, -1).transpose(0, 2, 1)).reshape(-1, q).sum(0)
+            for m in range(self.teeth)
+        )
+        for v in vectors:
+            v.setflags(write=False)
+        return vectors
+
 
 @lru_cache(maxsize=None)
 def _table_keys(teeth: int, n: int) -> tuple[tuple[str, ...], ...]:
@@ -275,23 +289,12 @@ def _tooth_labels(table: PauliDiagTable) -> list[np.ndarray]:
     return [np.unique(a) for a in _digits(table._listed, table.teeth, table.n_qubits).T]
 
 
-def _marginal_vectors(table: PauliDiagTable) -> list[np.ndarray]:
-    """Per-tooth sums over every other tooth, for all 4**n labels, added in
-    index order: a contiguous (other teeth, label) copy summed down axis 0."""
-    q = 4**table.n_qubits
-    p = table.vector
-    return [
-        np.ascontiguousarray(p.reshape(q**m, q, -1).transpose(0, 2, 1)).reshape(-1, q).sum(axis=0)
-        for m in range(table.teeth)
-    ]
-
-
 def marginals(table: PauliDiagTable) -> list[dict[str, float]]:
     """Per-tooth label distributions, over the labels the table lists there."""
     labels = pauli_labels(table.n_qubits)
     return [
         dict(zip([labels[i] for i in listed], vec[listed].tolist()))
-        for listed, vec in zip(_tooth_labels(table), _marginal_vectors(table))
+        for listed, vec in zip(_tooth_labels(table), table._marginal_vectors)
     ]
 
 
@@ -302,7 +305,7 @@ def product_of_marginals(table: PauliDiagTable) -> PauliDiagTable:
     combination of the labels the table lists per tooth.
     """
     teeth, n = table.teeth, table.n_qubits
-    vec = reduce(np.multiply.outer, _marginal_vectors(table)).reshape(-1)
+    vec = reduce(np.multiply.outer, table._marginal_vectors).reshape(-1)
     if table._listed is None:
         return PauliDiagTable(vec, teeth=teeth, n_qubits=n)
     index = reduce(lambda a, b: (a[:, None] * 4**n + b).reshape(-1), _tooth_labels(table))
@@ -327,7 +330,7 @@ def mutual_information(table: PauliDiagTable) -> float:
         raise ValueError("mutual information is defined here for two teeth")
     q = 4**table.n_qubits
     joint = table.vector.reshape(q, q)
-    m0, m1 = _marginal_vectors(table)
+    m0, m1 = table._marginal_vectors
     live = joint > 0.0
     p = joint[live]
     return sum((p * np.log2(p / np.outer(m0, m1)[live])).tolist())

@@ -20,6 +20,7 @@ both environments, with the ancilla summed out tooth by tooth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .combs import (
     _close,
     _close_factor,
     _layer_plugs,
+    _layer_ptms,
+    _pauli_close,
     _thin_factor,
     apply_comb,
     comb_from_env_model,
@@ -112,7 +115,11 @@ def vcp_comb(
     ``sigma_10`` is its adjoint.  Two dilations evolve it on both
     environments (:func:`_coherence`).  Any other pair runs as two combs,
     a dilation taken as its comb, and the block closes their product
-    (:func:`_product_coherence`).
+    (:func:`_product_coherence`).  Two Pauli-diagonal copies have the
+    product ``B diag(p1 p2) B^dag`` for the Pauli basis B of the comb's
+    wires, since ``B^dag B = d**M``: the Pauli-diagonal comb of the
+    entrywise product ``p1 p2``.  Then every block closes in Pauli
+    coordinates, through one transfer matrix per slot channel.
     """
     if copy1.d_sys != copy2.d_sys or copy1.teeth != copy2.teeth:
         raise ValueError("the two copies must describe the same process shape")
@@ -121,13 +128,19 @@ def vcp_comb(
         raise ValueError("state dimension does not match the process")
     layers = _check_layers(copy1, layers)
     if isinstance(copy1, EnvModel) and isinstance(copy2, EnvModel):
-        run, t01 = simulate_env_model, _coherence(copy1, copy2, layers, rho)
+        run = partial(simulate_env_model, layers=layers, rho=rho)
+        t01 = _coherence(copy1, copy2, layers, rho)
     else:
         copy1, copy2 = (c if isinstance(c, Comb) else comb_from_env_model(c, validate=False)
                         for c in (copy1, copy2))
-        run, t01 = apply_comb, _product_coherence(copy1, copy2, layers, rho)
-    t00 = run(copy1, layers, rho)
-    t11 = t00 if copy2 is copy1 else run(copy2, layers, rho)
+        if copy1.pauli is not None and copy2.pauli is not None:
+            run = partial(_pauli_close, rho=rho, ptms=_layer_ptms(copy1, layers))
+            t01 = run(Comb(teeth=copy1.teeth, d_sys=d, pauli=copy1.pauli * copy2.pauli))
+        else:
+            run = partial(apply_comb, layers=layers, rho=rho)
+            t01 = _product_coherence(copy1, copy2, layers, rho)
+    t00 = run(copy1)
+    t11 = t00 if copy2 is copy1 else run(copy2)
     return _branches(0.5 * np.block([[t00, t01], [t01.conj().T, t11]]), d)
 
 
@@ -140,18 +153,14 @@ def _product_coherence(c1: Comb, c2: Comb, layers, rho: np.ndarray) -> np.ndarra
     so the ancilla joins copy 1's column indices to copy 2's row indices:
     on in_m with weight 1/d, on out_m by the trace.  That is the matrix
     product ``C1 C2 / d**M``, closed with the same input and slots on
-    the row and column indices left open.  Two Pauli-diagonal copies have
-    the product ``B diag(p1 p2) B^dag`` for the Pauli basis B of the
-    comb's wires, since ``B^dag B = d**M``: the Pauli-diagonal comb of the
-    entrywise product ``p1 p2``, closed in Pauli coordinates.  Otherwise a
-    thin factor on either side closes it through factors
-    (:func:`_close_factor`): ``C1 a2 / d**M`` against ``a2``, or ``a1``
-    against ``C2^dag a1 / d**M``, the other copy acting from its own store
-    (:func:`_times`).  Only copies with neither form the dense product.
+    the row and column indices left open (:func:`vcp_comb` closes two
+    Pauli-diagonal copies itself).  A thin factor on either side closes it
+    through factors (:func:`_close_factor`): ``C1 a2 / d**M`` against
+    ``a2``, or ``a1`` against ``C2^dag a1 / d**M``, the other copy acting
+    from its own store (:func:`_times`).  Only copies with neither form
+    the dense product.
     """
     d, scale = c1.d_sys, c1.d_sys**c1.teeth
-    if c1.pauli is not None and c2.pauli is not None:
-        return apply_comb(Comb(teeth=c1.teeth, d_sys=d, pauli=c1.pauli * c2.pauli), layers, rho)
     plugs = _layer_plugs(c1, layers)
     if (f2 := _thin_factor(c2)) is not None:
         return _close_factor(_times(c1, f2[0]) / scale, f2[1], d, rho, plugs, b=f2[0])

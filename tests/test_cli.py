@@ -21,6 +21,8 @@ ENV_RANDOM = str(FIXTURES / "env_random.json")
 CHOI = str(FIXTURES / "choi_explicit.json")
 
 ALL_FIXTURES = [MARKOVIAN, PAULI, ENV, ENV_RANDOM, CHOI]
+# Test ids name fixtures by file stem, so they do not depend on the checkout's path.
+FIXTURE_IDS = [Path(spec).stem for spec in ALL_FIXTURES]
 
 
 def run_cli(capsys, *argv):
@@ -33,7 +35,7 @@ def run_cli(capsys, *argv):
 # validate
 
 
-@pytest.mark.parametrize("spec", ALL_FIXTURES)
+@pytest.mark.parametrize("spec", ALL_FIXTURES, ids=FIXTURE_IDS)
 def test_validate_fixtures(capsys, spec):
     code, doc = run_cli(capsys, "validate", spec)
     assert code == 0
@@ -98,7 +100,11 @@ def test_wrong_layer_count_is_exit_2(capsys):
     assert "slot channels" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, spec", [("oracle", ENV_RANDOM), ("pec", MARKOVIAN)])
+@pytest.mark.parametrize(
+    "command, spec",
+    [("oracle", ENV_RANDOM), ("pec", MARKOVIAN)],
+    ids=["oracle-env_random", "pec-markovian_depol"],
+)
 def test_wrong_layer_dimension_is_exit_2(capsys, command, spec):
     assert main([command, spec, "--layer", json.dumps(np.eye(3).tolist())]) == 2
     err = capsys.readouterr().err
@@ -121,7 +127,11 @@ def test_negative_seed_is_exit_2(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command, spec", [("pec", MARKOVIAN), ("vcp", PAULI)])
+@pytest.mark.parametrize(
+    "command, spec",
+    [("pec", MARKOVIAN), ("vcp", PAULI)],
+    ids=["pec-markovian_depol", "vcp-pauli_correlated"],
+)
 def test_unwritable_csv_is_exit_2(capsys, tmp_path, command, spec):
     path = tmp_path / "missing" / "out.csv"
     assert main([command, spec, "--csv", str(path)]) == 2
@@ -511,24 +521,35 @@ def test_pec_with_layers_and_shots(capsys):
 
 
 def test_pec_with_shots_computes_the_term_table_once(capsys, monkeypatch):
-    """The exact value and the sampled estimate come from one table and
-    equal what pec_correct_exact and pec_sample return."""
-    calls = []
+    """The exact value and the sampled estimate come from one table, and
+    equal what pec_correct_exact and pec_sample return on a fresh comb."""
+    closings, calls = [], []
+    close = pec._close
 
-    def counting_term_values(*args):
+    def counting_close(*args):
+        closings.append(args)
+        return close(*args)
+
+    def recording_exact(*args):
         calls.append(args)
-        return pec._term_values(*args)
+        return pec.pec_correct_exact(*args)
 
-    monkeypatch.setattr(cli, "_term_values", counting_term_values)
+    monkeypatch.setattr(pec, "_close", counting_close)
+    monkeypatch.setattr(cli, "pec_correct_exact", recording_exact)
     code, doc = run_cli(
         capsys, "--seed", "3", "pec", MARKOVIAN, "--layer", "h", "--observable", "x", "--shots", "400"
     )
     assert code == 0
-    assert len(calls) == 1
-    comb, decomp, layers, rho, obs = calls[0][:5]
-    assert doc["corrected"] == pec.pec_correct_exact(comb, decomp, layers, rho, obs)
-    est, se = pec.pec_sample(comb, decomp, layers, rho, obs, 400, np.random.default_rng(3))
+    assert len(closings) == 1
+    [(comb, _, layers, rho, obs)] = calls
+    assert closings[0][0] is comb
+    # A fresh comb of the same spec remembers no table, so this recomputes it.
+    fresh, _, _, _ = cli.load_spec(MARKOVIAN)
+    decomp = pec.decompose_inverse(fresh)
+    assert doc["corrected"] == pec.pec_correct_exact(fresh, decomp, layers, rho, obs)
+    est, se = pec.pec_sample(fresh, decomp, layers, rho, obs, 400, np.random.default_rng(3))
     assert doc["sampled"] == {"estimate": est, "std_error": se, "shots": 400}
+    assert len(closings) == 2
 
 
 def test_pec_csv_output(capsys, tmp_path):

@@ -485,6 +485,126 @@ def test_layer_count_checked():
 
 
 # ---------------------------------------------------------------------------
+# one term table per closing
+
+
+def _counted_closings(monkeypatch) -> list:
+    """Record the comb of every term-table contraction, not of every lookup."""
+    closings, close = [], pec._close
+    monkeypatch.setattr(pec, "_close", lambda comb, *a: closings.append(comb) or close(comb, *a))
+    return closings
+
+
+def _cancel_inputs(teeth=3):
+    rng = np.random.default_rng(81)
+    model = random_env_model(teeth=teeth, rng=rng, interaction_strength=0.4)
+    layers = [random_channel(2, rng=rng) for _ in range(teeth - 1)]
+    return model, layers, random_density_matrix(2, rng), pauli_matrix("X")
+
+
+def test_exact_value_and_sampled_estimate_compute_one_table(monkeypatch):
+    closings = _counted_closings(monkeypatch)
+    model, layers, rho, obs = _cancel_inputs()
+    comb = comb_from_env_model(model)
+    decomp = decompose_inverse(comb)
+    exact = pec_correct_exact(comb, decomp, layers, rho, obs)
+    sampled = pec_sample(comb, decomp, layers, rho, obs, 500, np.random.default_rng(4))
+    assert closings == [comb]
+    # The table does not depend on alpha: another decomposition over the
+    # same basis reads it too.
+    assert pec_correct_exact(comb, decompose_inverse(comb), layers, rho, obs) == exact
+    assert closings == [comb]
+    # A fresh comb of the same model remembers nothing and agrees bit for bit.
+    fresh = comb_from_env_model(model)
+    fresh_decomp = decompose_inverse(fresh)
+    assert pec_correct_exact(fresh, fresh_decomp, layers, rho, obs) == exact
+    rng = np.random.default_rng(4)
+    assert pec_sample(fresh, fresh_decomp, layers, rho, obs, 500, rng) == sampled
+    assert np.array_equal(
+        _term_values(comb, decomp, layers, rho, obs),
+        _term_values(fresh, fresh_decomp, layers, rho, obs),
+    )
+    assert closings == [comb, fresh]
+
+
+def test_remembered_table_is_read_only():
+    model, layers, rho, obs = _cancel_inputs()
+    comb = comb_from_env_model(model)
+    values = _term_values(comb, decompose_inverse(comb), layers, rho, obs)
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[(0,) * comb.teeth] = 1.0
+
+
+@pytest.mark.parametrize("change", ["rho", "observable", "layer", "basis"])
+def test_other_inputs_recompute_the_table(monkeypatch, change):
+    model, layers, rho, obs = _cancel_inputs()
+    comb = comb_from_env_model(model)
+    decomp = decompose_inverse(comb)
+    first = _term_values(comb, decomp, layers, rho, obs)
+    args = {"decomp": decomp, "layers": layers, "rho": rho, "observable": obs}
+    if change == "rho":
+        args["rho"] = np.diag([0.0, 1.0]).astype(complex)
+    elif change == "observable":
+        args["observable"] = pauli_matrix("Z")
+    elif change == "layer":
+        args["layers"] = [layers[0], random_channel(2, rng=np.random.default_rng(2))]
+    else:
+        args["decomp"] = transposed_insertion(decomp)
+    closings = _counted_closings(monkeypatch)
+    got = _term_values(comb, **args)
+    assert closings == [comb]
+    assert not np.array_equal(got, first)
+    assert np.array_equal(got, _term_values(comb_from_env_model(model), **args))
+
+
+def test_an_equal_layer_of_another_object_recomputes_the_table(monkeypatch):
+    model, layers, rho, obs = _cancel_inputs()
+    comb = comb_from_env_model(model)
+    decomp = decompose_inverse(comb)
+    first = _term_values(comb, decomp, layers, rho, obs)
+    closings = _counted_closings(monkeypatch)
+    twin = Channel(choi=layers[1].choi.copy(), d_in=2, d_out=2)
+    assert np.array_equal(_term_values(comb, decomp, [layers[0], twin], rho, obs), first)
+    assert closings == [comb]
+
+
+@pytest.mark.parametrize("mutated", ["rho", "observable"])
+def test_mutating_an_input_in_place_gives_fresh_values(mutated):
+    model, layers, rho, obs = _cancel_inputs()
+    obs = obs.copy()
+    comb = comb_from_env_model(model)
+    decomp = decompose_inverse(comb)
+    before = pec_correct_exact(comb, decomp, layers, rho, obs)
+    if mutated == "rho":
+        rho[:] = np.diag([0.0, 1.0])
+    else:
+        obs[:] = pauli_matrix("Z")
+    after = pec_correct_exact(comb, decomp, layers, rho, obs)
+    fresh = comb_from_env_model(model)
+    assert after == pec_correct_exact(fresh, decompose_inverse(fresh), layers, rho, obs)
+    assert after != before
+
+
+def test_argument_checks_run_while_a_table_is_remembered():
+    model, layers, rho, obs = _cancel_inputs()
+    comb = comb_from_env_model(model)
+    decomp = decompose_inverse(comb)
+    pec_correct_exact(comb, decomp, layers, rho, obs)
+    other = decompose_inverse(markovian_comb([depolarizing_channel(0.2)] * 2))
+    with pytest.raises(ValueError, match="decomposition is for 2 teeth"):
+        pec_correct_exact(comb, other, layers, rho, obs)
+    with pytest.raises(ValueError, match="input state shape"):
+        pec_sample(comb, decomp, layers, np.eye(4) / 4, obs, shots=10)
+    with pytest.raises(ValueError, match="observable shape"):
+        pec_correct_exact(comb, decomp, layers, rho, np.eye(3))
+    with pytest.raises(ValueError, match="expected 2 slot channels"):
+        pec_correct_exact(comb, decomp, layers[:1], rho, obs)
+    with pytest.raises(ValueError, match="slot channel dimension"):
+        pec_sample(comb, decomp, [layers[0], identity_channel(4)], rho, obs, shots=10)
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 

@@ -279,6 +279,20 @@ def test_marginals_and_product():
     assert abs(sum(prod.probs.values()) - 1.0) < 1e-12
 
 
+def test_marginal_vectors_are_computed_once_per_table():
+    """marginals, product_of_marginals and mutual_information share one
+    read-only set of marginal vectors, with the bits of a fresh table's."""
+    table = two_tooth_table()
+    vectors = table._marginal_vectors
+    assert table._marginal_vectors is vectors
+    assert all(not v.flags.writeable for v in vectors)
+    assert marginals(table) == marginals(two_tooth_table())
+    want = product_of_marginals(two_tooth_table()).vector
+    assert np.array_equal(product_of_marginals(table).vector, want)
+    assert mutual_information(table) == mutual_information(two_tooth_table())
+    assert table._marginal_vectors is vectors
+
+
 def test_tv_distance_values():
     table = two_tooth_table()
     assert tv_distance(table, table) == 0.0

@@ -10,6 +10,7 @@ as combs, with no pointer dilation.
 
 import itertools
 import json
+import operator
 import time
 from pathlib import Path
 
@@ -17,9 +18,9 @@ import numpy as np
 import pytest
 
 import dense_reference as ref
-from qcombs import cli, twirl, vcp
+from qcombs import cli, combs, twirl, vcp
 from qcombs.channels import random_channel, random_density_matrix
-from qcombs.combs import Comb, comb_from_env_model, random_env_model
+from qcombs.combs import Comb, apply_comb, comb_from_env_model, random_env_model
 from qcombs.linalg import tensor
 from qcombs.pauli import label_index, pauli_basis, qubit_count
 from qcombs.twirl import PauliDiagTable, comb_from_pauli_table, env_model_from_pauli_table
@@ -147,9 +148,11 @@ def test_one_object_runs_its_single_copy_block_once(monkeypatch):
     """Both copies one object: the single-copy run is made once, and the
     result equals that of two equal copies built apart, bit for bit."""
     calls = []
-    for name in ("simulate_env_model", "apply_comb"):
+    for name in ("simulate_env_model", "apply_comb", "_pauli_close"):
         run = getattr(vcp, name)
-        monkeypatch.setattr(vcp, name, lambda c, *a, run=run: calls.append(c) or run(c, *a))
+        monkeypatch.setattr(
+            vcp, name, lambda c, *a, run=run, **kw: calls.append(c) or run(c, *a, **kw)
+        )
     rng = np.random.default_rng(11)
     layers = [random_channel(2, rng=rng) for _ in range(2)]
     rho = random_density_matrix(2, rng)
@@ -197,6 +200,28 @@ def test_table_combs_hold_only_their_weights(teeth, n):
     assert np.abs((a * s) @ a.conj().T - comb.choi_op).max() < 1e-15
     with pytest.raises(ValueError, match="only its weights"):
         Comb(teeth=teeth, d_sys=2**n, pauli=comb.pauli, factor=(a, s))
+
+
+def test_two_pauli_copies_convert_each_layer_once(monkeypatch):
+    """Both single-copy blocks and the p1 p2 coherence close through one
+    transfer matrix per slot channel, with the bits of three separate closings."""
+    rng = np.random.default_rng(23)
+    layers = [random_channel(2, rng=rng) for _ in range(3)]
+    rho = random_density_matrix(2, rng)
+    c1, c2 = (comb_from_pauli_table(_random_table(rng, 4, 1, entries=6)) for _ in range(2))
+    t00, t11 = apply_comb(c1, layers, rho), apply_comb(c2, layers, rho)
+    t01 = apply_comb(Comb(teeth=4, d_sys=2, pauli=c1.pauli * c2.pauli), layers, rho)
+    want = vcp._branches(0.5 * np.block([[t00, t01], [t01.conj().T, t11]]), 2)
+    converted, to_ptm = [], combs.to_ptm
+    monkeypatch.setattr(combs, "to_ptm", lambda ch: converted.append(ch) or to_ptm(ch))
+    for copy2 in (c2, c1):
+        converted.clear()
+        vcp_comb(c1, copy2, layers, rho)
+        assert len(converted) == len(layers)
+        assert all(map(operator.is_, converted, layers))
+    got = vcp_comb(c1, c2, layers, rho)
+    for field in ("virtual_state", "physical_state", "p_plus", "p_minus"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def _random_table(rng, teeth, n, entries=None):
