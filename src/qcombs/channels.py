@@ -46,7 +46,7 @@ class Channel:
 
     def is_trace_preserving(self, tol: float = 1e-9) -> bool:
         red = partial_trace(self.choi, [self.d_out, self.d_in], keep=[1])
-        return bool(np.allclose(red, np.eye(self.d_in), atol=tol * max(self.d_in, 1)))
+        return bool(np.allclose(red, np.eye(self.d_in), rtol=0, atol=tol * max(self.d_in, 1)))
 
     def validate(self, tol: float = 1e-9) -> None:
         """Raise ValueError unless the map is CPTP within tolerance."""
@@ -73,7 +73,7 @@ def from_kraus(ops, *, require_tp: bool = True) -> Channel:
         raise ValueError("Kraus operators must share one shape")
     if require_tp:
         ksum = sum(k.conj().T @ k for k in ops)
-        if not np.allclose(ksum, np.eye(d_in), atol=1e-9):
+        if not np.allclose(ksum, np.eye(d_in), rtol=0, atol=1e-9):
             raise ValueError("Kraus operators do not sum to the identity")
     choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
     for k in ops:
@@ -115,7 +115,7 @@ def identity_channel(d: int) -> Channel:
 
 def unitary_channel(u: np.ndarray) -> Channel:
     u = np.asarray(u, dtype=complex)
-    if not np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-9):
+    if not np.allclose(u.conj().T @ u, np.eye(u.shape[0]), rtol=0, atol=1e-9):
         raise ValueError("matrix is not unitary")
     return from_kraus([u])
 
@@ -146,7 +146,8 @@ def depolarizing_channel(p: float, n_qubits: int = 1) -> Channel:
 
 
 def _tooth_choi(channel: Channel) -> np.ndarray:
-    """The Choi matrix on a comb tooth's (in, out) wires, for the Pauli forms."""
+    """The Choi matrix on a comb tooth's (in, out) wires, for the Pauli forms and
+    :func:`combs.markovian_comb`."""
     if channel.d_in != channel.d_out:
         raise ValueError("Pauli forms need matching input and output dimensions")
     return permute_wires(channel.choi, [channel.d_out, channel.d_in], [1, 0])

@@ -15,10 +15,11 @@ channel from in_1 to out_M.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .channels import Channel, random_density_matrix, random_unitary, to_ptm
+from .channels import Channel, _tooth_choi, random_density_matrix, random_unitary, to_ptm
 from .linalg import (
     PsdReport,
     check_state,
@@ -29,7 +30,7 @@ from .linalg import (
     tensor,
 )
 from .pauli import (_each_axis, _pair_order, commutation_signs, pauli_basis, qubit_count,
-                    tooth_basis, tooth_kernel, tooth_ptm, tooth_sandwich)
+                    tooth_basis, tooth_kernel, tooth_sandwich)
 
 
 class Comb:
@@ -43,9 +44,8 @@ class Comb:
     holds real weights p, one per Pauli label in label-index order, and
     the comb's process matrix (:func:`comb_chi`) is ``diag(p)``; a Pauli
     comb holds nothing else, so it takes no factor.  A comb given no
-    operator derives ``choi_op`` on first access and keeps it, and
-    ``pec._term_values`` keeps its last table of insertion-pattern values
-    in ``_term_memo``; both treat the comb as immutable.
+    operator derives ``choi_op`` on first access and keeps it, treating
+    the comb as immutable.
     """
 
     def __init__(self, choi_op: np.ndarray | None = None, *, teeth: int, d_sys: int,
@@ -53,7 +53,6 @@ class Comb:
                  pauli: np.ndarray | None = None):
         self.teeth, self.d_sys, self.factor, self.pauli = teeth, d_sys, factor, pauli
         self._choi_op = choi_op
-        self._term_memo = None  # (key, table) of the last pec._term_values call
         d = d_sys ** (2 * teeth)
         if choi_op is None and factor is None and pauli is None:
             raise ValueError("a comb needs its operator or its factor, or its Pauli weights")
@@ -94,10 +93,6 @@ class Comb:
             return float(np.sum(np.abs(self.factor[0]) ** 2 @ self.factor[1]))
         return float(np.trace(self.choi_op).real)
 
-    @property
-    def wire_dims(self) -> list[int]:
-        return [self.d_sys] * (2 * self.teeth)
-
 
 def _pauli_op(p: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:
     """The comb operator whose process matrix is ``diag(p)``: conj(K) of
@@ -135,7 +130,7 @@ class EnvModel:
         for u in self.interactions:
             if u.shape != (d, d):
                 raise ValueError("interaction unitary has the wrong shape")
-            if not np.allclose(u.conj().T @ u, np.eye(d), atol=1e-9):
+            if not np.allclose(u.conj().T @ u, np.eye(d), rtol=0, atol=1e-9):
                 raise ValueError("interaction is not unitary")
 
     @property
@@ -186,7 +181,7 @@ def markovian_comb(tooth_channels) -> Comb:
     for ch in tooth_channels:
         if ch.d_in != d or ch.d_out != d:
             raise ValueError("tooth channels must share the system dimension")
-        chois.append(permute_wires(ch.choi, [d, d], [1, 0]))
+        chois.append(_tooth_choi(ch))
     return Comb(choi_op=tensor(*chois), teeth=len(chois), d_sys=d)
 
 
@@ -301,6 +296,14 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     )
 
 
+def _channel_form(comb: Comb, outs: list[int]) -> Channel:
+    """The comb as one channel from (in_1, ..., in_M) to the wires ``outs``, in that order."""
+    order = outs + [2 * m for m in range(comb.teeth)]
+    choi = permute_wires(comb.choi_op, [comb.d_sys] * (2 * comb.teeth), order)
+    d_tot = comb.d_sys**comb.teeth
+    return Channel(choi=choi, d_in=d_tot, d_out=d_tot)
+
+
 def choi_channel(comb: Comb) -> Channel:
     """The comb viewed as one channel from all inputs to all outputs.
 
@@ -309,10 +312,7 @@ def choi_channel(comb: Comb) -> Channel:
     the form on which Pauli twirling and quasi-probability decompositions
     operate.
     """
-    order = [2 * m + 1 for m in range(comb.teeth)] + [2 * m for m in range(comb.teeth)]
-    choi = permute_wires(comb.choi_op, comb.wire_dims, order)
-    d_tot = comb.d_sys**comb.teeth
-    return Channel(choi=choi, d_in=d_tot, d_out=d_tot)
+    return _channel_form(comb, [2 * m + 1 for m in range(comb.teeth)])
 
 
 def slot_channel(comb: Comb) -> Channel:
@@ -324,11 +324,7 @@ def slot_channel(comb: Comb) -> Channel:
     relabeling of :func:`choi_channel`.
     """
     m_teeth = comb.teeth
-    outs = [2 * m_teeth - 1] + [2 * m + 1 for m in range(m_teeth - 1)]
-    order = outs + [2 * m for m in range(m_teeth)]
-    choi = permute_wires(comb.choi_op, comb.wire_dims, order)
-    d_tot = comb.d_sys**m_teeth
-    return Channel(choi=choi, d_in=d_tot, d_out=d_tot)
+    return _channel_form(comb, [2 * m_teeth - 1] + [2 * m + 1 for m in range(m_teeth - 1)])
 
 
 def comb_chi(comb: Comb) -> np.ndarray:
@@ -355,10 +351,29 @@ def comb_from_chi(chi: np.ndarray, teeth: int, d_sys: int) -> Comb:
     return Comb(choi_op=choi_op, teeth=teeth, d_sys=d_sys)
 
 
-def _comb_ptm(comb: Comb) -> np.ndarray:
-    """Pauli transfer matrix of the channel form, R[a, b] = Tr[G_a E(G_b)] / d**M
-    (:func:`tooth_ptm` of the operator as stored)."""
-    return tooth_ptm(comb.choi_op, comb.teeth, comb.d_sys)
+def _pauli_diag(comb: Comb) -> np.ndarray:
+    """Diagonal of :func:`comb_chi`, contracted tooth by tooth.
+
+    chi[a, a] = sum_xy conj(B[x, a]) J[x, y] B[y, a] / d**(2M) on the
+    channel form J, and B is a Kronecker product over teeth.  One
+    transpose puts each tooth's (in, out) row pair and column pair on one
+    axis of the comb operator, and each axis contracts with
+    :func:`tooth_kernel`.  Complex, as the diagonal of chi is.
+
+    A comb with a thin factor ``J = a diag(s) a^dag`` reads it from ``a``
+    alone: with ã the contraction of each tooth's row pair of every
+    column of ``a`` with conj(b) (:func:`tooth_basis`), the diagonal is
+    the real ``(|ã|^2 @ s) / d**(2M)``.  A Pauli-diagonal comb holds it.
+    """
+    n, q = qubit_count(comb.d_sys), comb.d_sys**2
+    if comb.pauli is not None:
+        return comb.pauli
+    if (factor := _thin_factor(comb)) is not None:
+        a, s = factor
+        a = _each_axis(a, tooth_basis(n).conj(), comb.teeth)
+        return s @ (a.real**2 + a.imag**2) / comb.d_sys ** (2 * comb.teeth)
+    t = comb.choi_op.reshape((q,) * (2 * comb.teeth)).transpose(_pair_order(comb.teeth))
+    return _each_axis(t, tooth_kernel(n), comb.teeth)[0] / comb.d_sys ** (2 * comb.teeth)
 
 
 def _check_layers(process: Comb | EnvModel, layers) -> list[Channel]:
@@ -369,6 +384,30 @@ def _check_layers(process: Comb | EnvModel, layers) -> list[Channel]:
         if ch.d_in != process.d_sys or ch.d_out != process.d_sys:
             raise ValueError("slot channel dimension does not match the process")
     return layers
+
+
+class _Slots:
+    """The slot channels of one closing, checked once, in the forms that
+    closing reads, each converted on first use and kept."""
+
+    def __init__(self, process: Comb | EnvModel, layers):
+        self.layers, self.d = _check_layers(process, layers), process.d_sys
+
+    @cached_property
+    def plugs(self) -> list[np.ndarray]:
+        """One-plug stacks in :func:`_close` order.  A Choi matrix lives on
+        (out, in) = (in_{m+2}, out_{m+1}); swapping its two wires on the plug
+        side costs d^4 entries."""
+        d = self.d
+        return [
+            layer.choi.reshape(1, d, d, d, d).transpose(0, 2, 1, 4, 3).reshape(1, d * d, d * d)
+            for layer in self.layers
+        ]
+
+    @cached_property
+    def ptms(self) -> list[np.ndarray]:
+        """Transfer matrices, the plugs of :func:`_pauli_close`."""
+        return [to_ptm(layer) for layer in self.layers]
 
 
 def _close(comb: Comb, first: np.ndarray | None, slots) -> np.ndarray:
@@ -400,24 +439,6 @@ def _close(comb: Comb, first: np.ndarray | None, slots) -> np.ndarray:
         t = t.reshape((d * d, x, d * d, x) + t.shape[2:])
         t = np.tensordot(t, plug, axes=([0, 2], [1, 2]))
     return t
-
-
-def _layer_plugs(comb: Comb, layers) -> list[np.ndarray]:
-    """Slot channels as one-plug stacks in :func:`_close` order.
-
-    A Choi matrix lives on (out, in) = (in_{m+2}, out_{m+1}); swapping its
-    two wires on the plug side costs d^4 entries.
-    """
-    d = comb.d_sys
-    return [
-        layer.choi.reshape(1, d, d, d, d).transpose(0, 2, 1, 4, 3).reshape(1, d * d, d * d)
-        for layer in _check_layers(comb, layers)
-    ]
-
-
-def _layer_ptms(comb: Comb, layers) -> list[np.ndarray]:
-    """Slot channels as transfer matrices, the plugs of :func:`_pauli_close`."""
-    return [to_ptm(layer) for layer in _check_layers(comb, layers)]
 
 
 def _close_factor(
@@ -465,7 +486,7 @@ def _pauli_close(comb: Comb, rho: np.ndarray | None, ptms) -> np.ndarray:
     Pauli coordinate b by the commutation sign S[a, b], so the teeth act
     through f = S^(x M) p, contracted one qubit at a time.  With
     ``L_m = ptms[m - 1]``, the slot channels' transfer matrices
-    (:func:`_layer_ptms`), and ``r_0[b] = Tr[G_b rho]``,
+    (:attr:`_Slots.ptms`), and ``r_0[b] = Tr[G_b rho]``,
 
         r[b_M] = sum f(b_1..b_M) L_{M-1}[b_M, b_{M-1}] ... L_1[b_2, b_1] r_0[b_1],
 
@@ -487,24 +508,63 @@ def _pauli_close(comb: Comb, rho: np.ndarray | None, ptms) -> np.ndarray:
     return np.einsum("ba,axy,bij->xiyj", x[:, :, 0], g, g.conj()).reshape(d * d, d * d) / d
 
 
-def output_channel(comb: Comb, layers) -> Channel:
-    """The in_1 to out_M channel obtained by fixing the slot contents.
-
-    A Pauli-diagonal comb closes in Pauli coordinates (:func:`_pauli_close`),
-    a comb with a thin factor through it (:func:`_close_factor`), every
-    other comb through the dense operator (:func:`_close`).
-    """
+def _closed(comb: Comb, slots: _Slots, rho: np.ndarray | None) -> np.ndarray:
+    """Close the comb with the slot channels and ``rho`` on in_1, from its
+    own store: a Pauli-diagonal comb in Pauli coordinates
+    (:func:`_pauli_close`), a comb with a thin factor through it
+    (:func:`_close_factor`), every other comb through the dense operator
+    (:func:`_close`).  Returns the state on out_M, or with ``rho=None``
+    the Choi matrix of the in_1 to out_M channel."""
     d = comb.d_sys
     if comb.pauli is not None:
-        return Channel(choi=_pauli_close(comb, None, _layer_ptms(comb, layers)), d_in=d, d_out=d)
-    plugs = _layer_plugs(comb, layers)
+        return _pauli_close(comb, rho, slots.ptms)
     if (factor := _thin_factor(comb)) is not None:
-        choi = _close_factor(*factor, d, None, plugs)
-    else:
-        # t[a, b, i, j] is the Choi entry for out_M = (a, b), in_1 = (i, j).
-        t = _close(comb, None, plugs)
-        choi = t.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return Channel(choi=choi, d_in=d, d_out=d)
+        return _close_factor(*factor, d, rho, slots.plugs)
+    if rho is not None:
+        return _close(comb, rho[None], slots.plugs).reshape(d, d)
+    # t[a, b, i, j] is the Choi entry for out_M = (a, b), in_1 = (i, j).
+    t = _close(comb, None, slots.plugs)
+    return t.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _close_product(c1: Comb, c2: Comb, slots: _Slots, rho: np.ndarray) -> np.ndarray:
+    """:func:`_closed` of the product comb ``C1 C2 / d**M`` on ``rho``.
+
+    Two Pauli-diagonal combs have the product ``B diag(p1 p2) B^dag`` for
+    the Pauli basis B of the comb's wires, since ``B^dag B = d**M``: the
+    Pauli-diagonal comb of the entrywise product ``p1 p2``.  A thin factor
+    on either side closes it through factors (:func:`_close_factor`):
+    ``C1 a2 / d**M`` against ``a2``, or ``a1`` against ``C2^dag a1 / d**M``,
+    the other comb acting from its own store (:func:`_times`).  Only combs
+    with neither form the dense product.
+    """
+    d, scale = c1.d_sys, c1.d_sys**c1.teeth
+    if (f2 := _thin_factor(c2)) is not None:
+        return _close_factor(_times(c1, f2[0]) / scale, f2[1], d, rho, slots.plugs, b=f2[0])
+    if (f1 := _thin_factor(c1)) is not None:
+        return _close_factor(*f1, d, rho, slots.plugs, b=_times(c2, f1[0], adjoint=True) / scale)
+    if c1.pauli is not None and c2.pauli is not None:
+        return _closed(Comb(teeth=c1.teeth, d_sys=d, pauli=c1.pauli * c2.pauli), slots, rho)
+    product = Comb(choi_op=c1.choi_op @ c2.choi_op / scale, teeth=c1.teeth, d_sys=d)
+    return _closed(product, slots, rho)
+
+
+def _times(comb: Comb, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """``C a``, or ``C^dag a``, from the comb's own store: ``B diag(p) B^dag a`` in Pauli
+    coordinates or ``f diag(s) f^dag a``, both Hermitian; only a dense comb reads ``adjoint``."""
+    if comb.pauli is not None:
+        b, m = tooth_basis(qubit_count(comb.d_sys)), comb.teeth
+        return _each_axis((_each_axis(a, b.conj(), m) * comb.pauli).T, b.T, m).T
+    if (f := _thin_factor(comb)) is not None:
+        return f[0] @ (f[1][:, None] * (f[0].conj().T @ a))
+    return (comb.choi_op.conj().T if adjoint else comb.choi_op) @ a
+
+
+def output_channel(comb: Comb, layers) -> Channel:
+    """The in_1 to out_M channel obtained by fixing the slot contents,
+    closed from the comb's store (:func:`_closed`)."""
+    d = comb.d_sys
+    return Channel(choi=_closed(comb, _Slots(comb, layers), None), d_in=d, d_out=d)
 
 
 def apply_comb(comb: Comb, layers, rho: np.ndarray) -> np.ndarray:
@@ -514,15 +574,10 @@ def apply_comb(comb: Comb, layers, rho: np.ndarray) -> np.ndarray:
     based), and the returned density matrix lives on the final output
     wire.  The comb closes as in :func:`output_channel`.
     """
-    d = comb.d_sys
-    if rho.shape != (d, d):
+    rho = np.asarray(rho)
+    if rho.shape != (comb.d_sys, comb.d_sys):
         raise ValueError("input state dimension does not match the comb")
-    if comb.pauli is not None:
-        return _pauli_close(comb, rho, _layer_ptms(comb, layers))
-    plugs = _layer_plugs(comb, layers)
-    if (factor := _thin_factor(comb)) is not None:
-        return _close_factor(*factor, d, rho, plugs)
-    return _close(comb, rho[None], plugs).reshape(d, d)
+    return _closed(comb, _Slots(comb, layers), rho)
 
 
 def simulate_env_model(model: EnvModel, layers, rho: np.ndarray) -> np.ndarray:

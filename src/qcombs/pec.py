@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -29,9 +30,9 @@ from .channels import (
     to_ptm,
     unitary_channel,
 )
-from .combs import Comb, _check_layers, _close, _comb_ptm
+from .combs import Comb, _check_layers, _close
 from .linalg import choi_to_superop, partial_trace, psd_check
-from .pauli import _each_axis, _pair_order, pauli_matrix, qubit_count
+from .pauli import _each_axis, _pair_order, pauli_matrix, qubit_count, tooth_ptm
 
 SINGULAR_VALUE_FLOOR = 1e-10
 ALPHA_CLEAN = 1e-12
@@ -187,12 +188,6 @@ def verify_basis_completeness(basis: BasisOpSet) -> BasisReport:
     return BasisReport(rank=rank, condition_number=float(svals[0] / svals[-1]))
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of ``a``, largest first: the one SVD behind the
-    singular-noise check and the reported condition number."""
-    return np.linalg.svd(a, compute_uv=False)
-
-
 @dataclass(frozen=True)
 class QuasiProbDecomposition:
     """Expansion of an inverse noise map over per-tooth operations.
@@ -214,14 +209,14 @@ class QuasiProbDecomposition:
     @cached_property
     def ptm_condition_number(self) -> float:
         """Largest over smallest singular value of ``ptm``, computed on first read."""
-        svals = _singular_values(self.ptm)
+        svals = np.linalg.svd(self.ptm, compute_uv=False)
         return float(svals[0] / svals[-1])
 
 
 def _raise_if_singular(r: np.ndarray) -> None:
     """Raise SingularNoiseError when the smallest singular value of ``r``
     is at most SINGULAR_VALUE_FLOOR times the largest, as for a zero matrix."""
-    svals = _singular_values(r)
+    svals = np.linalg.svd(r, compute_uv=False)
     if svals[-1] <= SINGULAR_VALUE_FLOOR * svals[0]:
         raise SingularNoiseError(
             f"noise transfer matrix is singular (smallest singular value "
@@ -254,7 +249,7 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
 
     The comb is read as one channel from all inputs to all outputs.  Its
     transfer matrix comes off the comb's wires by one realignment
-    transpose and the per-tooth Pauli sandwich (:func:`combs._comb_ptm`),
+    transpose and the per-tooth Pauli sandwich (:func:`pauli.tooth_ptm`),
     is inverted, and the inverse is expanded over tensor products of basis
     operations by one matmul per tooth axis with the basis's cached
     ``ptm_dual``.  Raises SingularNoiseError when the smallest singular
@@ -270,7 +265,7 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
         raise ValueError(
             f"basis acts on {basis.n_qubits} qubit(s) but the comb's system has {n}"
         )
-    r = _read_only(_comb_ptm(comb))
+    r = _read_only(tooth_ptm(comb.choi_op, comb.teeth, comb.d_sys))
     r_inv = _checked_inverse(r)
 
     q, m_teeth = 4**n, comb.teeth
@@ -293,6 +288,10 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
     )
 
 
+# Per comb, the (key, table) of its last _term_values call, gone when the comb is.
+_TERM_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _term_values(
     comb: Comb,
     decomp: QuasiProbDecomposition,
@@ -313,7 +312,8 @@ def _term_values(
     decomposition's own basis, read through its cached Choi and
     superoperator stacks.
 
-    The comb remembers its last table, read-only.  The table depends on
+    Each comb's last table is kept, read-only, in ``_TERM_MEMO``, and
+    dies with the comb.  The table depends on
     the basis but not on alpha, so a call with the same basis and slot
     channels (both by identity) and an equal input state and observable
     (by value, compared against copies) returns it after the argument
@@ -326,7 +326,7 @@ def _term_values(
             f"but the comb has {comb.teeth} teeth on {n_qubits} qubit(s)"
         )
     layers = _check_layers(comb, layers)
-    d = comb.d_sys
+    d, rho, observable = comb.d_sys, np.asarray(rho), np.asarray(observable)
     for name, mat in (("input state", rho), ("observable", observable)):
         if np.shape(mat) != (d, d):
             raise ValueError(
@@ -334,8 +334,8 @@ def _term_values(
                 f"system dimension {d}"
             )
     key = (decomp.basis, tuple(layers), np.array(rho), np.array(observable))
-    if comb._term_memo is not None and _same_terms(comb._term_memo[0], key):
-        return comb._term_memo[1]
+    if (memo := _TERM_MEMO.get(comb)) is not None and _same_terms(memo[0], key):
+        return memo[1]
     # Each slot's stack is the layer's superoperator times those of all
     # operations in one matmul, reshuffled in one transpose from
     # S[n, (a, b), (i, j)] (out row, out col, in row, in col) to the
@@ -354,8 +354,8 @@ def _term_values(
     values = _close(comb, rho[None], slots)
     heisenberg = np.einsum("ba,naibj->nij", observable, chois.reshape(n, d, d, d, d))
     values = np.tensordot(values, heisenberg, axes=([0, 1], [1, 2]))
-    comb._term_memo = key, _read_only(values.reshape((n,) * comb.teeth).real)
-    return comb._term_memo[1]
+    _TERM_MEMO[comb] = key, _read_only(values.reshape((n,) * comb.teeth).real)
+    return _TERM_MEMO[comb][1]
 
 
 def _same_terms(a: tuple, b: tuple) -> bool:
@@ -378,7 +378,7 @@ def pec_correct_exact(
     pattern; with the decomposition of the comb's inverse this cancels
     the noise exactly, up to the numerical residual of the expansion.
     The table of values is the one :func:`pec_sample` draws from: the
-    comb keeps the last one (:func:`_term_values`), so the exact value
+    last one of each comb is kept (:func:`_term_values`), so the exact value
     and a sampled estimate on the same inputs compute it once.
     """
     return float(np.sum(decomp.alpha * _term_values(comb, decomp, layers, rho, observable)))
@@ -398,8 +398,8 @@ def pec_sample(
     Insertion patterns are drawn with probability |alpha|/gamma and the
     measured values are reweighted by gamma and the pattern sign.
     Returns the estimate and its standard error.  The pattern values
-    come from the table :func:`pec_correct_exact` reads, which the comb
-    keeps (:func:`_term_values`), so on the same inputs it is computed
+    come from the table :func:`pec_correct_exact` reads, kept per comb
+    (:func:`_term_values`), so on the same inputs it is computed
     once for both.
     """
     if shots < 2:

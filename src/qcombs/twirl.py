@@ -14,18 +14,15 @@ from math import fsum
 
 import numpy as np
 
-from .combs import Comb, EnvModel, _thin_factor, comb_chi, comb_from_chi
+from .combs import Comb, EnvModel, _pauli_diag, comb_chi, comb_from_chi
 from .pauli import (
     _each_axis,
-    _pair_order,
     commutation_signs,
     label_index,
     offdiag_mass,
     pauli_basis,
     pauli_labels,
     qubit_count,
-    tooth_basis,
-    tooth_kernel,
 )
 
 _NEG_CLAMP = 1e-10
@@ -129,39 +126,15 @@ def _keys_of(index: np.ndarray, teeth: int, n: int) -> list[tuple[str, ...]]:
     return list(map(tuple, np.array(pauli_labels(n))[_digits(index, teeth, n)].tolist()))
 
 
-def _pauli_diag(comb: Comb, n: int) -> np.ndarray:
-    """Diagonal of :func:`comb_chi`, contracted tooth by tooth.
-
-    chi[a, a] = sum_xy conj(B[x, a]) J[x, y] B[y, a] / d**(2M) on the
-    channel form J, and B is a Kronecker product over teeth.  One
-    transpose puts each tooth's (in, out) row pair and column pair on one
-    axis of the comb operator, and each axis contracts with
-    :func:`tooth_kernel`.  Complex, as the diagonal of chi is.
-
-    A comb with a thin factor ``J = a diag(s) a^dag`` reads it from ``a``
-    alone: with ã the contraction of each tooth's row pair of every
-    column of ``a`` with conj(b) (:func:`tooth_basis`), the diagonal is
-    the real ``(|ã|^2 @ s) / d**(2M)``.  A Pauli-diagonal comb holds it.
-    """
-    q = comb.d_sys**2
-    if comb.pauli is not None:
-        return comb.pauli
-    if (factor := _thin_factor(comb)) is not None:
-        a, s = factor
-        a = _each_axis(a, tooth_basis(n).conj(), comb.teeth)
-        return s @ (a.real**2 + a.imag**2) / comb.d_sys ** (2 * comb.teeth)
-    t = comb.choi_op.reshape((q,) * (2 * comb.teeth)).transpose(_pair_order(comb.teeth))
-    return _each_axis(t, tooth_kernel(n), comb.teeth)[0] / comb.d_sys ** (2 * comb.teeth)
-
-
 def pauli_table(comb: Comb) -> PauliDiagTable:
     """The comb's correlated Pauli table, the diagonal of :func:`comb_chi`.
 
     This is the table of :func:`twirl_comb`'s output, read off the comb
-    tooth by tooth with no process matrix, and it lists every label.
+    tooth by tooth with no process matrix (:func:`combs._pauli_diag`), and
+    it lists every label.
     """
     n = qubit_count(comb.d_sys)
-    return PauliDiagTable(_pauli_diag(comb, n).real, teeth=comb.teeth, n_qubits=n)
+    return PauliDiagTable(_pauli_diag(comb).real, teeth=comb.teeth, n_qubits=n)
 
 
 def twirl_comb(comb: Comb) -> Comb:
@@ -175,8 +148,7 @@ def twirl_comb(comb: Comb) -> Comb:
     :func:`comb_chi`, real for a Hermitian comb, and returns the
     Pauli-diagonal comb of its real part.
     """
-    p = _pauli_diag(comb, qubit_count(comb.d_sys)).real
-    return Comb(teeth=comb.teeth, d_sys=comb.d_sys, pauli=p)
+    return Comb(teeth=comb.teeth, d_sys=comb.d_sys, pauli=_pauli_diag(comb).real)
 
 
 def sampled_twirl(

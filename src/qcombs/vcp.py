@@ -28,20 +28,14 @@ from .channels import Channel
 from .combs import (
     Comb,
     EnvModel,
-    _check_layers,
-    _close,
-    _close_factor,
-    _layer_plugs,
-    _layer_ptms,
-    _pauli_close,
-    _thin_factor,
-    apply_comb,
+    _close_product,
+    _closed,
+    _Slots,
     comb_from_env_model,
     markovian_comb,
     simulate_env_model,
 )
 from .linalg import choi_to_superop
-from .pauli import _each_axis, qubit_count, tooth_basis
 from .twirl import PauliDiagTable, _pauli_mixture
 
 
@@ -114,71 +108,33 @@ def vcp_comb(
     coherence block ``sigma_01`` needs the two copies together, and
     ``sigma_10`` is its adjoint.  Two dilations evolve it on both
     environments (:func:`_coherence`).  Any other pair runs as two combs,
-    a dilation taken as its comb, and the block closes their product
-    (:func:`_product_coherence`).  Two Pauli-diagonal copies have the
-    product ``B diag(p1 p2) B^dag`` for the Pauli basis B of the comb's
-    wires, since ``B^dag B = d**M``: the Pauli-diagonal comb of the
-    entrywise product ``p1 p2``.  Then every block closes in Pauli
-    coordinates, through one transfer matrix per slot channel.
+    a dilation taken as its comb.  Traced down to the main register, the
+    rows of ``sigma_01`` run copy 1 and its columns copy 2.  On the
+    ancilla, maximally mixed when a tooth starts and traced out when it
+    ends, the sides are the other way round, so the ancilla joins copy 1's
+    column indices to copy 2's row indices: on in_m with weight 1/d, on
+    out_m by the trace.  That is the matrix product ``C1 C2 / d**M``,
+    closed with the same input and slots on the row and column indices
+    left open (:func:`combs._close_product`).  All the closings of one run
+    share one conversion of each slot channel.
     """
     if copy1.d_sys != copy2.d_sys or copy1.teeth != copy2.teeth:
         raise ValueError("the two copies must describe the same process shape")
-    d = copy1.d_sys
+    d, rho = copy1.d_sys, np.asarray(rho)
     if rho.shape != (d, d):
         raise ValueError("state dimension does not match the process")
-    layers = _check_layers(copy1, layers)
+    slots = _Slots(copy1, layers)
     if isinstance(copy1, EnvModel) and isinstance(copy2, EnvModel):
-        run = partial(simulate_env_model, layers=layers, rho=rho)
-        t01 = _coherence(copy1, copy2, layers, rho)
+        run = partial(simulate_env_model, layers=slots.layers, rho=rho)
+        t01 = _coherence(copy1, copy2, slots.layers, rho)
     else:
         copy1, copy2 = (c if isinstance(c, Comb) else comb_from_env_model(c, validate=False)
                         for c in (copy1, copy2))
-        if copy1.pauli is not None and copy2.pauli is not None:
-            run = partial(_pauli_close, rho=rho, ptms=_layer_ptms(copy1, layers))
-            t01 = run(Comb(teeth=copy1.teeth, d_sys=d, pauli=copy1.pauli * copy2.pauli))
-        else:
-            run = partial(apply_comb, layers=layers, rho=rho)
-            t01 = _product_coherence(copy1, copy2, layers, rho)
+        run = partial(_closed, slots=slots, rho=rho)
+        t01 = _close_product(copy1, copy2, slots, rho)
     t00 = run(copy1)
     t11 = t00 if copy2 is copy1 else run(copy2)
     return _branches(0.5 * np.block([[t00, t01], [t01.conj().T, t11]]), d)
-
-
-def _product_coherence(c1: Comb, c2: Comb, layers, rho: np.ndarray) -> np.ndarray:
-    """The coherence block ``2 sigma_01`` of :func:`vcp_comb` from two combs.
-
-    Traced down to the main register, the rows of ``sigma_01`` run copy 1
-    and its columns copy 2.  On the ancilla, maximally mixed when a tooth
-    starts and traced out when it ends, the sides are the other way round,
-    so the ancilla joins copy 1's column indices to copy 2's row indices:
-    on in_m with weight 1/d, on out_m by the trace.  That is the matrix
-    product ``C1 C2 / d**M``, closed with the same input and slots on
-    the row and column indices left open (:func:`vcp_comb` closes two
-    Pauli-diagonal copies itself).  A thin factor on either side closes it
-    through factors (:func:`_close_factor`): ``C1 a2 / d**M`` against
-    ``a2``, or ``a1`` against ``C2^dag a1 / d**M``, the other copy acting
-    from its own store (:func:`_times`).  Only copies with neither form
-    the dense product.
-    """
-    d, scale = c1.d_sys, c1.d_sys**c1.teeth
-    plugs = _layer_plugs(c1, layers)
-    if (f2 := _thin_factor(c2)) is not None:
-        return _close_factor(_times(c1, f2[0]) / scale, f2[1], d, rho, plugs, b=f2[0])
-    if (f1 := _thin_factor(c1)) is not None:
-        return _close_factor(*f1, d, rho, plugs, b=_times(c2, f1[0], adjoint=True) / scale)
-    product = Comb(choi_op=c1.choi_op @ c2.choi_op / scale, teeth=c1.teeth, d_sys=d)
-    return _close(product, rho[None], plugs).reshape(d, d)
-
-
-def _times(comb: Comb, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """``C a``, or ``C^dag a``, from the comb's own store: ``B diag(p) B^dag a`` in Pauli
-    coordinates or ``f diag(s) f^dag a``, both Hermitian; only a dense comb reads ``adjoint``."""
-    if comb.pauli is not None:
-        b, m = tooth_basis(qubit_count(comb.d_sys)), comb.teeth
-        return _each_axis((_each_axis(a, b.conj(), m) * comb.pauli).T, b.T, m).T
-    if (f := _thin_factor(comb)) is not None:
-        return f[0] @ (f[1][:, None] * (f[0].conj().T @ a))
-    return (comb.choi_op.conj().T if adjoint else comb.choi_op) @ a
 
 
 def _coherence(copy1: EnvModel, copy2: EnvModel, layers, rho: np.ndarray) -> np.ndarray:

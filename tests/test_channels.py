@@ -114,6 +114,22 @@ def test_unitary_channel_rejects_non_unitary():
         unitary_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+# A deviation of 5e-6 from the identity lies within numpy's default
+# relative tolerance of 1e-5, so these checks compare with rtol=0.
+@pytest.mark.parametrize("eps, ok", [(5e-6, False), (1e-12, True)])
+def test_identity_checks_hold_their_absolute_tolerance(eps, ok):
+    k = np.sqrt(1 + eps) * np.eye(2)
+    assert from_kraus([k], require_tp=False).is_trace_preserving() is ok
+    for build, message in ((lambda: from_kraus([k]), "sum to the identity"),
+                           (lambda: unitary_channel(np.diag([np.sqrt(1 + eps), 1.0])),
+                            "not unitary")):
+        if ok:
+            build().validate()
+        else:
+            with pytest.raises(ValueError, match=message):
+                build()
+
+
 def test_depolarizing_action():
     rng = np.random.default_rng(4)
     rho = random_density_matrix(2, rng)

@@ -51,6 +51,22 @@ def test_comb_factor_shape_validation(a, s):
         Comb(choi_op=np.eye(16), teeth=2, d_sys=2, factor=(a, s))
 
 
+@pytest.mark.parametrize("eps, ok", [(5e-6, False), (1e-12, True)])
+def test_env_model_unitarity_tolerance_is_absolute(eps, ok):
+    """U^dag U = diag(1 + eps, 1, 1, 1): 5e-6 is inside numpy's default
+    relative tolerance but not within the absolute 1e-9."""
+    u = np.diag([np.sqrt(1 + eps), 1.0, 1.0, 1.0])
+
+    def build():
+        return EnvModel(d_sys=2, d_env=2, env_init=np.eye(2) / 2, interactions=(u,))
+
+    if ok:
+        assert validate_comb(comb_from_env_model(build(), validate=False)).passes
+    else:
+        with pytest.raises(ValueError, match="not unitary"):
+            build()
+
+
 def test_env_model_validation():
     u = random_unitary(4, np.random.default_rng(0))
     with pytest.raises(ValueError, match="unit trace"):

@@ -90,8 +90,8 @@ def test_factor_and_dense_results_agree(teeth, n_env, strength):
     got = validate_comb(comb)
     assert got.passes
     _assert_reports_agree(got, validate_comb(dense))
-    p_factor = twirl._pauli_diag(comb, 1)
-    p_dense = twirl._pauli_diag(dense, 1)
+    p_factor = combs._pauli_diag(comb)
+    p_dense = combs._pauli_diag(dense)
     assert np.abs(p_factor - p_dense).max() < 1e-12
     got_table, want_table = twirl.pauli_table(comb), twirl.pauli_table(dense)
     assert list(got_table.probs) == list(want_table.probs)
@@ -105,7 +105,7 @@ def test_two_qubit_system_factor_table(n_env):
     model = random_env_model(2, n_sys_qubits=2, n_env_qubits=n_env, rng=rng)
     comb = comb_from_env_model(model, validate=False)
     assert combs._thin_factor(comb) is not None
-    assert np.abs(twirl._pauli_diag(comb, 2) - twirl._pauli_diag(_dense(comb), 2)).max() < 1e-12
+    assert np.abs(combs._pauli_diag(comb) - combs._pauli_diag(_dense(comb))).max() < 1e-12
     _assert_reports_agree(validate_comb(comb), validate_comb(_dense(comb)))
 
 

@@ -135,3 +135,55 @@ def test_detects_an_orphaned_public_name():
     trees = {"helper.py": helper, "caller.py": caller, "__init__.py": init}
     found = orphans(trees, public_definitions)
     assert found == {"helper.py:7": "left_behind", "helper.py:10": "Orphan"}
+
+
+# How a comb is stored (dense operator, thin factor or Pauli weights) is
+# combs.py's business: elsewhere a comb closes, twirls and purifies through
+# combs.py's dispatch.  The one other reader is the off-diagonal guard of
+# extract_pauli_diag, which a Pauli comb passes by construction.
+STORE_ALLOWED = {"twirl.py:extract_pauli_diag.pauli"}
+
+# What vcp.py closed combs with before combs.py took over the dispatch.
+VCP_CLOSERS = {"_close", "_close_factor", "_layer_plugs", "_layer_ptms", "_pauli_close",
+               "_thin_factor", "apply_comb"}
+
+
+def store_reads(tree: ast.Module) -> set[str]:
+    """Reads of a comb's store, as ``definition.name`` per module-level
+    definition: the attributes ``factor`` and ``pauli``, and the name
+    ``_thin_factor`` loaded or imported."""
+    found = set()
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in ("factor", "pauli"):
+                found.add(f"{owner}.{node.attr}")
+            elif isinstance(node, ast.Name) and node.id == "_thin_factor":
+                found.add(f"{owner}._thin_factor")
+            elif isinstance(node, ast.ImportFrom):
+                found |= {f"{owner}._thin_factor" for a in node.names if a.name == "_thin_factor"}
+    return found
+
+
+def test_only_combs_reads_how_a_comb_is_stored():
+    found = {
+        f"{module}:{read}"
+        for module, tree in package_trees().items()
+        if module != "combs.py"
+        for read in store_reads(tree)
+    }
+    assert found <= STORE_ALLOWED, f"store reads outside combs.py: {found - STORE_ALLOWED}"
+    vcp = ast.parse((PACKAGE / "vcp.py").read_text())
+    assert not set(imported_names(vcp)) & VCP_CLOSERS
+
+
+def test_detects_a_store_read():
+    tree = ast.parse(
+        "from .combs import _thin_factor\n\n"
+        "def close(c):\n    if c.pauli is not None:\n        return c.factor\n"
+        "    return _thin_factor(c)\n\n"
+        "def trace(c):\n    return c.choi_op.trace()\n"
+    )
+    assert store_reads(tree) == {
+        "<module>._thin_factor", "close.pauli", "close.factor", "close._thin_factor"
+    }

@@ -26,7 +26,7 @@ from qcombs.channels import (
 from qcombs.combs import (
     Comb,
     _close_factor,
-    _layer_plugs,
+    _Slots,
     apply_comb,
     comb_from_env_model,
     output_channel,
@@ -131,7 +131,7 @@ def test_chain_at_three_teeth_of_two_qubits(entries):
     if entries is None:
         want = apply_correlated_pauli(table, layers, rho)
     else:
-        want = _close_factor(*ref.table_factor(table), 4, rho, _layer_plugs(comb, layers))
+        want = _close_factor(*ref.table_factor(table), 4, rho, _Slots(comb, layers).plugs)
     assert np.abs(apply_comb(comb, layers, rho) - want).max() < 1e-12
     assert comb._choi_op is None
 

@@ -6,7 +6,6 @@ import pytest
 import dense_reference as ref
 from qcombs.channels import Channel, random_channel, to_chi, to_ptm
 from qcombs.combs import (
-    _comb_ptm,
     choi_channel,
     comb_chi,
     comb_from_chi,
@@ -15,6 +14,7 @@ from qcombs.combs import (
     random_env_model,
 )
 from qcombs.linalg import choi_to_superop
+from qcombs.pauli import tooth_ptm
 
 # (teeth, system qubits, interaction strength; None is Haar).
 DILATIONS = [(m, 1, s) for m in (1, 2, 3, 4) for s in (0.3, None)] + [(5, 1, 0.3)] + [
@@ -47,7 +47,7 @@ def _assert_transforms_match(choi, d):
     assert_close(comb_chi(tooth), chi)
     ptm = ref.ptm_from_superop(choi_to_superop(choi, d, d))
     assert_close(to_ptm(channel), ptm)
-    assert_close(_comb_ptm(tooth), ptm)
+    assert_close(tooth_ptm(tooth.choi_op, 1, tooth.d_sys), ptm)
 
 
 @pytest.mark.parametrize("m, n_sys, strength", DILATIONS)
@@ -66,7 +66,7 @@ def test_comb_views_match_dense_basis(m, n_sys, strength):
     assert_close(choi_channel(comb_from_chi(chi, m, comb.d_sys)).choi, ref.choi_from_chi(chi))
     superop = choi_to_superop(channel.choi, channel.d_in, channel.d_out)
     assert_close(to_ptm(channel), ref.ptm_from_superop(superop))
-    assert_close(_comb_ptm(comb), ref.ptm_from_superop(superop))
+    assert_close(tooth_ptm(comb.choi_op, m, comb.d_sys), ref.ptm_from_superop(superop))
     assert_close(comb_from_chi(comb_chi(comb), m, comb.d_sys).choi_op, comb.choi_op)
 
 

@@ -1,7 +1,9 @@
 """Tests for the quasi-probability noise cancellation."""
 
+import gc
 import itertools
 import re
+import weakref
 import warnings
 from dataclasses import replace
 
@@ -24,14 +26,13 @@ from qcombs.channels import (
 from qcombs import pec
 from qcombs.combs import (
     Comb,
-    _comb_ptm,
     apply_comb,
     comb_from_env_model,
     markovian_comb,
     random_env_model,
 )
 from qcombs.linalg import permute_wires
-from qcombs.pauli import pauli_basis, pauli_matrix
+from qcombs.pauli import pauli_basis, pauli_matrix, tooth_ptm
 from qcombs.pec import (
     SINGULAR_VALUE_FLOOR,
     BasisOpSet,
@@ -215,7 +216,7 @@ def test_singular_noise_gate_matches_the_svd_test(delta):
     # through all three cases: the solve bound settles it (delta >= 1e-8),
     # the SVD passes a doubtful bound, and the SVD refuses.
     comb = markovian_comb([depolarizing_channel(1 - delta), identity_channel(2)])
-    svals = np.linalg.svd(_comb_ptm(comb), compute_uv=False)
+    svals = np.linalg.svd(tooth_ptm(comb.choi_op, 2, 2), compute_uv=False)
     if svals[-1] <= SINGULAR_VALUE_FLOOR * svals[0]:
         message = f"noise transfer matrix is singular (smallest singular value {svals[-1]:.3e})"
         with pytest.raises(SingularNoiseError, match=f"^{re.escape(message)}$"):
@@ -241,9 +242,10 @@ def test_condition_number_is_the_svd_ratio(teeth):
     model = random_env_model(teeth, rng=rng, interaction_strength=0.3)
     comb = comb_from_env_model(model, validate=False)
     decomp = decompose_inverse(comb)
-    svals = np.linalg.svd(_comb_ptm(comb), compute_uv=False)
+    ptm = tooth_ptm(comb.choi_op, teeth, 2)
+    svals = np.linalg.svd(ptm, compute_uv=False)
     assert decomp.ptm_condition_number == float(svals[0] / svals[-1])
-    assert np.array_equal(decomp.ptm, _comb_ptm(comb))
+    assert np.array_equal(decomp.ptm, ptm)
     assert not decomp.ptm.flags.writeable
 
 
@@ -602,6 +604,38 @@ def test_argument_checks_run_while_a_table_is_remembered():
         pec_correct_exact(comb, decomp, layers[:1], rho, obs)
     with pytest.raises(ValueError, match="slot channel dimension"):
         pec_sample(comb, decomp, [layers[0], identity_channel(4)], rho, obs, shots=10)
+
+
+def test_remembered_table_dies_with_its_comb():
+    """The table is kept beside the comb, not on it, and goes when the comb does."""
+    model, layers, rho, obs = _cancel_inputs()
+    comb = comb_from_env_model(model)
+    _term_values(comb, decompose_inverse(comb), layers, rho, obs)
+    assert comb in pec._TERM_MEMO
+    assert not any("memo" in name for name in vars(comb))
+    gc.collect()
+    kept, alive = len(pec._TERM_MEMO), weakref.ref(comb)
+    del comb
+    gc.collect()
+    assert alive() is None
+    assert len(pec._TERM_MEMO) == kept - 1
+
+
+def test_state_and_observable_may_be_lists():
+    """Nested lists give the bits of arrays, and a list of the wrong shape is refused."""
+    model, layers, rho, obs = _cancel_inputs()
+    results = []
+    for state, effect in ((rho, obs), (rho.tolist(), obs.tolist())):
+        comb = comb_from_env_model(model)
+        decomp = decompose_inverse(comb)
+        exact = pec_correct_exact(comb, decomp, layers, state, effect)
+        sampled = pec_sample(comb, decomp, layers, state, effect, 500, np.random.default_rng(4))
+        results.append((exact, sampled))
+    assert results[0] == results[1]
+    with pytest.raises(ValueError, match="input state shape"):
+        pec_correct_exact(comb, decomp, layers, [[1.0, 0.0, 0.0]], obs)
+    with pytest.raises(ValueError, match="observable shape"):
+        pec_sample(comb, decomp, layers, rho, [[1.0, 0.0, 0.0]], shots=10)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ import pytest
 import dense_reference as ref
 from qcombs import cli, combs, twirl, vcp
 from qcombs.channels import random_channel, random_density_matrix
-from qcombs.combs import Comb, apply_comb, comb_from_env_model, random_env_model
+from qcombs.combs import (
+    Comb, _close_product, _Slots, apply_comb, comb_from_env_model, random_env_model,
+)
 from qcombs.linalg import tensor
 from qcombs.pauli import label_index, pauli_basis, qubit_count
 from qcombs.twirl import PauliDiagTable, comb_from_pauli_table, env_model_from_pauli_table
-from qcombs.vcp import _coherence, _product_coherence, reference_purified, vcp_comb
+from qcombs.vcp import _coherence, reference_purified, vcp_comb
 from test_closing import _vcp_comb_ref
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -94,8 +96,9 @@ def test_product_comb_closes_to_the_coherence_block(teeth, n_sys):
     rho = random_density_matrix(d, rng)
     f1, f2 = comb_from_env_model(m1, validate=False), comb_from_env_model(m2, validate=False)
     want = _coherence(m1, m2, layers, rho)
-    assert np.abs(_product_coherence(f1, f2, layers, rho) - want).max() < 1e-12
-    assert np.abs(_product_coherence(_dense(f1), f2, layers, rho) - want).max() < 1e-12
+    slots = _Slots(f1, layers)
+    assert np.abs(_close_product(f1, f2, slots, rho) - want).max() < 1e-12
+    assert np.abs(_close_product(_dense(f1), f2, slots, rho) - want).max() < 1e-12
 
 
 def test_thin_factors_close_without_the_dense_product(monkeypatch):
@@ -122,12 +125,17 @@ def test_one_thin_copy_closes_without_the_dense_product(monkeypatch):
     layers = [random_channel(2, rng=rng) for _ in range(2)]
     rho = random_density_matrix(2, rng)
     want = vcp_comb(m1, m2, layers, rho)
+    close, copies = combs._close, []
 
-    def refuse(*args):
-        raise AssertionError("the dense product was closed")
+    def refuse(comb, *args):
+        # The dense copy's own single-copy block closes densely; nothing else may.
+        if not any(comb is c for c in copies):
+            raise AssertionError("the dense product was closed")
+        return close(comb, *args)
 
-    monkeypatch.setattr(vcp, "_close", refuse)
+    monkeypatch.setattr(combs, "_close", refuse)
     for pair in ((f1, _dense(f2)), (_dense(f1), f2)):
+        copies[:] = pair
         _assert_unnormalised_close(vcp_comb(*pair, layers, rho), want, 1e-12)
 
 
@@ -148,7 +156,7 @@ def test_one_object_runs_its_single_copy_block_once(monkeypatch):
     """Both copies one object: the single-copy run is made once, and the
     result equals that of two equal copies built apart, bit for bit."""
     calls = []
-    for name in ("simulate_env_model", "apply_comb", "_pauli_close"):
+    for name in ("simulate_env_model", "_closed"):
         run = getattr(vcp, name)
         monkeypatch.setattr(
             vcp, name, lambda c, *a, run=run, **kw: calls.append(c) or run(c, *a, **kw)
@@ -172,6 +180,28 @@ def test_one_object_runs_its_single_copy_block_once(monkeypatch):
         assert sum(c is one for c in calls) == sum(c is other for c in calls) == 1
         for field in ("virtual_state", "physical_state", "p_plus", "p_minus"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_states_given_as_lists_close_like_arrays():
+    """A nested-list state gives the bits of the array, for every store and
+    for dilations, and a list of the wrong shape is refused."""
+    rng = np.random.default_rng(12)
+    model = random_env_model(3, rng=rng, interaction_strength=0.3)
+    layers = [random_channel(2, rng=rng) for _ in range(2)]
+    rho = random_density_matrix(2, rng)
+    factor = comb_from_env_model(model, validate=False)
+    pauli = comb_from_pauli_table(_random_table(rng, 3, 1, entries=4))
+    for copy in (model, factor, _dense(factor), pauli):
+        if isinstance(copy, Comb):
+            assert np.array_equal(apply_comb(copy, layers, rho.tolist()),
+                                  apply_comb(copy, layers, rho))
+        got, want = vcp_comb(copy, copy, layers, rho.tolist()), vcp_comb(copy, copy, layers, rho)
+        for field in ("virtual_state", "physical_state", "p_plus", "p_minus"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    with pytest.raises(ValueError, match="input state dimension"):
+        apply_comb(factor, layers, [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="state dimension"):
+        vcp_comb(factor, pauli, layers, [[1.0, 0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +353,7 @@ def test_cli_purifies_sparse_tables_through_their_factors(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the dense product was closed")
 
-    monkeypatch.setattr(vcp, "_close", refuse)
+    monkeypatch.setattr(combs, "_close", refuse)
     code = cli.main(["vcp", str(FIXTURES / "pauli_correlated.json"), "--input", "plus"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
