@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    check_shape,
     choi_to_superop,
     is_hermitian,
     partial_trace,
@@ -84,8 +85,7 @@ def from_kraus(ops, *, require_tp: bool = True) -> Channel:
 
 def apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
     """Act with the channel on a density matrix."""
-    if rho.shape != (channel.d_in, channel.d_in):
-        raise ValueError(f"state shape {rho.shape} does not match d_in={channel.d_in}")
+    rho = check_shape(rho, channel.d_in, "input state")
     t = channel.choi.reshape(channel.d_out, channel.d_in, channel.d_out, channel.d_in)
     return np.einsum("aibj,ij->ab", t, rho)
 

@@ -15,13 +15,13 @@ channel from in_1 to out_M.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .channels import Channel, _tooth_choi, random_density_matrix, random_unitary, to_ptm
 from .linalg import (
     PsdReport,
+    check_shape,
     check_state,
     is_hermitian,
     permute_wires,
@@ -176,6 +176,8 @@ def markovian_comb(tooth_channels) -> Comb:
     No causality validation is performed, so ill-formed tooth maps can
     be used to probe :func:`validate_comb`.
     """
+    if not tooth_channels:
+        raise ValueError("markovian_comb needs at least one tooth channel, got an empty list")
     chois = []
     d = tooth_channels[0].d_in
     for ch in tooth_channels:
@@ -261,8 +263,8 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
                or is_hermitian(comb.choi_op, tol=tol))
     residuals = []
     if comb.pauli is not None:
-        total, lo = float(comb.pauli.sum()), d**m * float(comb.pauli.min())
-        rep = PsdReport(is_psd=lo >= -tol * max(abs(d**m * total), 1.0), min_eigenvalue=lo)
+        total = float(comb.pauli.sum())
+        rep = PsdReport.of(d**m * float(comb.pauli.min()), d**m * total, tol)
         residuals, traced, m = [0.0] * (m - 1), total * np.eye(d), 1
     elif (factor := _thin_factor(comb)) is not None:
         a, s = factor
@@ -376,38 +378,46 @@ def _pauli_diag(comb: Comb) -> np.ndarray:
     return _each_axis(t, tooth_kernel(n), comb.teeth)[0] / comb.d_sys ** (2 * comb.teeth)
 
 
-def _check_layers(process: Comb | EnvModel, layers) -> list[Channel]:
+def _check_layers(layers, teeth: int, d: int) -> list[Channel]:
+    """The slot channels of a ``teeth``-tooth closing on dimension ``d``, checked, as a list."""
     layers = list(layers)
-    if len(layers) != process.teeth - 1:
-        raise ValueError(f"expected {process.teeth - 1} slot channels, got {len(layers)}")
+    if len(layers) != teeth - 1:
+        raise ValueError(f"expected {teeth - 1} slot channels, got {len(layers)}")
     for ch in layers:
-        if ch.d_in != process.d_sys or ch.d_out != process.d_sys:
+        if ch.d_in != d or ch.d_out != d:
             raise ValueError("slot channel dimension does not match the process")
     return layers
 
 
+def _plugs(chois: np.ndarray, d: int) -> np.ndarray:
+    """Slot Choi matrices, one or a stack (n, d*d, d*d), as one :func:`_close`
+    plug stack.  A Choi matrix lives on (out, in) = (in_{m+2}, out_{m+1}), and
+    the plug on (out_{m+1}, in_{m+2}); swapping the two wires costs d^4 entries."""
+    return chois.reshape(-1, d, d, d, d).transpose(0, 2, 1, 4, 3).reshape(-1, d * d, d * d)
+
+
 class _Slots:
     """The slot channels of one closing, checked once, in the forms that
-    closing reads, each converted on first use and kept."""
+    closing reads, each converted on first use and kept (plain properties:
+    a first ``cached_property`` read costs about a microsecond on Python 3.11)."""
 
     def __init__(self, process: Comb | EnvModel, layers):
-        self.layers, self.d = _check_layers(process, layers), process.d_sys
+        self.layers = _check_layers(layers, process.teeth, process.d_sys)
+        self._plug_list = self._ptm_list = None
 
-    @cached_property
+    @property
     def plugs(self) -> list[np.ndarray]:
-        """One-plug stacks in :func:`_close` order.  A Choi matrix lives on
-        (out, in) = (in_{m+2}, out_{m+1}); swapping its two wires on the plug
-        side costs d^4 entries."""
-        d = self.d
-        return [
-            layer.choi.reshape(1, d, d, d, d).transpose(0, 2, 1, 4, 3).reshape(1, d * d, d * d)
-            for layer in self.layers
-        ]
+        """One-plug stacks (:func:`_plugs`) in :func:`_close` order."""
+        if self._plug_list is None:
+            self._plug_list = [_plugs(layer.choi, layer.d_in) for layer in self.layers]
+        return self._plug_list
 
-    @cached_property
+    @property
     def ptms(self) -> list[np.ndarray]:
         """Transfer matrices, the plugs of :func:`_pauli_close`."""
-        return [to_ptm(layer) for layer in self.layers]
+        if self._ptm_list is None:
+            self._ptm_list = [to_ptm(layer) for layer in self.layers]
+        return self._ptm_list
 
 
 def _close(comb: Comb, first: np.ndarray | None, slots) -> np.ndarray:
@@ -574,9 +584,7 @@ def apply_comb(comb: Comb, layers, rho: np.ndarray) -> np.ndarray:
     based), and the returned density matrix lives on the final output
     wire.  The comb closes as in :func:`output_channel`.
     """
-    rho = np.asarray(rho)
-    if rho.shape != (comb.d_sys, comb.d_sys):
-        raise ValueError("input state dimension does not match the comb")
+    rho = check_shape(rho, comb.d_sys, "input state")
     return _closed(comb, _Slots(comb, layers), rho)
 
 
@@ -589,7 +597,8 @@ def simulate_env_model(model: EnvModel, layers, rho: np.ndarray) -> np.ndarray:
     matrix with the state's system row and column, and the environment
     is traced out at the end.
     """
-    layers = _check_layers(model, layers)
+    rho = check_shape(rho, model.d_sys, "input state")
+    layers = _check_layers(layers, model.teeth, model.d_sys)
     d, de = model.d_sys, model.d_env
     state = tensor(rho, model.env_init)
     for m, u in enumerate(model.interactions):

@@ -101,6 +101,11 @@ class PsdReport:
     is_psd: bool
     min_eigenvalue: float
 
+    @classmethod
+    def of(cls, lo: float, trace: float, tol: float) -> PsdReport:
+        """Report min eigenvalue ``lo`` against every check's slack, ``-tol * max(|trace|, 1)``."""
+        return cls(is_psd=lo >= -tol * max(abs(trace), 1.0), min_eigenvalue=lo)
+
 
 def psd_check(m: np.ndarray, tol: float = 1e-9) -> PsdReport:
     """Check positivity of a Hermitian matrix up to a trace-relative slack.
@@ -109,9 +114,7 @@ def psd_check(m: np.ndarray, tol: float = 1e-9) -> PsdReport:
     scale before the matrix is declared non-positive.
     """
     eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    lo = float(eigs[0])
-    scale = max(abs(float(np.trace(m).real)), 1.0)
-    return PsdReport(is_psd=lo >= -tol * scale, min_eigenvalue=lo)
+    return PsdReport.of(float(eigs[0]), float(np.trace(m).real), tol)
 
 
 def psd_check_factored(a: np.ndarray, s: np.ndarray, tol: float = 1e-9) -> PsdReport:
@@ -125,8 +128,16 @@ def psd_check_factored(a: np.ndarray, s: np.ndarray, tol: float = 1e-9) -> PsdRe
     r = np.linalg.qr(a, mode="r")
     small = (r * s) @ r.conj().T
     lo = min(0.0, float(np.linalg.eigvalsh(0.5 * (small + small.conj().T))[0]))
-    scale = max(abs(float(np.trace(small).real)), 1.0)
-    return PsdReport(is_psd=lo >= -tol * scale, min_eigenvalue=lo)
+    return PsdReport.of(lo, float(np.trace(small).real), tol)
+
+
+def check_shape(m, d: int, what: str) -> np.ndarray:
+    """``np.asarray(m)``, a state or observable given as an array or nested
+    list, after checking that it is d x d; ``what`` names it in the error."""
+    m = np.asarray(m)
+    if m.shape != (d, d):
+        raise ValueError(f"{what} shape {m.shape} does not match the system dimension {d}")
+    return m
 
 
 def check_state(rho: np.ndarray, what: str, tol: float = 1e-9) -> None:
@@ -154,6 +165,7 @@ def choi_to_superop(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
 
 
 def superop_to_choi(s: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Inverse reshuffle of :func:`choi_to_superop`."""
-    t = s.reshape(d_out, d_out, d_in, d_in)
-    return t.transpose(0, 2, 1, 3).reshape(d_out * d_in, d_out * d_in)
+    """Inverse reshuffle of :func:`choi_to_superop`, with the same stack axes."""
+    lead = s.shape[:-2]
+    t = s.reshape(lead + (d_out, d_out, d_in, d_in))
+    return t.swapaxes(-3, -2).reshape(lead + (d_out * d_in, d_out * d_in))

@@ -30,8 +30,8 @@ from .channels import (
     to_ptm,
     unitary_channel,
 )
-from .combs import Comb, _check_layers, _close
-from .linalg import choi_to_superop, partial_trace, psd_check
+from .combs import Comb, _check_layers, _close, _plugs
+from .linalg import check_shape, choi_to_superop, partial_trace, psd_check, superop_to_choi
 from .pauli import _each_axis, _pair_order, pauli_matrix, qubit_count, tooth_ptm
 
 SINGULAR_VALUE_FLOOR = 1e-10
@@ -325,32 +325,20 @@ def _term_values(
             f"decomposition is for {decomp.teeth} teeth on {decomp.n_qubits} qubit(s) "
             f"but the comb has {comb.teeth} teeth on {n_qubits} qubit(s)"
         )
-    layers = _check_layers(comb, layers)
-    d, rho, observable = comb.d_sys, np.asarray(rho), np.asarray(observable)
-    for name, mat in (("input state", rho), ("observable", observable)):
-        if np.shape(mat) != (d, d):
-            raise ValueError(
-                f"{name} shape {np.shape(mat)} does not match the comb's "
-                f"system dimension {d}"
-            )
+    d = comb.d_sys
+    layers = _check_layers(layers, comb.teeth, d)
+    rho, observable = check_shape(rho, d, "input state"), check_shape(observable, d, "observable")
     key = (decomp.basis, tuple(layers), np.array(rho), np.array(observable))
     if (memo := _TERM_MEMO.get(comb)) is not None and _same_terms(memo[0], key):
         return memo[1]
     # Each slot's stack is the layer's superoperator times those of all
-    # operations in one matmul, reshuffled in one transpose from
-    # S[n, (a, b), (i, j)] (out row, out col, in row, in col) to the
-    # comb's plug order (out_m, in_{m+1}) = (i, a) for rows and (j, b)
-    # for columns.  op^dag(O) enters transposed ("nij" below), as the
-    # effect plug on out_M.
+    # operations in one matmul, back to Choi matrices and into the comb's
+    # plugs.  op^dag(O) enters transposed ("nij" below), as the effect
+    # plug on out_M.
     n = len(decomp.basis)
     chois, superops = decomp.basis.choi_stack, decomp.basis.superop_stack
-    slots = [
-        (choi_to_superop(layer.choi, d, d) @ superops)
-        .reshape(n, d, d, d, d)
-        .transpose(0, 3, 1, 4, 2)
-        .reshape(n, d * d, d * d)
-        for layer in layers
-    ]
+    slots = [_plugs(superop_to_choi(choi_to_superop(layer.choi, d, d) @ superops, d, d), d)
+             for layer in layers]
     values = _close(comb, rho[None], slots)
     heisenberg = np.einsum("ba,naibj->nij", observable, chois.reshape(n, d, d, d, d))
     values = np.tensordot(values, heisenberg, axes=([0, 1], [1, 2]))
@@ -402,8 +390,8 @@ def pec_sample(
     (:func:`_term_values`), so on the same inputs it is computed
     once for both.
     """
-    if shots < 2:
-        raise ValueError("need at least two shots for an error estimate")
+    if not isinstance(shots, (int, np.integer)) or shots < 2:
+        raise ValueError(f"shots must be an integer of at least 2, got {shots!r}")
     rng = rng or np.random.default_rng()
     values = _term_values(comb, decomp, layers, rho, observable)
     flat_alpha = decomp.alpha.reshape(-1)

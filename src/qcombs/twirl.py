@@ -14,7 +14,8 @@ from math import fsum
 
 import numpy as np
 
-from .combs import Comb, EnvModel, _pauli_diag, comb_chi, comb_from_chi
+from .combs import Comb, EnvModel, _check_layers, _pauli_diag, comb_chi, comb_from_chi
+from .linalg import check_shape
 from .pauli import (
     _each_axis,
     commutation_signs,
@@ -163,8 +164,8 @@ def sampled_twirl(
     w = signs^T counts contracted one qubit at a time and counts[f] the
     number of draws of frame f.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
     rng = rng or np.random.default_rng()
     n = qubit_count(comb.d_sys)
     draws = rng.integers(0, 4**n, size=(samples, comb.teeth))
@@ -241,12 +242,11 @@ def _pauli_mixture(table: PauliDiagTable, weights, layers, rho: np.ndarray) -> n
     """:func:`apply_correlated_pauli` with ``weights``, in the table's key order, in place of
     its probabilities: all entries run as one stack of states, two batched matmuls per
     tooth and one einsum per slot, and one tensordot sums them with the weights."""
-    layers = list(layers)
-    if len(layers) != table.teeth - 1:
-        raise ValueError(f"expected {table.teeth - 1} slot channels")
+    d = 2**table.n_qubits
+    cur = check_shape(rho, d, "input state")
+    layers = _check_layers(layers, table.teeth, d)
     listed = np.arange(table.vector.size) if table._listed is None else table._listed
     paulis = np.array(pauli_basis(table.n_qubits))[_digits(listed, table.teeth, table.n_qubits)]
-    cur, d = rho, rho.shape[0]
     for m in range(table.teeth):
         cur = paulis[:, m] @ cur @ paulis[:, m]
         if m < len(layers):

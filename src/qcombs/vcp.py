@@ -35,7 +35,7 @@ from .combs import (
     markovian_comb,
     simulate_env_model,
 )
-from .linalg import choi_to_superop
+from .linalg import check_shape, choi_to_superop
 from .twirl import PauliDiagTable, _pauli_mixture
 
 
@@ -120,9 +120,7 @@ def vcp_comb(
     """
     if copy1.d_sys != copy2.d_sys or copy1.teeth != copy2.teeth:
         raise ValueError("the two copies must describe the same process shape")
-    d, rho = copy1.d_sys, np.asarray(rho)
-    if rho.shape != (d, d):
-        raise ValueError("state dimension does not match the process")
+    d, rho = copy1.d_sys, check_shape(rho, copy1.d_sys, "input state")
     slots = _Slots(copy1, layers)
     if isinstance(copy1, EnvModel) and isinstance(copy2, EnvModel):
         run = partial(simulate_env_model, layers=slots.layers, rho=rho)

@@ -64,7 +64,7 @@ def test_channel_shape_validation():
 
 def test_apply_rejects_wrong_state_shape():
     ch = identity_channel(2)
-    with pytest.raises(ValueError, match="does not match d_in"):
+    with pytest.raises(ValueError, match="does not match the system dimension 2"):
         apply(ch, np.eye(3))
 
 

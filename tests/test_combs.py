@@ -271,6 +271,11 @@ def test_trivial_environment_reduces_to_markovian():
     assert np.allclose(comb.choi_op, mk.choi_op)
 
 
+def test_markovian_comb_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="got an empty list"):
+        markovian_comb([])
+
+
 def test_markovian_comb_matches_sequential_channels():
     rng = np.random.default_rng(2)
     teeth = [random_channel(2, rng=rng) for _ in range(3)]
@@ -301,7 +306,7 @@ def test_apply_comb_argument_checks():
         apply_comb(comb, [], np.eye(2) / 2)
     with pytest.raises(ValueError, match="dimension"):
         apply_comb(comb, [identity_channel(3)], np.eye(2) / 2)
-    with pytest.raises(ValueError, match="state dimension"):
+    with pytest.raises(ValueError, match="input state shape"):
         apply_comb(comb, [identity_channel(2)], np.eye(3) / 3)
 
 

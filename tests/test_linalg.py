@@ -268,12 +268,18 @@ def test_trace_norm_and_distance():
     assert np.isclose(trace_distance(rho, rho), 0.0)
 
 
-def test_choi_superop_reshuffle_roundtrip():
+@pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "stack"])
+def test_choi_superop_reshuffle_roundtrip(lead):
+    """Both reshuffles take leading stack axes, and each matrix of a stack
+    goes as it would alone."""
     rng = np.random.default_rng(10)
-    c = rand_matrix(rng, 6)  # d_out=2, d_in=3
+    shape = lead + (6, 6)  # d_out=2, d_in=3
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     s = choi_to_superop(c, 3, 2)
-    assert s.shape == (4, 9)
-    assert np.allclose(superop_to_choi(s, 3, 2), c)
+    assert s.shape == lead + (4, 9)
+    assert np.array_equal(superop_to_choi(s, 3, 2), c)
+    for k in np.ndindex(lead):
+        assert np.array_equal(superop_to_choi(s[k], 3, 2), c[k])
 
 
 def test_choi_superop_action_matches_kraus_sum():

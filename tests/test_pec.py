@@ -685,3 +685,16 @@ def test_sampling_needs_two_shots():
     decomp = decompose_inverse(comb)
     with pytest.raises(ValueError, match="shots"):
         pec_sample(comb, decomp, [], np.eye(2) / 2, Z, shots=1)
+
+
+def test_sampling_needs_an_integer_number_of_shots():
+    """A float count is refused, not cut down by the multinomial draw while
+    the mean divides by it; numpy integers count as integers."""
+    comb = markovian_comb([depolarizing_channel(0.2), depolarizing_channel(0.1)])
+    decomp = decompose_inverse(comb)
+    args = (comb, decomp, [identity_channel(2)], np.eye(2) / 2, Z)
+    for shots in (2.9, 1000.0):
+        with pytest.raises(ValueError, match=f"shots must be an integer of at least 2, got {shots}"):
+            pec_sample(*args, shots=shots)
+    assert (pec_sample(*args, np.int64(500), np.random.default_rng(1))
+            == pec_sample(*args, 500, np.random.default_rng(1)))

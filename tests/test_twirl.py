@@ -263,6 +263,17 @@ def test_sampled_twirl_rejects_zero_samples():
         sampled_twirl(cnot_comb(), 0)
 
 
+def test_sampled_twirl_needs_an_integer_number_of_samples():
+    """A float count is refused with a ValueError; numpy integers are accepted."""
+    comb = cnot_comb()
+    for samples in (2.5, 64.0):
+        with pytest.raises(ValueError, match=f"samples must be an integer of at least 1, got {samples}"):
+            sampled_twirl(comb, samples)
+    a = sampled_twirl(comb, np.int64(3), rng=np.random.default_rng(0))
+    b = sampled_twirl(comb, 3, rng=np.random.default_rng(0))
+    assert np.array_equal(a.choi_op, b.choi_op)
+
+
 # ---------------------------------------------------------------------------
 # table statistics
 

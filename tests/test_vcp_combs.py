@@ -8,25 +8,33 @@ the closed form for Pauli tables, and check that the CLI purifies tables
 as combs, with no pointer dilation.
 """
 
+import inspect
 import itertools
 import json
 import operator
+import re
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dense_reference as ref
+import qcombs
 from qcombs import cli, combs, twirl, vcp
-from qcombs.channels import random_channel, random_density_matrix
+from qcombs.channels import identity_channel, random_channel, random_density_matrix
 from qcombs.combs import (
-    Comb, _close_product, _Slots, apply_comb, comb_from_env_model, random_env_model,
+    Comb, _close_product, _Slots, apply_comb, comb_from_env_model, output_channel,
+    random_env_model, simulate_env_model,
 )
 from qcombs.linalg import tensor
 from qcombs.pauli import label_index, pauli_basis, qubit_count
-from qcombs.twirl import PauliDiagTable, comb_from_pauli_table, env_model_from_pauli_table
-from qcombs.vcp import _coherence, reference_purified, vcp_comb
+from qcombs.pec import decompose_inverse, pec_correct_exact, pec_sample
+from qcombs.twirl import (
+    PauliDiagTable, apply_correlated_pauli, comb_from_pauli_table, env_model_from_pauli_table,
+)
+from qcombs.vcp import _coherence, reference_purified, vcp_channel, vcp_comb
 from test_closing import _vcp_comb_ref
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -182,25 +190,59 @@ def test_one_object_runs_its_single_copy_block_once(monkeypatch):
             assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
+def _bits(result) -> list[np.ndarray]:
+    """The arrays of a closing's result: a state, a VcpResult or an (estimate, error) pair."""
+    if isinstance(result, vcp.VcpResult):
+        return [np.asarray(getattr(result, f)) for f in ("virtual_state", "physical_state",
+                                                         "p_plus", "p_minus")]
+    return [np.asarray(result)]
+
+
 def test_states_given_as_lists_close_like_arrays():
-    """A nested-list state gives the bits of the array, for every store and
-    for dilations, and a list of the wrong shape is refused."""
+    """Every public entry that takes a state ``rho``: a nested-list state
+    gives the bits of the array, for every comb store and for dilations; a
+    state of the wrong shape raises the shared message; a slot channel of
+    another dimension is refused, on a table too.  The case table has to
+    name every function of ``qcombs.__all__`` with a ``rho`` parameter."""
     rng = np.random.default_rng(12)
     model = random_env_model(3, rng=rng, interaction_strength=0.3)
     layers = [random_channel(2, rng=rng) for _ in range(2)]
     rho = random_density_matrix(2, rng)
     factor = comb_from_env_model(model, validate=False)
-    pauli = comb_from_pauli_table(_random_table(rng, 3, 1, entries=4))
-    for copy in (model, factor, _dense(factor), pauli):
-        if isinstance(copy, Comb):
-            assert np.array_equal(apply_comb(copy, layers, rho.tolist()),
-                                  apply_comb(copy, layers, rho))
-        got, want = vcp_comb(copy, copy, layers, rho.tolist()), vcp_comb(copy, copy, layers, rho)
-        for field in ("virtual_state", "physical_state", "p_plus", "p_minus"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
-    with pytest.raises(ValueError, match="input state dimension"):
-        apply_comb(factor, layers, [[1.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="state dimension"):
+    table = _random_table(rng, 3, 1, entries=4)
+    pauli = comb_from_pauli_table(table)
+    copies = (factor, _dense(factor), pauli)
+    decomp, z = decompose_inverse(factor), pauli_basis(1)[3]
+    cases = {
+        "apply": [lambda ls, r: qcombs.apply(layers[0], r)],
+        "apply_comb": [partial(apply_comb, c) for c in copies],
+        "simulate_env_model": [partial(simulate_env_model, model)],
+        "vcp_comb": [partial(vcp_comb, c, c) for c in (model, *copies)],
+        "vcp_channel": [lambda ls, r: vcp_channel(layers[0], r)],
+        "pec_correct_exact": [lambda ls, r: pec_correct_exact(factor, decomp, ls, r, z)],
+        "pec_sample": [lambda ls, r: pec_sample(factor, decomp, ls, r, z, 100,
+                                                np.random.default_rng(0))],
+        "apply_correlated_pauli": [partial(apply_correlated_pauli, table)],
+        "reference_purified": [partial(reference_purified, table)],
+    }
+    with_rho = {name for name in qcombs.__all__ if inspect.isfunction(getattr(qcombs, name))
+                and "rho" in inspect.signature(getattr(qcombs, name)).parameters}
+    assert set(cases) == with_rho
+    qutrit_slots = [identity_channel(3)] * 2
+    for name, runs in cases.items():
+        for run in runs:
+            for got, want in zip(_bits(run(layers, rho.tolist())), _bits(run(layers, rho))):
+                assert np.array_equal(got, want), name
+            with pytest.raises(ValueError, match=re.escape(
+                    "input state shape (1, 3) does not match the system dimension 2")):
+                run(layers, [[1.0, 0.0, 0.0]])
+            if name not in ("apply", "vcp_channel"):
+                with pytest.raises(ValueError, match="slot channel dimension"):
+                    run(qutrit_slots, rho)
+    for comb in copies:
+        with pytest.raises(ValueError, match="slot channel dimension"):
+            output_channel(comb, qutrit_slots)
+    with pytest.raises(ValueError, match="input state shape"):
         vcp_comb(factor, pauli, layers, [[1.0, 0.0, 0.0]])
 
 
