@@ -38,6 +38,7 @@ class Channel:
     d_out: int
 
     def __post_init__(self):
+        object.__setattr__(self, "choi", np.asarray(self.choi))
         d = self.d_in * self.d_out
         if self.choi.shape != (d, d):
             raise ValueError(
@@ -69,6 +70,8 @@ def from_kraus(ops, *, require_tp: bool = True) -> Channel:
     for trace-decreasing maps such as measurement branches.
     """
     ops = [np.asarray(k, dtype=complex) for k in ops]
+    if not ops:
+        raise ValueError("from_kraus needs at least one Kraus operator, got an empty list")
     d_out, d_in = ops[0].shape
     if any(k.shape != (d_out, d_in) for k in ops):
         raise ValueError("Kraus operators must share one shape")
@@ -123,6 +126,8 @@ def unitary_channel(u: np.ndarray) -> Channel:
 def pauli_channel(probs: dict[str, float]) -> Channel:
     """Mixture of Pauli conjugations, keyed by label strings."""
     labels = list(probs)
+    if not labels:
+        raise ValueError("pauli_channel needs at least one Pauli label, got an empty mapping")
     n = len(labels[0])
     if any(len(lbl) != n for lbl in labels):
         raise ValueError("all Pauli labels must have the same length")

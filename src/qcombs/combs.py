@@ -29,8 +29,8 @@ from .linalg import (
     psd_check_factored,
     tensor,
 )
-from .pauli import (_each_axis, _pair_order, commutation_signs, pauli_basis, qubit_count,
-                    tooth_basis, tooth_kernel, tooth_sandwich)
+from .pauli import (_each_axis, _pair_order, _pauli_coords, commutation_signs, pauli_basis,
+                    qubit_count, tooth_basis, tooth_kernel, tooth_sandwich)
 
 
 class Comb:
@@ -43,19 +43,22 @@ class Comb:
     the operator is Hermitian by construction.  ``pauli``, when given,
     holds real weights p, one per Pauli label in label-index order, and
     the comb's process matrix (:func:`comb_chi`) is ``diag(p)``; a Pauli
-    comb holds nothing else, so it takes no factor.  A comb given no
-    operator derives ``choi_op`` on first access and keeps it, treating
-    the comb as immutable.
+    comb holds nothing else, so it takes no factor.  ``chi``, when given,
+    is the process matrix itself, which :func:`comb_chi` returns; the
+    comb keeps a read-only copy and takes no factor or weights beside it.
+    A comb given no operator derives ``choi_op`` on first access and
+    keeps it, treating the comb as immutable.
     """
 
     def __init__(self, choi_op: np.ndarray | None = None, *, teeth: int, d_sys: int,
                  factor: tuple[np.ndarray, np.ndarray] | None = None,
-                 pauli: np.ndarray | None = None):
+                 pauli: np.ndarray | None = None, chi: np.ndarray | None = None):
         self.teeth, self.d_sys, self.factor, self.pauli = teeth, d_sys, factor, pauli
         self._choi_op = choi_op
         d = d_sys ** (2 * teeth)
-        if choi_op is None and factor is None and pauli is None:
-            raise ValueError("a comb needs its operator or its factor, or its Pauli weights")
+        if choi_op is None and factor is None and pauli is None and chi is None:
+            raise ValueError("a comb needs its operator or its factor, its Pauli weights "
+                             "or its process matrix")
         if pauli is not None and factor is not None:
             raise ValueError("a Pauli comb holds only its weights, not a factor")
         if pauli is not None and (pauli.shape != (d,) or np.iscomplexobj(pauli)):
@@ -74,11 +77,24 @@ class Comb:
                 )
             if np.iscomplexobj(s):
                 raise ValueError("comb factor signs must be real")
+        if chi is not None:
+            if factor is not None or pauli is not None:
+                raise ValueError("a comb given its process matrix takes no factor or Pauli weights")
+            chi = np.array(chi)
+            if chi.shape != (d, d):
+                raise ValueError(f"comb process matrix shape {chi.shape} does not match "
+                                 f"{teeth} teeth of dimension {d_sys}")
+            qubit_count(d_sys)  # chi is over Pauli labels, so qubits only
+            chi.setflags(write=False)
+        self.chi = chi
 
     @property
     def choi_op(self) -> np.ndarray:
         if self._choi_op is None and self.pauli is not None:
             self._choi_op = _pauli_op(self.pauli, self.teeth, self.d_sys)
+        elif self._choi_op is None and self.chi is not None:
+            b = tooth_basis(qubit_count(self.d_sys))
+            self._choi_op = _each_axis(_each_axis(self.chi, b.T, self.teeth), b.conj().T, self.teeth)
         elif self._choi_op is None:
             a, s = self.factor
             self._choi_op = (a * s) @ a.conj().T
@@ -338,19 +354,30 @@ def comb_chi(comb: Comb) -> np.ndarray:
     order, and :func:`tooth_basis` is the vectorized basis with its rows
     in a tooth's (in, out) order, so chi is :func:`tooth_sandwich` of the
     operator as stored, with no transpose.
+
+    A comb built from its process matrix returns it as kept, read-only.  A
+    comb with a thin factor ``J = a diag(s) a^dag`` reads chi from ``a``,
+    forming no operator: with ã the Pauli coordinates of the columns of
+    ``a`` (:func:`pauli._pauli_coords`), chi is ``(ã^T diag(s) conj(ã)) / d**(2M)``.
     """
-    return tooth_sandwich(comb.choi_op, comb.teeth, comb.d_sys) / comb.d_sys ** (2 * comb.teeth)
+    if comb.chi is not None:
+        return comb.chi
+    scale = comb.d_sys ** (2 * comb.teeth)
+    if (factor := _thin_factor(comb)) is not None:
+        a, s = factor
+        a = _pauli_coords(a, comb.teeth, comb.d_sys)
+        return (a.T * s) @ a.conj() / scale
+    return tooth_sandwich(comb.choi_op, comb.teeth, comb.d_sys) / scale
 
 
 def comb_from_chi(chi: np.ndarray, teeth: int, d_sys: int) -> Comb:
-    """The comb whose channel form has process matrix ``chi``.
+    """The comb whose channel form has process matrix ``chi``, holding a
+    read-only copy of it.
 
-    Inverse of :func:`comb_chi`: ``B chi B^dag``, one tooth at a time,
-    lands on the comb's wires as stored.
+    Inverse of :func:`comb_chi`: its operator ``B chi B^dag``, one tooth at
+    a time, lands on the comb's wires as stored, and is formed on first read.
     """
-    b = tooth_basis(qubit_count(d_sys))
-    choi_op = _each_axis(_each_axis(chi, b.T, teeth), b.conj().T, teeth)
-    return Comb(choi_op=choi_op, teeth=teeth, d_sys=d_sys)
+    return Comb(teeth=teeth, d_sys=d_sys, chi=chi)
 
 
 def _pauli_diag(comb: Comb) -> np.ndarray:
@@ -363,16 +390,19 @@ def _pauli_diag(comb: Comb) -> np.ndarray:
     :func:`tooth_kernel`.  Complex, as the diagonal of chi is.
 
     A comb with a thin factor ``J = a diag(s) a^dag`` reads it from ``a``
-    alone: with ã the contraction of each tooth's row pair of every
-    column of ``a`` with conj(b) (:func:`tooth_basis`), the diagonal is
-    the real ``(|ã|^2 @ s) / d**(2M)``.  A Pauli-diagonal comb holds it.
+    alone: with ã the Pauli coordinates of the columns of ``a``
+    (:func:`pauli._pauli_coords`), the diagonal is the real
+    ``(|ã|^2 @ s) / d**(2M)``.  A Pauli-diagonal comb holds it, and so
+    does a comb built from its process matrix.
     """
     n, q = qubit_count(comb.d_sys), comb.d_sys**2
     if comb.pauli is not None:
         return comb.pauli
+    if comb.chi is not None:
+        return np.diag(comb.chi)
     if (factor := _thin_factor(comb)) is not None:
         a, s = factor
-        a = _each_axis(a, tooth_basis(n).conj(), comb.teeth)
+        a = _pauli_coords(a, comb.teeth, comb.d_sys)
         return s @ (a.real**2 + a.imag**2) / comb.d_sys ** (2 * comb.teeth)
     t = comb.choi_op.reshape((q,) * (2 * comb.teeth)).transpose(_pair_order(comb.teeth))
     return _each_axis(t, tooth_kernel(n), comb.teeth)[0] / comb.d_sys ** (2 * comb.teeth)
@@ -564,7 +594,7 @@ def _times(comb: Comb, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
     coordinates or ``f diag(s) f^dag a``, both Hermitian; only a dense comb reads ``adjoint``."""
     if comb.pauli is not None:
         b, m = tooth_basis(qubit_count(comb.d_sys)), comb.teeth
-        return _each_axis((_each_axis(a, b.conj(), m) * comb.pauli).T, b.T, m).T
+        return _each_axis((_pauli_coords(a, m, comb.d_sys) * comb.pauli).T, b.T, m).T
     if (f := _thin_factor(comb)) is not None:
         return f[0] @ (f[1][:, None] * (f[0].conj().T @ a))
     return (comb.choi_op.conj().T if adjoint else comb.choi_op) @ a

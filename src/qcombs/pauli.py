@@ -122,6 +122,13 @@ def qubit_count(d: int) -> int:
     return n
 
 
+def _pauli_coords(x: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:
+    """``(B^dag x)^T``, one row per column of ``x``, for B as in
+    :func:`tooth_sandwich`: each column, a vector on the comb's wires, in
+    Pauli coordinates, contracted one tooth at a time."""
+    return _each_axis(x, tooth_basis(qubit_count(d_sys)).conj(), teeth)
+
+
 def tooth_sandwich(x: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:
     """``B^dag x B`` for B the Kronecker product of ``teeth`` copies of
     :func:`tooth_basis`, contracted one tooth at a time, rows first.
@@ -130,8 +137,7 @@ def tooth_sandwich(x: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:
     each tooth's (in, out) wire pair on its rows and on its columns, tooth 1
     slowest, and a channel is the one-tooth case.
     """
-    b = tooth_basis(qubit_count(d_sys))
-    return _each_axis(_each_axis(x, b.conj(), teeth), b, teeth)
+    return _each_axis(_pauli_coords(x, teeth, d_sys), tooth_basis(qubit_count(d_sys)), teeth)
 
 
 def tooth_ptm(x: np.ndarray, teeth: int, d_sys: int) -> np.ndarray:

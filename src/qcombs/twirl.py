@@ -162,7 +162,9 @@ def sampled_twirl(
     up to a phase (the XOR of label indices multiplies the Paulis qubit by
     qubit).  So the draws multiply chi by w[a ^ b] / samples, with
     w = signs^T counts contracted one qubit at a time and counts[f] the
-    number of draws of frame f.
+    number of draws of frame f.  The result keeps the masked chi
+    (:func:`comb_from_chi`), so a dilation, whose chi is read from its
+    factor, is twirled with no operator formed.
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")

@@ -9,7 +9,8 @@ import numpy as np
 from qcombs.channels import Channel, from_kraus
 from qcombs.combs import choi_channel
 from qcombs.linalg import choi_to_superop, permute_wires, psd_check, tensor
-from qcombs.pauli import _pair_order, pauli_basis, pauli_matrix, qubit_count
+from qcombs.pauli import (_pair_order, commutation_signs, pauli_basis, pauli_matrix, qubit_count,
+                          tooth_basis)
 from qcombs.pec import ALPHA_CLEAN
 from qcombs.twirl import PauliDiagTable
 
@@ -195,6 +196,24 @@ def ptm_from_superop(s: np.ndarray) -> np.ndarray:
 def superop_from_ptm(r: np.ndarray) -> np.ndarray:
     b = _basis_for(r)
     return b @ r.astype(complex) @ b.conj().T / isqrt(r.shape[0])
+
+
+def sampled_twirl_op(comb, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """The operator of a sampled twirl by the mask formula on dense matrices.
+
+    The frames are drawn as ``twirl.sampled_twirl`` draws them.  The process
+    matrix ``B^dag J B / d**(2M)`` is formed from the dense operator J, with
+    B the Kronecker product of one ``tooth_basis`` per tooth; it is
+    multiplied entrywise by the frame mask ``signs^T diag(counts) signs /
+    samples`` and mapped back as ``B chi B^dag``.
+    """
+    n, m = qubit_count(comb.d_sys), comb.teeth
+    draws = rng.integers(0, 4**n, size=(samples, m))
+    counts = np.bincount(draws @ (4**n) ** np.arange(m - 1, -1, -1), minlength=4 ** (n * m))
+    signs = commutation_signs(n * m)
+    b = reduce(np.kron, [tooth_basis(n)] * m)
+    chi = b.conj().T @ comb.choi_op @ b / comb.d_sys ** (2 * m)
+    return b @ (chi * (signs.T @ (counts[:, None] * signs) / samples)) @ b.conj().T
 
 
 def solved_alpha(comb, basis) -> np.ndarray:

@@ -62,6 +62,27 @@ def test_channel_shape_validation():
         Channel(choi=np.eye(3), d_in=2, d_out=2)
 
 
+def test_channel_from_a_nested_list_is_the_arrays_channel():
+    choi = random_channel(2, rng=np.random.default_rng(9)).choi
+    got = Channel(choi=choi.tolist(), d_in=2, d_out=2)
+    assert isinstance(got.choi, np.ndarray)
+    assert np.array_equal(got.choi, choi)
+    rho = random_density_matrix(2, np.random.default_rng(10))
+    assert np.array_equal(apply(got, rho), apply(Channel(choi=choi, d_in=2, d_out=2), rho))
+    with pytest.raises(ValueError, match="does not match"):
+        Channel(choi=np.eye(3).tolist(), d_in=2, d_out=2)
+
+
+def test_from_kraus_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="from_kraus needs at least one Kraus operator"):
+        from_kraus([])
+
+
+def test_pauli_channel_refuses_an_empty_mapping():
+    with pytest.raises(ValueError, match="pauli_channel needs at least one Pauli label"):
+        pauli_channel({})
+
+
 def test_apply_rejects_wrong_state_shape():
     ch = identity_channel(2)
     with pytest.raises(ValueError, match="does not match the system dimension 2"):

@@ -7,6 +7,7 @@ file exists (empty otherwise).  To regenerate after an intended change
 of output, run this module as a script: ``python tests/test_cli_golden.py``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +53,29 @@ def test_cli_output_matches_golden_bytes(name):
     assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
     err = GOLDEN / f"{name}.err"
     assert proc.stderr == (err.read_bytes() if err.exists() else b"")
+
+
+def _numbers(doc, path=""):
+    """Every number of a JSON document, keyed by its path."""
+    if isinstance(doc, dict):
+        return {k: v for key, item in doc.items() for k, v in _numbers(item, f"{path}/{key}").items()}
+    if isinstance(doc, list):
+        return {k: v for i, item in enumerate(doc) for k, v in _numbers(item, f"{path}/{i}").items()}
+    return {path: doc}
+
+
+def test_sampled_twirl_prints_the_exact_twirls_numbers():
+    """A frame multiplies each diagonal entry of the process matrix by a
+    squared sign, so however many frames are drawn, the sampled table and
+    every number read from it are the exact twirl's."""
+    exact = json.loads((GOLDEN / "twirl.out").read_text())
+    sampled = json.loads((GOLDEN / "twirl_samples.out").read_text())
+    assert (exact.pop("samples"), sampled.pop("samples")) == (None, 200)
+    keys = ("table", "marginals", "mutual_information_bits", "tv_to_product_of_marginals")
+    assert set(exact) == set(sampled) and set(keys) <= set(exact)
+    want, got = _numbers(exact), _numbers(sampled)
+    assert want.keys() == got.keys()
+    assert all(abs(got[k] - want[k]) <= 1e-14 for k in want)
 
 
 if __name__ == "__main__":

@@ -163,8 +163,9 @@ def test_factor_comb_never_builds_its_operator(monkeypatch):
 
 
 def test_dense_stages_build_the_operator_once(monkeypatch):
-    """Cancellation and the sampled twirl need the dense operator; each
-    comb derives it once however many stages read it."""
+    """Cancellation needs the dense operator, and a comb derives it once
+    however many stages read it; validation and both twirls read the
+    factor and build none."""
     rng = np.random.default_rng(115)
     model = random_env_model(3, rng=rng, interaction_strength=0.3)
     builds = _count_builds(monkeypatch)
@@ -178,10 +179,21 @@ def test_dense_stages_build_the_operator_once(monkeypatch):
     assert builds == [comb]
 
     comb = comb_from_env_model(model, validate=False)
+    builds.clear()
     validate_comb(comb)
     twirl.extract_pauli_diag(twirl.twirl_comb(comb))
-    twirl.sampled_twirl(comb, 4, np.random.default_rng(1))
-    assert [c for c in builds if c is comb] == [comb]
+    twirl.pauli_table(twirl.sampled_twirl(comb, 4, np.random.default_rng(1)))
+    assert builds == []
+
+
+@pytest.mark.parametrize("samples", [1, 7, 64, 200])
+def test_sampled_twirl_of_a_factor_builds_no_operator(monkeypatch, samples):
+    rng = np.random.default_rng([119, samples])
+    comb = comb_from_env_model(random_env_model(3, rng=rng, interaction_strength=0.3), validate=False)
+    builds = _count_builds(monkeypatch)
+    got = twirl.pauli_table(twirl.sampled_twirl(comb, samples, rng))
+    assert builds == []
+    assert np.abs(got.vector - twirl.pauli_table(comb).vector).max() < 1e-15
 
 
 def test_comb_rejects_complex_signs_and_empty_combs():

@@ -137,9 +137,9 @@ def test_detects_an_orphaned_public_name():
     assert found == {"helper.py:7": "left_behind", "helper.py:10": "Orphan"}
 
 
-# How a comb is stored (dense operator, thin factor or Pauli weights) is
-# combs.py's business: elsewhere a comb closes, twirls and purifies through
-# combs.py's dispatch.  The one other reader is the off-diagonal guard of
+# How a comb is stored (dense operator, thin factor, Pauli weights or
+# process matrix) is combs.py's business: elsewhere a comb closes, twirls
+# and purifies through combs.py's dispatch.  The one other reader is the off-diagonal guard of
 # extract_pauli_diag, which a Pauli comb passes by construction.
 STORE_ALLOWED = {"twirl.py:extract_pauli_diag.pauli"}
 
@@ -150,13 +150,13 @@ VCP_CLOSERS = {"_close", "_close_factor", "_layer_plugs", "_layer_ptms", "_pauli
 
 def store_reads(tree: ast.Module) -> set[str]:
     """Reads of a comb's store, as ``definition.name`` per module-level
-    definition: the attributes ``factor`` and ``pauli``, and the name
+    definition: the attributes ``factor``, ``pauli`` and ``chi``, and the name
     ``_thin_factor`` loaded or imported."""
     found = set()
     for top in tree.body:
         owner = getattr(top, "name", "<module>")
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr in ("factor", "pauli"):
+            if isinstance(node, ast.Attribute) and node.attr in ("factor", "pauli", "chi"):
                 found.add(f"{owner}.{node.attr}")
             elif isinstance(node, ast.Name) and node.id == "_thin_factor":
                 found.add(f"{owner}._thin_factor")
@@ -181,9 +181,9 @@ def test_detects_a_store_read():
     tree = ast.parse(
         "from .combs import _thin_factor\n\n"
         "def close(c):\n    if c.pauli is not None:\n        return c.factor\n"
-        "    return _thin_factor(c)\n\n"
+        "    return c.chi if c.chi is not None else _thin_factor(c)\n\n"
         "def trace(c):\n    return c.choi_op.trace()\n"
     )
     assert store_reads(tree) == {
-        "<module>._thin_factor", "close.pauli", "close.factor", "close._thin_factor"
+        "<module>._thin_factor", "close.pauli", "close.factor", "close.chi", "close._thin_factor"
     }

@@ -6,13 +6,23 @@ import re
 import numpy as np
 import pytest
 
+from dense_reference import sampled_twirl_op
 from qcombs.channels import to_ptm
-from qcombs.combs import Comb, comb_chi, comb_from_chi, comb_from_env_model, random_env_model
-from qcombs.pauli import commutation_signs, pauli_labels, tooth_kernel
+from qcombs.combs import (
+    Comb,
+    _pauli_diag,
+    _thin_factor,
+    comb_chi,
+    comb_from_chi,
+    comb_from_env_model,
+    random_env_model,
+)
+from qcombs.pauli import commutation_signs, offdiag_mass, pauli_labels, tooth_kernel, tooth_sandwich
 from qcombs.pec import decompose_inverse, default_basis, verify_basis_completeness
 from qcombs.twirl import (
     PauliDiagTable,
     comb_from_pauli_table,
+    env_model_from_pauli_table,
     extract_pauli_diag,
     pauli_table,
     sampled_twirl,
@@ -118,6 +128,81 @@ def test_sampled_twirl_matches_per_frame_draws_bit_for_bit(m, n_sys):
             got = sampled_twirl(comb, samples, np.random.default_rng(seed))
             ref = _per_frame_sampled_twirl(comb, samples, np.random.default_rng(seed))
             assert np.array_equal(got.choi_op, ref.choi_op)
+
+
+@pytest.mark.parametrize("m, n_sys", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2)])
+def test_sampled_twirl_operator_matches_the_dense_mask(m, n_sys):
+    comb = _comb(m, n_sys, 0.6)
+    for samples in (1, 7, 64):
+        got = sampled_twirl(comb, samples, np.random.default_rng(samples)).choi_op
+        want = sampled_twirl_op(comb, samples, np.random.default_rng(samples))
+        assert np.abs(got - want).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the process matrix read from a thin factor, and combs that keep theirs
+
+
+@pytest.mark.parametrize("m, n_sys, strength", TOOTH_CASES)
+def test_factor_chi_matches_the_dense_sandwich(m, n_sys, strength):
+    comb = _comb(m, n_sys, strength)
+    chi = comb_chi(comb)
+    # A thin factor is read without forming the operator.
+    assert (comb._choi_op is None) == (_thin_factor(comb) is not None)
+    want = tooth_sandwich(comb.choi_op, m, comb.d_sys) / comb.d_sys ** (2 * m)
+    assert np.abs(chi - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m, n_sys", [(2, 1), (3, 1), (4, 1), (2, 2)])
+def test_offdiagonal_guard_reads_the_factor_chi(m, n_sys):
+    comb = _comb(m, n_sys, 0.6)
+    assert _thin_factor(comb) is not None
+    a, s = comb.factor
+    dense_chi = tooth_sandwich((a * s) @ a.conj().T, m, comb.d_sys) / comb.d_sys ** (2 * m)
+    want = offdiag_mass(dense_chi)
+    assert abs(offdiag_mass(comb_chi(comb)) - want) < 1e-12 * max(want, 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"off-diagonal mass {want:.3e}")):
+        extract_pauli_diag(comb)
+    assert extract_pauli_diag(twirl_comb(comb)).probs == pauli_table(comb).probs
+
+    # A dilation of a Pauli table holds a thin factor and passes the guard.
+    keys = [("I" * n_sys,) * m, ("X" * n_sys,) * m]
+    table = PauliDiagTable(dict(zip(keys, (0.75, 0.25))), teeth=m, n_qubits=n_sys)
+    dilated = comb_from_env_model(env_model_from_pauli_table(table))
+    assert _thin_factor(dilated) is not None
+    read = extract_pauli_diag(dilated)
+    assert dilated._choi_op is None
+    assert abs(read.prob(keys[0]) - 0.75) < 1e-12 and abs(read.prob(keys[1]) - 0.25) < 1e-12
+
+
+def test_comb_from_chi_keeps_a_read_only_copy():
+    comb = _comb(2, 1, 0.6)
+    chi = np.array(comb_chi(comb))
+    built = comb_from_chi(chi, 2, 2)
+    chi[0, 0] += 1.0
+    chi[3, 5] = 7.0
+    kept = comb_chi(built)
+    assert np.array_equal(kept, comb_chi(comb))
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 0.0
+    assert np.array_equal(_pauli_diag(built), np.diag(kept))
+    assert built._choi_op is None
+
+
+def test_comb_refuses_a_process_matrix_beside_a_factor_or_of_the_wrong_shape():
+    comb = _comb(2, 1, 0.6)
+    chi = comb_chi(comb)
+    with pytest.raises(ValueError, match="takes no factor or Pauli weights"):
+        Comb(teeth=2, d_sys=2, chi=chi, factor=comb.factor)
+    with pytest.raises(ValueError, match="takes no factor or Pauli weights"):
+        Comb(teeth=2, d_sys=2, chi=chi, pauli=np.diag(chi).real)
+    with pytest.raises(ValueError, match="process matrix shape"):
+        Comb(teeth=3, d_sys=2, chi=chi)
+    with pytest.raises(ValueError, match="process matrix shape"):
+        comb_from_chi(chi[:-1], 2, 2)
+    with pytest.raises(ValueError, match="not a power of two"):
+        comb_from_chi(np.eye(9), 1, 3)
 
 
 # ---------------------------------------------------------------------------
