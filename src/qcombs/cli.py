@@ -107,9 +107,14 @@ def _load_json(arg: str):
         except OSError as exc:
             raise CliError(f"cannot read {arg}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except ValueError as exc:  # JSONDecodeError is one
         raise CliError(f"invalid JSON in {arg!r}: {exc}") from exc
+
+
+def _refuse_constant(token: str):
+    """Refuse Python's NaN, Infinity and -Infinity tokens, which are not JSON."""
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def _number(x, what: str) -> float:

@@ -38,38 +38,43 @@ class Comb:
 
     ``choi_op`` lives on wires (in_1, out_1, ..., in_M, out_M), leftmost
     slowest, every wire of dimension ``d_sys``.  ``factor``, when given,
-    is a pair ``(a, s)`` with ``a`` of shape (d_sys**(2M), r) and real
-    signs ``s`` of length r such that ``choi_op = a diag(s) a^dag``, so
-    the operator is Hermitian by construction.  ``pauli``, when given,
-    holds real weights p, one per Pauli label in label-index order, and
-    the comb's process matrix (:func:`comb_chi`) is ``diag(p)``; a Pauli
-    comb holds nothing else, so it takes no factor.  ``chi``, when given,
-    is the process matrix itself, which :func:`comb_chi` returns; the
-    comb keeps a read-only copy and takes no factor or weights beside it.
-    A comb given no operator derives ``choi_op`` on first access and
-    keeps it, treating the comb as immutable.
+    is a pair ``(a, s)`` of finite arrays, ``a`` of shape (d_sys**(2M), r)
+    and real signs ``s`` of length r, such that ``choi_op = a diag(s)
+    a^dag``, so the operator is Hermitian by construction.  ``pauli``,
+    when given, holds real weights p, one per Pauli label in label-index
+    order, and the comb's process matrix (:func:`comb_chi`) is
+    ``diag(p)``; a Pauli comb holds nothing else, so it takes no factor.
+    ``chi``, when given, is the process matrix itself, which
+    :func:`comb_chi` returns; the comb keeps a read-only copy and takes no
+    factor or weights beside it.  Every store may be given as an array or
+    a nested list.  A comb given no operator derives ``choi_op`` on first
+    access and keeps it, treating the comb as immutable.  A comb with a
+    thin factor likewise keeps the Pauli coordinates of its columns once
+    read (:func:`_thin_coords`), one more array the size of its factor.
     """
 
     def __init__(self, choi_op: np.ndarray | None = None, *, teeth: int, d_sys: int,
                  factor: tuple[np.ndarray, np.ndarray] | None = None,
                  pauli: np.ndarray | None = None, chi: np.ndarray | None = None):
-        self.teeth, self.d_sys, self.factor, self.pauli = teeth, d_sys, factor, pauli
-        self._choi_op = choi_op
         d = d_sys ** (2 * teeth)
         if choi_op is None and factor is None and pauli is None and chi is None:
             raise ValueError("a comb needs its operator or its factor, its Pauli weights "
                              "or its process matrix")
         if pauli is not None and factor is not None:
             raise ValueError("a Pauli comb holds only its weights, not a factor")
-        if pauli is not None and (pauli.shape != (d,) or np.iscomplexobj(pauli)):
-            raise ValueError(f"a comb's Pauli weights must be {d} real numbers")
-        if choi_op is not None and choi_op.shape != (d, d):
-            raise ValueError(
-                f"comb operator shape {choi_op.shape} does not match "
-                f"{teeth} teeth of dimension {d_sys}"
-            )
+        if pauli is not None:
+            pauli = np.asarray(pauli)
+            if pauli.shape != (d,) or np.iscomplexobj(pauli):
+                raise ValueError(f"a comb's Pauli weights must be {d} real numbers")
+        if choi_op is not None:
+            choi_op = np.asarray(choi_op)
+            if choi_op.shape != (d, d):
+                raise ValueError(
+                    f"comb operator shape {choi_op.shape} does not match "
+                    f"{teeth} teeth of dimension {d_sys}"
+                )
         if factor is not None:
-            a, s = factor
+            a, s = factor = tuple(map(np.asarray, factor))
             if a.ndim != 2 or a.shape[0] != d or s.shape != (a.shape[1],):
                 raise ValueError(
                     f"comb factor shapes {a.shape} and {s.shape} do not match "
@@ -77,6 +82,8 @@ class Comb:
                 )
             if np.iscomplexobj(s):
                 raise ValueError("comb factor signs must be real")
+            if not (np.isfinite(a).all() and np.isfinite(s).all()):
+                raise ValueError("comb factor entries must be finite")
         if chi is not None:
             if factor is not None or pauli is not None:
                 raise ValueError("a comb given its process matrix takes no factor or Pauli weights")
@@ -86,7 +93,8 @@ class Comb:
                                  f"{teeth} teeth of dimension {d_sys}")
             qubit_count(d_sys)  # chi is over Pauli labels, so qubits only
             chi.setflags(write=False)
-        self.chi = chi
+        self.teeth, self.d_sys, self.factor, self.pauli, self.chi = teeth, d_sys, factor, pauli, chi
+        self._choi_op, self._coords = choi_op, None
 
     @property
     def choi_op(self) -> np.ndarray:
@@ -226,6 +234,19 @@ def _thin_factor(comb: Comb) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
+def _thin_coords(comb: Comb) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(ã, s)`` for a comb with a thin factor ``(a, s)``: ã holds the Pauli
+    coordinates of the columns of ``a`` (:func:`pauli._pauli_coords`), one
+    row each.  Derived on first read and kept read-only on the comb, so chi,
+    the Pauli table and both twirls of one comb contract ``a`` once."""
+    if (factor := _thin_factor(comb)) is None:
+        return None
+    if comb._coords is None:
+        comb._coords = _pauli_coords(factor[0], comb.teeth, comb.d_sys)
+        comb._coords.setflags(write=False)
+    return comb._coords, factor[1]
+
+
 def _trace_last(m: np.ndarray, d: int) -> np.ndarray:
     """Partial trace of a square operator over its fastest wire, of size d."""
     n = m.shape[0] // d
@@ -267,12 +288,15 @@ def validate_comb(comb: Comb, tol: float = 1e-9) -> CombValidationReport:
     out_m traces a tooth's Pauli to I on in_m, so every level above the
     first is causal exactly, and the first is ``sum(p) I``.  A comb whose
     factor has fewer columns r than the operator has rows takes its
-    spectrum from the factor, and each level from it while the level's
-    own factor is thin (:func:`_factor_residual`); the first level that
-    is not is formed from the factor.  Every other comb starts from the
-    dense operator.  Dense levels trace one wire at a time.  A factor's
-    real signs, or real Pauli weights, make the comb Hermitian, so only a
-    comb with neither is checked for it.
+    spectrum from the factor (:func:`linalg.psd_check_factored`): with
+    no negative sign, as for a dilation of a positive environment state,
+    its minimum eigenvalue is exactly 0 with nothing decomposed, and
+    otherwise it comes from a thin QR.  It takes each level from the
+    factor while the level's own factor is thin (:func:`_factor_residual`);
+    the first level that is not is formed from the factor.  Every other
+    comb starts from the dense operator.  Dense levels trace one wire at a
+    time.  A factor's real signs, or real Pauli weights, make the comb
+    Hermitian, so only a comb with neither is checked for it.
     """
     d, m = comb.d_sys, comb.teeth
     herm_ok = (comb.factor is not None or comb.pauli is not None
@@ -358,14 +382,14 @@ def comb_chi(comb: Comb) -> np.ndarray:
     A comb built from its process matrix returns it as kept, read-only.  A
     comb with a thin factor ``J = a diag(s) a^dag`` reads chi from ``a``,
     forming no operator: with ã the Pauli coordinates of the columns of
-    ``a`` (:func:`pauli._pauli_coords`), chi is ``(ã^T diag(s) conj(ã)) / d**(2M)``.
+    ``a``, which the comb keeps (:func:`_thin_coords`), chi is
+    ``(ã^T diag(s) conj(ã)) / d**(2M)``.
     """
     if comb.chi is not None:
         return comb.chi
     scale = comb.d_sys ** (2 * comb.teeth)
-    if (factor := _thin_factor(comb)) is not None:
-        a, s = factor
-        a = _pauli_coords(a, comb.teeth, comb.d_sys)
+    if (coords := _thin_coords(comb)) is not None:
+        a, s = coords
         return (a.T * s) @ a.conj() / scale
     return tooth_sandwich(comb.choi_op, comb.teeth, comb.d_sys) / scale
 
@@ -390,8 +414,8 @@ def _pauli_diag(comb: Comb) -> np.ndarray:
     :func:`tooth_kernel`.  Complex, as the diagonal of chi is.
 
     A comb with a thin factor ``J = a diag(s) a^dag`` reads it from ``a``
-    alone: with ã the Pauli coordinates of the columns of ``a``
-    (:func:`pauli._pauli_coords`), the diagonal is the real
+    alone: with ã the Pauli coordinates of the columns of ``a``, which
+    the comb keeps (:func:`_thin_coords`), the diagonal is the real
     ``(|ã|^2 @ s) / d**(2M)``.  A Pauli-diagonal comb holds it, and so
     does a comb built from its process matrix.
     """
@@ -400,9 +424,8 @@ def _pauli_diag(comb: Comb) -> np.ndarray:
         return comb.pauli
     if comb.chi is not None:
         return np.diag(comb.chi)
-    if (factor := _thin_factor(comb)) is not None:
-        a, s = factor
-        a = _pauli_coords(a, comb.teeth, comb.d_sys)
+    if (coords := _thin_coords(comb)) is not None:
+        a, s = coords
         return s @ (a.real**2 + a.imag**2) / comb.d_sys ** (2 * comb.teeth)
     t = comb.choi_op.reshape((q,) * (2 * comb.teeth)).transpose(_pair_order(comb.teeth))
     return _each_axis(t, tooth_kernel(n), comb.teeth)[0] / comb.d_sys ** (2 * comb.teeth)

@@ -120,11 +120,19 @@ def psd_check(m: np.ndarray, tol: float = 1e-9) -> PsdReport:
 def psd_check_factored(a: np.ndarray, s: np.ndarray, tol: float = 1e-9) -> PsdReport:
     """:func:`psd_check` of ``a diag(s) a^dag`` without forming it.
 
-    ``a`` is D x r with r < D, so the matrix has a null space.  With the
-    thin QR ``a = Q R`` its nonzero spectrum is that of the r x r matrix
-    ``R diag(s) R^dag``, and the minimum eigenvalue is ``min(0, ...)`` of
-    that small spectrum.  The slack is the same trace-relative one.
+    ``a`` is D x r with r < D, so the matrix has a null space and its
+    minimum eigenvalue is at most 0.  With every sign nonnegative the
+    matrix is positive, as the comb of a dilation is whenever its
+    environment state is, so the minimum is exactly 0 and nothing is
+    decomposed; the trace cannot change the verdict on a zero minimum,
+    so none is summed.  Mixed signs take the thin QR ``a = Q R``: the
+    nonzero spectrum is that of the r x r matrix ``R diag(s) R^dag``, and
+    the minimum eigenvalue is ``min(0, ...)`` of that small spectrum.  The
+    slack is the same trace-relative one.  NaN entries are the caller's to
+    refuse.
     """
+    if a.shape[1] < a.shape[0] and (s >= 0).all():
+        return PsdReport.of(0.0, 0.0, tol)
     r = np.linalg.qr(a, mode="r")
     small = (r * s) @ r.conj().T
     lo = min(0.0, float(np.linalg.eigvalsh(0.5 * (small + small.conj().T))[0]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
 from itertools import product
-from math import fsum
+from math import fsum, isfinite
 
 import numpy as np
 
@@ -38,8 +38,8 @@ class PauliDiagTable:
     order).  ``probs`` is the keyed view, with keys like ("X", "Z"),
     built on first read: a dict table lists its own keys in its order,
     explicit zeros included, and a vector table every label.
-    Construction clamps roundoff negatives, checks the total and
-    renormalizes it to exactly one.
+    Construction refuses an entry that is not finite, clamps roundoff
+    negatives, checks the total and renormalizes it to exactly one.
     """
 
     def __init__(self, probs: dict | np.ndarray, teeth: int, n_qubits: int):
@@ -59,10 +59,14 @@ class PauliDiagTable:
         self.vector.setflags(write=False)
 
     def _check_vector(self, p: np.ndarray) -> np.ndarray:
-        """Clamp roundoff negatives of a vector in index order."""
+        """Refuse non-finite entries and clamp roundoff negatives of a vector
+        in index order."""
         if p.shape != (4 ** (self.n_qubits * self.teeth),):
             raise ValueError(f"a table of {self.teeth} teeth of {self.n_qubits} qubits "
                              f"needs {4 ** (self.n_qubits * self.teeth)} probabilities")
+        if (bad := np.flatnonzero(~np.isfinite(p))).size:
+            (key,) = _keys_of(bad[:1], self.teeth, self.n_qubits)
+            raise ValueError(f"probability of {key} is not finite ({p[bad[0]]})")
         if (bad := np.flatnonzero(p < -_NEG_CLAMP)).size:
             (key,) = _keys_of(bad[:1], self.teeth, self.n_qubits)
             raise ValueError(f"probability of {key} is negative ({p[bad[0]]:.3e})")
@@ -80,6 +84,8 @@ class PauliDiagTable:
             for lbl in key:
                 if any(ch not in "IXYZ" for ch in lbl):
                     raise ValueError(f"bad Pauli label {lbl!r}")
+            if not isfinite(p):
+                raise ValueError(f"probability of {key} is not finite ({p})")
             if p < -_NEG_CLAMP:
                 raise ValueError(f"probability of {key} is negative ({p:.3e})")
             clean[label_index("".join(key))] = max(float(p), 0.0)

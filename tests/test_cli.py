@@ -329,11 +329,18 @@ def test_wrong_typed_payload_is_exit_2(capsys, spec, message):
          "unitary must be a square matrix"),
         (_inline("markovian", {"channels": [[[1, 0, 0], [0, 1, 0]]]}),
          "unitary must be a square matrix"),
+        (_inline("pauli_correlated", {"probs": {"I:I": 1.0, "X:I": float("nan")}}),
+         "NaN is not a JSON number"),
+        (_inline("env_model", {**_ENV_PAYLOAD, "env_init": [[float("nan"), 0], [0, 0]]}),
+         "NaN is not a JSON number"),
+        (_inline("pauli_correlated", {"probs": {"I:I": float("-inf")}}),
+         "-Infinity is not a JSON number"),
     ],
     ids=[
         "teeth_word", "interaction_shape", "env_init_shape", "table_letter",
         "pauli_channel_letter", "table_d_sys_3", "table_d_sys_1", "choi_size", "mixed_dimensions",
-        "kraus_shapes", "unitary_not_square", "bare_matrix_not_square",
+        "kraus_shapes", "unitary_not_square", "bare_matrix_not_square", "table_nan", "env_init_nan",
+        "table_minus_infinity",
     ],
 )
 def test_malformed_spec_value_is_exit_2(capsys, spec, message):

@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # name -> (expected exit code, argv after ``qcombs``).
 CASES = {
     "validate": (0, ("validate", "fixtures/env_correlated.json")),
+    "validate_env_random": (0, ("validate", "fixtures/env_random.json")),
     "choi": (0, ("choi", "fixtures/pauli_correlated.json", "--form", "slot")),
     "chi": (0, ("chi", "fixtures/pauli_correlated.json")),
     "twirl": (0, ("twirl", "fixtures/env_random.json")),

@@ -28,8 +28,10 @@ from qcombs.combs import (
     validate_comb,
 )
 from qcombs.linalg import (
+    PsdReport,
     partial_trace,
     permute_wires,
+    psd_check_factored,
     tensor,
 )
 from qcombs.pauli import pauli_basis
@@ -49,6 +51,30 @@ def test_comb_shape_validation():
 def test_comb_factor_shape_validation(a, s):
     with pytest.raises(ValueError, match="factor shapes"):
         Comb(choi_op=np.eye(16), teeth=2, d_sys=2, factor=(a, s))
+
+
+def test_comb_takes_every_store_as_a_nested_list():
+    a = np.arange(32.0).reshape(16, 2) * (1 + 1j)
+    s = np.array([1.0, -1.0])
+    listed = Comb(teeth=2, d_sys=2, factor=(a.tolist(), s.tolist()))
+    assert listed.factor[0].shape == (16, 2) and listed.factor[1].shape == (2,)
+    assert np.array_equal(listed.choi_op, Comb(teeth=2, d_sys=2, factor=(a, s)).choi_op)
+    dense = Comb(choi_op=(np.eye(4) / 2).tolist(), teeth=1, d_sys=2)
+    assert np.array_equal(dense.choi_op, np.eye(4) / 2) and validate_comb(dense).passes
+    pauli = Comb(teeth=1, d_sys=2, pauli=[1.0, 0, 0, 0])
+    assert np.array_equal(pauli.pauli, [1.0, 0, 0, 0]) and validate_comb(pauli).passes
+    with pytest.raises(ValueError, match="real numbers"):
+        Comb(teeth=1, d_sys=2, pauli=[1.0, 0, 0])
+
+
+@pytest.mark.parametrize("where, bad", [("a", np.nan), ("a", np.inf), ("s", np.nan)])
+def test_comb_refuses_a_factor_that_is_not_finite(where, bad):
+    model = random_env_model(3, rng=np.random.default_rng(7))
+    a, s = comb_from_env_model(model, validate=False).factor
+    a, s = a.copy(), s.copy()
+    (a if where == "a" else s)[0] = bad
+    with pytest.raises(ValueError, match="comb factor entries must be finite"):
+        Comb(teeth=3, d_sys=2, factor=(a, s))
 
 
 @pytest.mark.parametrize("eps, ok", [(5e-6, False), (1e-12, True)])
@@ -239,6 +265,48 @@ def test_factored_validation_special_environment_states(case):
     if case == "signed":
         # env_init's eigenvalue -1e-10 must come through, not be clipped.
         assert got.min_eigenvalue < -1e-11
+
+
+def _qr_route(a, s, tol=1e-9):
+    """The positivity check of a thin factor through its QR, whatever its signs."""
+    r = np.linalg.qr(a, mode="r")
+    small = (r * s) @ r.conj().T
+    lo = min(0.0, float(np.linalg.eigvalsh(0.5 * (small + small.conj().T))[0]))
+    return PsdReport.of(lo, float(np.trace(small).real), tol)
+
+
+# Two system qubits stop at four teeth: at five the factor alone is 256 MB.
+@pytest.mark.parametrize("teeth, n_sys", [(m, 1) for m in range(1, 6)] + [(m, 2) for m in range(1, 5)])
+@pytest.mark.parametrize("n_env", [1, 2])
+def test_sign_rule_matches_the_qr_route(teeth, n_sys, n_env):
+    for seed in range(3):
+        rng = np.random.default_rng([teeth, n_sys, n_env, seed, 25])
+        model = random_env_model(teeth, n_sys_qubits=n_sys, n_env_qubits=n_env, rng=rng)
+        comb = comb_from_env_model(model, validate=False)
+        a, s = comb.factor
+        assert (s >= 0).all()
+        if a.shape[1] >= a.shape[0]:
+            continue
+        got, want = psd_check_factored(a, s), _qr_route(a, s)
+        assert got.min_eigenvalue == 0.0 and got.is_psd == want.is_psd
+        assert abs(got.min_eigenvalue - want.min_eigenvalue) < 1e-12
+        assert validate_comb(comb).min_eigenvalue == 0.0
+
+
+def test_nonnegative_signs_are_validated_with_no_qr(monkeypatch):
+    model = random_env_model(3, rng=np.random.default_rng(11))
+    comb = comb_from_env_model(model, validate=False)
+    signed = comb_from_env_model(_special_env_models()["signed"], validate=False)
+    assert (comb.factor[1] >= 0).all() and (signed.factor[1] < 0).any()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    report = validate_comb(comb)
+    assert report.passes and report.min_eigenvalue == 0.0
+    with pytest.raises(AssertionError, match="qr called"):
+        validate_comb(signed)
 
 
 @pytest.mark.parametrize("strength", [0.3, None])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dense_reference import sampled_twirl_op
+from qcombs import combs
 from qcombs.channels import to_ptm
 from qcombs.combs import (
     Comb,
@@ -190,6 +191,27 @@ def test_comb_from_chi_keeps_a_read_only_copy():
     assert built._choi_op is None
 
 
+def test_one_comb_reads_its_pauli_coordinates_once(monkeypatch):
+    """Twirling, sampling and reading chi contract the factor once per comb,
+    into the numbers that a fresh comb gives each of them."""
+    want = (twirl_comb(_comb(3, 1, None)).pauli, pauli_table(_comb(3, 1, None)).vector,
+            comb_chi(sampled_twirl(_comb(3, 1, None), 64, np.random.default_rng(4))),
+            comb_chi(_comb(3, 1, None)))
+    calls = []
+    pauli_coords = combs._pauli_coords
+
+    def counted(*args):
+        calls.append(args)
+        return pauli_coords(*args)
+
+    monkeypatch.setattr(combs, "_pauli_coords", counted)
+    comb = _comb(3, 1, None)
+    got = (twirl_comb(comb).pauli, pauli_table(comb).vector,
+           comb_chi(sampled_twirl(comb, 64, np.random.default_rng(4))), comb_chi(comb))
+    assert len(calls) == 1 and comb._choi_op is None
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_comb_refuses_a_process_matrix_beside_a_factor_or_of_the_wrong_shape():
     comb = _comb(2, 1, 0.6)
     chi = comb_chi(comb)
@@ -228,6 +250,16 @@ def _ok(key):
 def test_table_words_a_late_bad_entry(probs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         PauliDiagTable(probs=probs, teeth=2, n_qubits=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_refuses_a_probability_that_is_not_finite(bad):
+    vector = np.array([0.5, bad, 0.5, 0.0, np.nan, 0.0, 0.0, 0.0] + [0.0] * 8)
+    with pytest.raises(ValueError, match=re.escape(f"probability of ('I', 'X') is not finite ({bad})")):
+        PauliDiagTable(vector, teeth=2, n_qubits=1)
+    probs = {("I", "I"): 0.5, ("Z", "Y"): bad, ("X", "Z"): np.nan, ("Y", "Y"): 0.5}
+    with pytest.raises(ValueError, match=re.escape(f"probability of ('Z', 'Y') is not finite ({bad})")):
+        PauliDiagTable(probs, teeth=2, n_qubits=1)
 
 
 def test_table_reports_the_first_bad_entry_in_key_order():
