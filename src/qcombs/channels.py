@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    ShapeError,
     check_shape,
+    check_unitary,
     choi_to_superop,
     is_hermitian,
     partial_trace,
@@ -41,7 +43,7 @@ class Channel:
         object.__setattr__(self, "choi", np.asarray(self.choi))
         d = self.d_in * self.d_out
         if self.choi.shape != (d, d):
-            raise ValueError(
+            raise ShapeError(
                 f"Choi matrix shape {self.choi.shape} does not match "
                 f"d_out*d_in = {d}"
             )
@@ -72,9 +74,11 @@ def from_kraus(ops, *, require_tp: bool = True) -> Channel:
     ops = [np.asarray(k, dtype=complex) for k in ops]
     if not ops:
         raise ValueError("from_kraus needs at least one Kraus operator, got an empty list")
-    d_out, d_in = ops[0].shape
-    if any(k.shape != (d_out, d_in) for k in ops):
-        raise ValueError("Kraus operators must share one shape")
+    shape = ops[0].shape
+    if len(shape) != 2 or any(k.shape != shape for k in ops):
+        raise ShapeError(f"Kraus operators must be matrices of one shape, "
+                         f"got {[k.shape for k in ops]}")
+    d_out, d_in = shape
     if require_tp:
         ksum = sum(k.conj().T @ k for k in ops)
         if not np.allclose(ksum, np.eye(d_in), rtol=0, atol=1e-9):
@@ -117,10 +121,7 @@ def identity_channel(d: int) -> Channel:
 
 
 def unitary_channel(u: np.ndarray) -> Channel:
-    u = np.asarray(u, dtype=complex)
-    if not np.allclose(u.conj().T @ u, np.eye(u.shape[0]), rtol=0, atol=1e-9):
-        raise ValueError("matrix is not unitary")
-    return from_kraus([u])
+    return from_kraus([check_unitary(u, "matrix")])
 
 
 def pauli_channel(probs: dict[str, float]) -> Channel:
@@ -130,12 +131,13 @@ def pauli_channel(probs: dict[str, float]) -> Channel:
         raise ValueError("pauli_channel needs at least one Pauli label, got an empty mapping")
     n = len(labels[0])
     if any(len(lbl) != n for lbl in labels):
-        raise ValueError("all Pauli labels must have the same length")
+        raise ShapeError("all Pauli labels must have the same length")
+    index = [label_index(lbl) for lbl in labels]
     total = sum(probs.values())
     if abs(total - 1.0) > 1e-8 or any(p < -1e-12 for p in probs.values()):
         raise ValueError("probabilities must be nonnegative and sum to one")
     basis = pauli_basis(n)
-    ops = [np.sqrt(max(p, 0.0)) * basis[label_index(lbl)] for lbl, p in probs.items()]
+    ops = [np.sqrt(max(p, 0.0)) * basis[i] for i, p in zip(index, probs.values())]
     return from_kraus(ops, require_tp=False)
 
 

@@ -36,6 +36,7 @@ from .channels import (
 from .combs import (
     Comb,
     EnvModel,
+    _check_layers,
     apply_comb,
     choi_channel,
     comb_chi,
@@ -45,8 +46,8 @@ from .combs import (
     slot_channel,
     validate_comb,
 )
-from .linalg import check_state, is_hermitian
-from .pauli import PAULI_LETTERS, offdiag_mass, pauli_labels, pauli_matrix, qubit_count
+from .linalg import ShapeError, check_shape, check_state, is_hermitian
+from .pauli import offdiag_mass, pauli_labels, pauli_matrix, qubit_count
 from .pec import _STATES, decompose_inverse, pec_correct_exact, pec_sample
 from .twirl import (
     PauliDiagTable,
@@ -75,7 +76,8 @@ _UNITARIES = {
 
 
 class CliError(Exception):
-    """Bad input that the user can fix; maps to exit code 2."""
+    """Bad input that the user can fix; maps to exit code 2, as the library's
+    :class:`linalg.ShapeError` does."""
 
 
 def _decode_entry(x) -> complex:
@@ -135,36 +137,18 @@ def _nonempty(x, kind: type, what: str):
     return x
 
 
-def _pauli_label(label: str, n_qubits: int, what: str) -> str:
-    if len(label) != n_qubits or any(ch not in PAULI_LETTERS for ch in label):
-        raise CliError(f"{what}: {label!r} is not a {n_qubits}-qubit label over IXYZ")
-    return label
-
-
-def _unitary_from_json(rows) -> Channel:
-    u = decode_matrix(rows)
-    if u.shape[0] != u.shape[1]:
-        raise CliError(f"unitary must be a square matrix, got shape {u.shape}")
-    return unitary_channel(u)
-
-
 def _channel_from_json(doc) -> Channel:
     if isinstance(doc, list):
-        return _unitary_from_json(doc)
+        return unitary_channel(decode_matrix(doc))
     if not isinstance(doc, dict):
         raise CliError("channel spec must be a matrix or an object")
     if "unitary" in doc:
-        return _unitary_from_json(doc["unitary"])
+        return unitary_channel(decode_matrix(doc["unitary"]))
     if "kraus" in doc:
-        ops = [decode_matrix(k) for k in _nonempty(doc["kraus"], list, "kraus")]
-        if any(k.shape != ops[0].shape for k in ops):
-            raise CliError(f"kraus operators must share one shape, got {[k.shape for k in ops]}")
-        return from_kraus(ops)
+        return from_kraus([decode_matrix(k) for k in _nonempty(doc["kraus"], list, "kraus")])
     if "choi" in doc:
         m = decode_matrix(doc["choi"])
         d = int(round(np.sqrt(m.shape[0])))
-        if m.shape != (d * d, d * d):
-            raise CliError(f"choi must be a d^2 x d^2 matrix, got shape {m.shape}")
         channel = Channel(choi=m, d_in=d, d_out=d)
         channel.validate()
         return channel
@@ -178,11 +162,7 @@ def _channel_from_json(doc) -> Channel:
             return identity_channel(_integer(doc.get("d", 2), "identity d", 1))
         if name == "pauli":
             probs = _nonempty(doc.get("probs"), dict, "pauli channel probs")
-            n = len(next(iter(probs)))
-            return pauli_channel({
-                _pauli_label(k, n, "pauli channel"): _number(v, f"probability of {k!r}")
-                for k, v in probs.items()
-            })
+            return pauli_channel({k: _number(v, f"probability of {k!r}") for k, v in probs.items()})
         if name in _UNITARIES:
             return unitary_channel(_UNITARIES[name])
         raise CliError(f"unknown channel name {doc['name']!r}")
@@ -190,14 +170,10 @@ def _channel_from_json(doc) -> Channel:
 
 
 def _table_from_payload(payload, teeth: int, n_qubits: int) -> PauliDiagTable:
-    probs = {}
-    for key, p in payload["probs"].items():
-        parts = tuple(key.split(":"))
-        if len(parts) != teeth:
-            raise CliError(f"table key {key!r} needs {teeth} labels of {n_qubits} qubits")
-        for lbl in parts:
-            _pauli_label(lbl, n_qubits, f"table key {key!r}")
-        probs[parts] = _number(p, f"probability of {key!r}")
+    probs = {
+        tuple(key.split(":")): _number(p, f"probability of {key!r}")
+        for key, p in payload["probs"].items()
+    }
     return PauliDiagTable(probs=probs, teeth=teeth, n_qubits=n_qubits)
 
 
@@ -230,9 +206,6 @@ def load_spec(arg: str):
         env_init = decode_matrix(payload["env_init"])
         interactions = _nonempty(payload["interactions"], list, "interactions")
         interactions = [decode_matrix(u) for u in interactions]
-        d = d_sys * d_env
-        if env_init.shape != (d_env, d_env) or any(u.shape != (d, d) for u in interactions):
-            raise CliError(f"env_init must be {d_env}x{d_env} and each interaction {d}x{d}")
         model = EnvModel(
             d_sys=d_sys, d_env=d_env, env_init=env_init, interactions=tuple(interactions)
         )
@@ -241,13 +214,7 @@ def load_spec(arg: str):
         return comb_from_env_model(model, validate=False), model, None, doc
     if kind == "markovian":
         chans = _nonempty(payload["channels"], list, "channels")
-        chans = [_channel_from_json(c) for c in chans]
-        dims = sorted({(c.d_in, c.d_out) for c in chans})
-        if len(dims) != 1 or dims[0][0] != dims[0][1]:
-            raise CliError(
-                f"markovian channels must all map one system to itself, got (d_in, d_out) {dims}"
-            )
-        comb = markovian_comb(chans)
+        comb = markovian_comb([_channel_from_json(c) for c in chans])
         if teeth and teeth != comb.teeth:
             raise CliError(f"spec says {teeth} teeth but lists {comb.teeth} channels")
         return comb, None, None, doc
@@ -266,9 +233,6 @@ def load_spec(arg: str):
     m = decode_matrix(payload["choi_op"])
     if not teeth:
         raise CliError("choi_explicit specs must state the number of teeth")
-    d = d_sys ** (2 * teeth)
-    if m.shape != (d, d):
-        raise CliError(f"choi_op must be {d}x{d} for {teeth} teeth of dimension {d_sys}")
     return Comb(choi_op=m, teeth=teeth, d_sys=d_sys), None, None, doc
 
 
@@ -278,9 +242,7 @@ def _parse_matrix(arg: str, named: dict, d: int, what: str) -> np.ndarray:
         m = named[arg.lower()]
     else:
         m = decode_matrix(_load_json(arg))
-    if m.shape != (d, d):
-        raise CliError(f"{what} must be a {d}x{d} matrix, got shape {m.shape}")
-    return m
+    return check_shape(m, d, what)
 
 
 def _parse_state(arg: str, d: int) -> np.ndarray:
@@ -305,21 +267,15 @@ def _parse_layer(arg: str) -> Channel:
 
 
 def _resolve_layers(args, comb: Comb) -> list[Channel]:
+    """The ``--layer`` channels, identities when none is given; one fills
+    every slot only when there are two or more."""
     slots = comb.teeth - 1
     given = [_parse_layer(a) for a in (args.layer or [])]
-    for layer in given:
-        if (layer.d_in, layer.d_out) != (comb.d_sys, comb.d_sys):
-            raise CliError(
-                f"--layer must map the {comb.d_sys}-level system to itself, "
-                f"got d_in={layer.d_in}, d_out={layer.d_out}"
-            )
     if not given:
         return [identity_channel(comb.d_sys) for _ in range(slots)]
     if len(given) == 1 and slots > 1:
-        return given * slots
-    if len(given) != slots:
-        raise CliError(f"need {slots} slot channels, got {len(given)}")
-    return given
+        given *= slots
+    return _check_layers(given, comb.teeth, comb.d_sys)
 
 
 def _emit(doc) -> None:
@@ -472,8 +428,6 @@ def cmd_vcp(args) -> int:
         if model2 is None and table2 is None:
             raise CliError("--spec2 must be an env_model or pauli_correlated spec")
         copy2 = comb2 if model2 is None else model2
-        if (comb2.teeth, comb2.d_sys) != (comb.teeth, comb.d_sys):
-            raise CliError("the two copies must describe the same process shape")
     layers = _resolve_layers(args, comb)
     rho = _parse_state(args.input, comb.d_sys)
     res = vcp_comb(copy1, copy2, layers, rho)
@@ -613,7 +567,7 @@ def main(argv=None) -> int:
         # in the Python docs of the signal module).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except CliError as exc:
+    except (CliError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

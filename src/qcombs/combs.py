@@ -21,8 +21,10 @@ import numpy as np
 from .channels import Channel, _tooth_choi, random_density_matrix, random_unitary, to_ptm
 from .linalg import (
     PsdReport,
+    ShapeError,
     check_shape,
     check_state,
+    check_unitary,
     is_hermitian,
     permute_wires,
     psd_check,
@@ -38,7 +40,7 @@ class Comb:
 
     ``choi_op`` lives on wires (in_1, out_1, ..., in_M, out_M), leftmost
     slowest, every wire of dimension ``d_sys``.  ``factor``, when given,
-    is a pair ``(a, s)`` of finite arrays, ``a`` of shape (d_sys**(2M), r)
+    is a pair ``(a, s)`` of arrays, ``a`` of shape (d_sys**(2M), r)
     and real signs ``s`` of length r, such that ``choi_op = a diag(s)
     a^dag``, so the operator is Hermitian by construction.  ``pauli``,
     when given, holds real weights p, one per Pauli label in label-index
@@ -47,7 +49,8 @@ class Comb:
     ``chi``, when given, is the process matrix itself, which
     :func:`comb_chi` returns; the comb keeps a read-only copy and takes no
     factor or weights beside it.  Every store may be given as an array or
-    a nested list.  A comb given no operator derives ``choi_op`` on first
+    a nested list, and must be finite; a store of the wrong shape raises
+    :class:`linalg.ShapeError`.  A comb given no operator derives ``choi_op`` on first
     access and keeps it, treating the comb as immutable.  A comb with a
     thin factor likewise keeps the Pauli coordinates of its columns once
     read (:func:`_thin_coords`), one more array the size of its factor.
@@ -62,37 +65,42 @@ class Comb:
                              "or its process matrix")
         if pauli is not None and factor is not None:
             raise ValueError("a Pauli comb holds only its weights, not a factor")
+        if chi is not None and (factor is not None or pauli is not None):
+            raise ValueError("a comb given its process matrix takes no factor or Pauli weights")
         if pauli is not None:
             pauli = np.asarray(pauli)
-            if pauli.shape != (d,) or np.iscomplexobj(pauli):
-                raise ValueError(f"a comb's Pauli weights must be {d} real numbers")
+            if pauli.shape != (d,):
+                raise ShapeError(f"a comb's Pauli weights must be {d} real numbers, "
+                                 f"got shape {pauli.shape}")
+            if np.iscomplexobj(pauli):
+                raise ValueError(f"a comb's Pauli weights must be {d} real numbers, not complex")
         if choi_op is not None:
             choi_op = np.asarray(choi_op)
             if choi_op.shape != (d, d):
-                raise ValueError(
+                raise ShapeError(
                     f"comb operator shape {choi_op.shape} does not match "
                     f"{teeth} teeth of dimension {d_sys}"
                 )
         if factor is not None:
             a, s = factor = tuple(map(np.asarray, factor))
             if a.ndim != 2 or a.shape[0] != d or s.shape != (a.shape[1],):
-                raise ValueError(
+                raise ShapeError(
                     f"comb factor shapes {a.shape} and {s.shape} do not match "
                     f"a ({d}, r) factor with r signs"
                 )
             if np.iscomplexobj(s):
                 raise ValueError("comb factor signs must be real")
-            if not (np.isfinite(a).all() and np.isfinite(s).all()):
-                raise ValueError("comb factor entries must be finite")
         if chi is not None:
-            if factor is not None or pauli is not None:
-                raise ValueError("a comb given its process matrix takes no factor or Pauli weights")
             chi = np.array(chi)
             if chi.shape != (d, d):
-                raise ValueError(f"comb process matrix shape {chi.shape} does not match "
+                raise ShapeError(f"comb process matrix shape {chi.shape} does not match "
                                  f"{teeth} teeth of dimension {d_sys}")
             qubit_count(d_sys)  # chi is over Pauli labels, so qubits only
             chi.setflags(write=False)
+        for what, x in (("operator", choi_op), ("Pauli weight", pauli), ("process matrix", chi),
+                        *(("factor", x) for x in factor or ())):
+            if x is not None and not np.isfinite(x).all():
+                raise ValueError(f"comb {what} entries must be finite")
         self.teeth, self.d_sys, self.factor, self.pauli, self.chi = teeth, d_sys, factor, pauli, chi
         self._choi_op, self._coords = choi_op, None
 
@@ -145,17 +153,19 @@ class EnvModel:
     interactions: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "interactions", tuple(np.asarray(u, dtype=complex) for u in self.interactions))
-        object.__setattr__(self, "env_init", np.asarray(self.env_init, dtype=complex))
-        if self.env_init.shape != (self.d_env, self.d_env):
-            raise ValueError("environment state has the wrong shape")
-        check_state(self.env_init, "environment state")
         d = self.d_sys * self.d_env
-        for u in self.interactions:
+        env_init = np.asarray(self.env_init, dtype=complex)
+        if env_init.shape != (self.d_env, self.d_env):
+            raise ShapeError(f"environment state shape {env_init.shape} does not match "
+                             f"d_env = {self.d_env}")
+        interactions = tuple(map(np.asarray, self.interactions))
+        for u in interactions:
             if u.shape != (d, d):
-                raise ValueError("interaction unitary has the wrong shape")
-            if not np.allclose(u.conj().T @ u, np.eye(d), rtol=0, atol=1e-9):
-                raise ValueError("interaction is not unitary")
+                raise ShapeError(f"interaction shape {u.shape} does not match d_sys*d_env = {d}")
+        check_state(env_init, "environment state")
+        object.__setattr__(self, "env_init", env_init)
+        object.__setattr__(self, "interactions",
+                           tuple(check_unitary(u, "interaction") for u in interactions))
 
     @property
     def teeth(self) -> int:
@@ -202,13 +212,13 @@ def markovian_comb(tooth_channels) -> Comb:
     """
     if not tooth_channels:
         raise ValueError("markovian_comb needs at least one tooth channel, got an empty list")
-    chois = []
-    d = tooth_channels[0].d_in
-    for ch in tooth_channels:
-        if ch.d_in != d or ch.d_out != d:
-            raise ValueError("tooth channels must share the system dimension")
-        chois.append(_tooth_choi(ch))
-    return Comb(choi_op=tensor(*chois), teeth=len(chois), d_sys=d)
+    dims = sorted({(ch.d_in, ch.d_out) for ch in tooth_channels})
+    if len(dims) != 1 or dims[0][0] != dims[0][1]:
+        raise ShapeError(
+            f"tooth channels must all map one system to itself, got (d_in, d_out) {dims}"
+        )
+    chois = [_tooth_choi(ch) for ch in tooth_channels]
+    return Comb(choi_op=tensor(*chois), teeth=len(chois), d_sys=dims[0][0])
 
 
 @dataclass(frozen=True)
@@ -435,10 +445,12 @@ def _check_layers(layers, teeth: int, d: int) -> list[Channel]:
     """The slot channels of a ``teeth``-tooth closing on dimension ``d``, checked, as a list."""
     layers = list(layers)
     if len(layers) != teeth - 1:
-        raise ValueError(f"expected {teeth - 1} slot channels, got {len(layers)}")
+        raise ShapeError(f"expected {teeth - 1} slot channels, got {len(layers)}")
     for ch in layers:
         if ch.d_in != d or ch.d_out != d:
-            raise ValueError("slot channel dimension does not match the process")
+            raise ShapeError(f"slot channel dimension does not match the process: a slot channel "
+                             f"must map the {d}-level system to itself, got d_in={ch.d_in}, "
+                             f"d_out={ch.d_out}")
     return layers
 
 

@@ -13,6 +13,11 @@ from math import prod
 import numpy as np
 
 
+class ShapeError(ValueError):
+    """An input whose shape, dimension or Pauli-label layout does not fit the
+    object it builds; malformed rather than unphysical input."""
+
+
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of any number of matrices (left factor slowest).
 
@@ -144,8 +149,20 @@ def check_shape(m, d: int, what: str) -> np.ndarray:
     list, after checking that it is d x d; ``what`` names it in the error."""
     m = np.asarray(m)
     if m.shape != (d, d):
-        raise ValueError(f"{what} shape {m.shape} does not match the system dimension {d}")
+        raise ShapeError(f"{what} shape {m.shape} does not match the system dimension {d}")
     return m
+
+
+def check_unitary(u, what: str) -> np.ndarray:
+    """``np.asarray(u, dtype=complex)`` after checking that it is a square
+    matrix (:class:`ShapeError` otherwise) with ``u^dag u = I`` to an
+    absolute 1e-9; ``what`` names it in the second error."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ShapeError(f"unitary must be a square matrix, got shape {u.shape}")
+    if not np.allclose(u.conj().T @ u, np.eye(len(u)), rtol=0, atol=1e-9):
+        raise ValueError(f"{what} is not unitary")
+    return u
 
 
 def check_state(rho: np.ndarray, what: str, tol: float = 1e-9) -> None:

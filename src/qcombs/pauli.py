@@ -14,7 +14,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .linalg import tensor
+from .linalg import ShapeError, tensor
 
 PAULI_LETTERS = "IXYZ"
 
@@ -32,16 +32,17 @@ def pauli_labels(n: int) -> list[str]:
 
 
 def label_index(label: str) -> int:
+    """The label's base-4 index; :class:`ShapeError` for a letter outside IXYZ."""
     idx = 0
     for ch in label:
-        idx = 4 * idx + PAULI_LETTERS.index(ch)
+        if (digit := PAULI_LETTERS.find(ch)) < 0:
+            raise ShapeError(f"bad Pauli label {label!r}: not a {len(label)}-qubit label over IXYZ")
+        idx = 4 * idx + digit
     return idx
 
 
 def pauli_matrix(label: str) -> np.ndarray:
-    for ch in label:
-        if ch not in PAULI_LETTERS:
-            raise ValueError(f"bad Pauli letter {ch!r} in {label!r}")
+    label_index(label)  # refuses a letter outside IXYZ
     return tensor(*(_SINGLE[ch] for ch in label))
 
 

@@ -15,7 +15,7 @@ from math import fsum, isfinite
 import numpy as np
 
 from .combs import Comb, EnvModel, _check_layers, _pauli_diag, comb_chi, comb_from_chi
-from .linalg import check_shape
+from .linalg import ShapeError, check_shape
 from .pauli import (
     _each_axis,
     commutation_signs,
@@ -62,7 +62,7 @@ class PauliDiagTable:
         """Refuse non-finite entries and clamp roundoff negatives of a vector
         in index order."""
         if p.shape != (4 ** (self.n_qubits * self.teeth),):
-            raise ValueError(f"a table of {self.teeth} teeth of {self.n_qubits} qubits "
+            raise ShapeError(f"a table of {self.teeth} teeth of {self.n_qubits} qubits "
                              f"needs {4 ** (self.n_qubits * self.teeth)} probabilities")
         if (bad := np.flatnonzero(~np.isfinite(p))).size:
             (key,) = _keys_of(bad[:1], self.teeth, self.n_qubits)
@@ -75,20 +75,18 @@ class PauliDiagTable:
     def _check_entries(self, probs: dict) -> tuple[np.ndarray, np.ndarray]:
         """Entry-by-entry check that words the first error in key order;
         returns each key's label index and clamped probability."""
-        clean = {}
+        q, clean = 4**self.n_qubits, {}
         for key, p in probs.items():
             key = tuple(key)
             if len(key) != self.teeth or any(len(lbl) != self.n_qubits for lbl in key):
-                raise ValueError(f"key {key} does not match {self.teeth} teeth "
+                raise ShapeError(f"key {key} does not match {self.teeth} teeth "
                                  f"of {self.n_qubits} qubits")
-            for lbl in key:
-                if any(ch not in "IXYZ" for ch in lbl):
-                    raise ValueError(f"bad Pauli label {lbl!r}")
+            index = reduce(lambda i, lbl: q * i + label_index(lbl), key, 0)
             if not isfinite(p):
                 raise ValueError(f"probability of {key} is not finite ({p})")
             if p < -_NEG_CLAMP:
                 raise ValueError(f"probability of {key} is negative ({p:.3e})")
-            clean[label_index("".join(key))] = max(float(p), 0.0)
+            clean[index] = max(float(p), 0.0)
         return np.array(list(clean), dtype=int), np.array(list(clean.values()))
 
     @cached_property

@@ -35,7 +35,7 @@ from .combs import (
     markovian_comb,
     simulate_env_model,
 )
-from .linalg import check_shape, choi_to_superop
+from .linalg import ShapeError, check_shape, choi_to_superop
 from .twirl import PauliDiagTable, _pauli_mixture
 
 
@@ -119,7 +119,7 @@ def vcp_comb(
     share one conversion of each slot channel.
     """
     if copy1.d_sys != copy2.d_sys or copy1.teeth != copy2.teeth:
-        raise ValueError("the two copies must describe the same process shape")
+        raise ShapeError("the two copies must describe the same process shape")
     d, rho = copy1.d_sys, check_shape(rho, copy1.d_sys, "input state")
     slots = _Slots(copy1, layers)
     if isinstance(copy1, EnvModel) and isinstance(copy2, EnvModel):

@@ -100,6 +100,24 @@ def test_wrong_layer_count_is_exit_2(capsys):
     assert "slot channels" in capsys.readouterr().err
 
 
+_ONE_TOOTH = {
+    "pec": json.dumps({"kind": "markovian", "payload": {"channels": [{"name": "x"}]}}),
+    "vcp": json.dumps({"kind": "pauli_correlated", "payload": {"probs": {"I": 0.9, "X": 0.1}}}),
+    "oracle": json.dumps({"kind": "env_model", "payload": {
+        "d_env": 2, "env_init": [[1, 0], [0, 0]], "interactions": [np.eye(4).tolist()]}}),
+}
+
+
+@pytest.mark.parametrize("command", list(_ONE_TOOTH))
+def test_one_layer_on_a_one_tooth_spec_is_exit_2(capsys, command):
+    """One --layer fills every slot only when there are two or more; a
+    one-tooth spec has no slot, so the layer is one too many."""
+    assert main([command, _ONE_TOOTH[command], "--layer", "h"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected 0 slot channels, got 1\n"
+
+
 @pytest.mark.parametrize(
     "command, spec",
     [("oracle", ENV_RANDOM), ("pec", MARKOVIAN)],
@@ -108,7 +126,7 @@ def test_wrong_layer_count_is_exit_2(capsys):
 def test_wrong_layer_dimension_is_exit_2(capsys, command, spec):
     assert main([command, spec, "--layer", json.dumps(np.eye(3).tolist())]) == 2
     err = capsys.readouterr().err
-    assert "--layer must map the 2-level system to itself" in err
+    assert "a slot channel must map the 2-level system to itself, got d_in=3, d_out=3" in err
     assert "Traceback" not in err
 
 
@@ -309,22 +327,24 @@ def test_wrong_typed_payload_is_exit_2(capsys, spec, message):
         (_inline("markovian", {"channels": [{"name": "x"}]}, teeth="two"),
          "teeth must be an integer"),
         (_inline("env_model", {**_ENV_PAYLOAD, "interactions": [np.eye(2).tolist()]}),
-         "each interaction 4x4"),
-        (_inline("env_model", {**_ENV_PAYLOAD, "env_init": [[1]]}), "env_init must be 2x2"),
-        (_inline("pauli_correlated", {"probs": {"Q:I": 1.0}}), "'Q' is not a 1-qubit label"),
+         "interaction shape (2, 2) does not match d_sys*d_env = 4"),
+        (_inline("env_model", {**_ENV_PAYLOAD, "env_init": [[1]]}),
+         "environment state shape (1, 1) does not match d_env = 2"),
+        (_inline("pauli_correlated", {"probs": {"Q:I": 1.0}}),
+         "bad Pauli label 'Q': not a 1-qubit label over IXYZ"),
         (_inline("markovian", {"channels": [{"name": "pauli", "probs": {"I": 0.5, "Q": 0.5}}]}),
-         "'Q' is not a 1-qubit label"),
+         "bad Pauli label 'Q': not a 1-qubit label over IXYZ"),
         (_inline("pauli_correlated", {"probs": {"X:I": 1.0}}, d_sys=3),
          "d_sys must be a power of two"),
         (_inline("pauli_correlated", {"probs": {"X:I": 1.0}}, d_sys=1),
          "d_sys must be a power of two of at least 2, got 1"),
         (_inline("markovian", {"channels": [{"choi": np.eye(3).tolist()}]}),
-         "choi must be a d^2 x d^2 matrix"),
+         "Choi matrix shape (3, 3) does not match d_out*d_in = 4"),
         (_inline("markovian", {"channels": [{"name": "identity", "d": 2},
                                             {"name": "identity", "d": 3}]}),
-         "markovian channels must all map one system to itself"),
+         "tooth channels must all map one system to itself, got (d_in, d_out) [(2, 2), (3, 3)]"),
         (_inline("markovian", {"channels": [{"kraus": [np.eye(2).tolist(), np.eye(3).tolist()]}]}),
-         "kraus operators must share one shape"),
+         "Kraus operators must be matrices of one shape, got [(2, 2), (3, 3)]"),
         (_inline("markovian", {"channels": [{"unitary": [[1, 0, 0], [0, 1, 0]]}]}),
          "unitary must be a square matrix"),
         (_inline("markovian", {"channels": [[[1, 0, 0], [0, 1, 0]]]}),
@@ -403,7 +423,7 @@ def test_pec_wrong_size_observable_is_exit_2(capsys):
     eye3 = json.dumps(np.eye(3).tolist())
     assert main(["pec", MARKOVIAN, "--observable", eye3]) == 2
     err = capsys.readouterr().err
-    assert "observable must be a 2x2 matrix" in err
+    assert "observable shape (3, 3) does not match the system dimension 2" in err
     assert "matmul" not in err
 
 
@@ -415,7 +435,8 @@ def test_pec_ragged_observable_is_exit_2(capsys):
 def test_pec_wrong_size_input_is_exit_2(capsys):
     state3 = json.dumps(np.diag([1.0, 0.0, 0.0]).tolist())
     assert main(["pec", MARKOVIAN, "--input", state3]) == 2
-    assert "input state must be a 2x2 matrix" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input state shape (3, 3) does not match the system dimension 2" in err
 
 
 def test_version_flag(capsys):

@@ -77,6 +77,23 @@ def test_comb_refuses_a_factor_that_is_not_finite(where, bad):
         Comb(teeth=3, d_sys=2, factor=(a, s))
 
 
+@pytest.mark.parametrize(
+    "stores, what",
+    [
+        ({"choi_op": np.full((4, 4), np.nan)}, "operator"),
+        ({"choi_op": np.diag([np.inf, 0.0, 0.0, 1.0])}, "operator"),
+        ({"pauli": [np.nan, 0.0, 0.0, 1.0]}, "Pauli weight"),
+        ({"chi": np.diag([1.0, 0.0, 0.0, -np.inf])}, "process matrix"),
+    ],
+    ids=["operator_nan", "operator_inf", "pauli_nan", "chi_inf"],
+)
+def test_comb_refuses_every_store_that_is_not_finite(stores, what):
+    """No store reaches validate_comb with a NaN, where eigvalsh would fail
+    or a NaN residual would read as a verdict."""
+    with pytest.raises(ValueError, match=f"comb {what} entries must be finite"):
+        validate_comb(Comb(teeth=1, d_sys=2, **stores))
+
+
 @pytest.mark.parametrize("eps, ok", [(5e-6, False), (1e-12, True)])
 def test_env_model_unitarity_tolerance_is_absolute(eps, ok):
     """U^dag U = diag(1 + eps, 1, 1, 1): 5e-6 is inside numpy's default

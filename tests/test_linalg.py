@@ -12,7 +12,12 @@ from dense_reference import (
     trace_distance,
     trace_norm,
 )
+from qcombs.channels import Channel, from_kraus, identity_channel, pauli_channel, unitary_channel
+from qcombs.combs import Comb, EnvModel, apply_comb, markovian_comb
 from qcombs.linalg import (
+    ShapeError,
+    check_shape,
+    check_unitary,
     choi_to_superop,
     is_hermitian,
     partial_trace,
@@ -22,6 +27,9 @@ from qcombs.linalg import (
     superop_to_choi,
     tensor,
 )
+from qcombs.pauli import label_index
+from qcombs.twirl import PauliDiagTable
+from qcombs.vcp import vcp_comb
 
 
 def rand_matrix(rng, d):
@@ -291,3 +299,58 @@ def test_choi_superop_action_matches_kraus_sum():
     s = choi_to_superop(choi, 2, 2)
     s_direct = sum(np.kron(k, k.conj()) for k in kraus)
     assert np.allclose(s, s_direct)
+
+
+# ---------------------------------------------------------------------------
+# shape refusals
+
+
+def _comb2(**stores):
+    return Comb(teeth=2, d_sys=2, **stores)
+
+
+_ENV = {"d_sys": 2, "d_env": 2, "env_init": np.eye(2) / 2, "interactions": (np.eye(4),)}
+_TWO_TEETH = markovian_comb([identity_channel(2)] * 2)
+
+SHAPE_REFUSALS = {
+    "check_shape": lambda: check_shape(np.eye(3), 2, "input state"),
+    "channel_choi": lambda: Channel(choi=np.eye(3), d_in=2, d_out=2),
+    "kraus_shapes": lambda: from_kraus([np.eye(2), np.eye(3)]),
+    "kraus_vector": lambda: from_kraus([np.ones(2)]),
+    "unitary_not_square": lambda: unitary_channel(np.ones((2, 3))),
+    "label_letter": lambda: label_index("Q"),
+    "pauli_channel_letter": lambda: pauli_channel({"Q": 1.0}),
+    "pauli_channel_lengths": lambda: pauli_channel({"I": 0.5, "XX": 0.5}),
+    "comb_operator": lambda: _comb2(choi_op=np.eye(8)),
+    "comb_factor": lambda: _comb2(factor=(np.ones((8, 2)), np.ones(2))),
+    "comb_pauli": lambda: _comb2(pauli=np.ones(4) / 4),
+    "comb_chi": lambda: _comb2(chi=np.eye(4)),
+    "env_init": lambda: EnvModel(**{**_ENV, "env_init": np.eye(3) / 3}),
+    "env_interaction": lambda: EnvModel(**{**_ENV, "interactions": (np.eye(2),)}),
+    "markovian_dimensions": lambda: markovian_comb([identity_channel(2), identity_channel(3)]),
+    "layer_count": lambda: apply_comb(_TWO_TEETH, [], np.eye(2) / 2),
+    "layer_dimension": lambda: apply_comb(_TWO_TEETH, [identity_channel(3)], np.eye(2) / 2),
+    "table_key": lambda: PauliDiagTable({("I",): 1.0}, teeth=2, n_qubits=1),
+    "table_letter": lambda: PauliDiagTable({("I", "Q"): 1.0}, teeth=2, n_qubits=1),
+    "table_vector": lambda: PauliDiagTable(np.ones(4) / 4, teeth=2, n_qubits=1),
+    "vcp_copies": lambda: vcp_comb(_TWO_TEETH, markovian_comb([identity_channel(2)]), [],
+                                   np.eye(2) / 2),
+}
+
+
+@pytest.mark.parametrize("build", SHAPE_REFUSALS.values(), ids=SHAPE_REFUSALS.keys())
+def test_every_shape_refusal_is_a_shape_error(build):
+    """Each library check of a shape, dimension or Pauli-label layout raises
+    ShapeError, which callers that catch ValueError still catch."""
+    with pytest.raises(ShapeError) as info:
+        build()
+    assert isinstance(info.value, ValueError)
+
+
+def test_check_unitary_refuses_a_non_square_matrix_before_unitarity():
+    with pytest.raises(ShapeError, match=r"unitary must be a square matrix, got shape \(4,\)"):
+        check_unitary(np.ones(4), "interaction")
+    with pytest.raises(ValueError, match="interaction is not unitary") as info:
+        check_unitary(np.diag([np.sqrt(1 + 5e-6), 1.0]), "interaction")
+    assert not isinstance(info.value, ShapeError)
+    assert check_unitary(np.diag([np.sqrt(1 + 1e-12), 1.0]), "interaction").dtype == complex

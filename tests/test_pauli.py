@@ -33,7 +33,7 @@ def test_pauli_matrix_values():
 
 
 def test_pauli_matrix_rejects_bad_letter():
-    with pytest.raises(ValueError, match="bad Pauli letter"):
+    with pytest.raises(ValueError, match="bad Pauli label 'XQ': not a 2-qubit label over IXYZ"):
         pauli_matrix("XQ")
 
 
