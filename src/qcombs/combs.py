@@ -32,7 +32,7 @@ from .linalg import (
     tensor,
 )
 from .pauli import (_each_axis, _pair_order, _pauli_coords, commutation_signs, pauli_basis,
-                    qubit_count, tooth_basis, tooth_kernel, tooth_sandwich)
+                    qubit_count, tooth_basis, tooth_kernel, tooth_ptm, tooth_sandwich)
 
 
 class Comb:
@@ -53,7 +53,8 @@ class Comb:
     :class:`linalg.ShapeError`.  A comb given no operator derives ``choi_op`` on first
     access and keeps it, treating the comb as immutable.  A comb with a
     thin factor likewise keeps the Pauli coordinates of its columns once
-    read (:func:`_thin_coords`), one more array the size of its factor.
+    read (:func:`_thin_coords`), one more array the size of its factor, and
+    every comb keeps its transfer matrix once read (:func:`_comb_ptm`).
     """
 
     def __init__(self, choi_op: np.ndarray | None = None, *, teeth: int, d_sys: int,
@@ -102,7 +103,7 @@ class Comb:
             if x is not None and not np.isfinite(x).all():
                 raise ValueError(f"comb {what} entries must be finite")
         self.teeth, self.d_sys, self.factor, self.pauli, self.chi = teeth, d_sys, factor, pauli, chi
-        self._choi_op, self._coords = choi_op, None
+        self._choi_op, self._coords, self._ptm = choi_op, None, None
 
     @property
     def choi_op(self) -> np.ndarray:
@@ -404,6 +405,25 @@ def comb_chi(comb: Comb) -> np.ndarray:
     return tooth_sandwich(comb.choi_op, comb.teeth, comb.d_sys) / scale
 
 
+def _comb_ptm(comb: Comb) -> np.ndarray:
+    """Transfer matrix R[a, b] = Tr[G_a E(G_b)] / d**M of the channel form E,
+    kept read-only on the comb once read: ``diag(f)`` for a Pauli comb's
+    fidelities f, with no operator formed, and :func:`pauli.tooth_ptm` of the
+    operator for every other comb."""
+    if comb._ptm is None:
+        comb._ptm = (np.diag(_pauli_fidelities(comb)) if comb.pauli is not None
+                     else tooth_ptm(comb.choi_op, comb.teeth, comb.d_sys))
+        comb._ptm.setflags(write=False)
+    return comb._ptm
+
+
+def _pauli_fidelities(comb: Comb) -> np.ndarray:
+    """f = S^(x nM) p for a Pauli comb's weights p: a tooth conjugates by G_a
+    with probability p[a], which multiplies Pauli coordinate b by the
+    commutation sign S[a, b], contracted one qubit at a time."""
+    return _each_axis(comb.pauli, commutation_signs(1), qubit_count(comb.d_sys) * comb.teeth)[0]
+
+
 def comb_from_chi(chi: np.ndarray, teeth: int, d_sys: int) -> Comb:
     """The comb whose channel form has process matrix ``chi``, holding a
     read-only copy of it.
@@ -454,11 +474,11 @@ def _check_layers(layers, teeth: int, d: int) -> list[Channel]:
     return layers
 
 
-def _plugs(chois: np.ndarray, d: int) -> np.ndarray:
-    """Slot Choi matrices, one or a stack (n, d*d, d*d), as one :func:`_close`
-    plug stack.  A Choi matrix lives on (out, in) = (in_{m+2}, out_{m+1}), and
-    the plug on (out_{m+1}, in_{m+2}); swapping the two wires costs d^4 entries."""
-    return chois.reshape(-1, d, d, d, d).transpose(0, 2, 1, 4, 3).reshape(-1, d * d, d * d)
+def _plug(choi: np.ndarray, d: int) -> np.ndarray:
+    """A slot's Choi matrix as its :func:`_close` plug.  The Choi matrix lives on
+    (out, in) = (in_{m+2}, out_{m+1}), and the plug on (out_{m+1}, in_{m+2});
+    swapping the two wires costs d^4 entries."""
+    return choi.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
 class _Slots:
@@ -472,9 +492,9 @@ class _Slots:
 
     @property
     def plugs(self) -> list[np.ndarray]:
-        """One-plug stacks (:func:`_plugs`) in :func:`_close` order."""
+        """Plugs (:func:`_plug`) in :func:`_close` order."""
         if self._plug_list is None:
-            self._plug_list = [_plugs(layer.choi, layer.d_in) for layer in self.layers]
+            self._plug_list = [_plug(layer.choi, layer.d_in) for layer in self.layers]
         return self._plug_list
 
     @property
@@ -485,34 +505,25 @@ class _Slots:
         return self._ptm_list
 
 
-def _close(comb: Comb, first: np.ndarray | None, slots) -> np.ndarray:
-    """Link product of the comb with stacks of plugs, leading plug first.
-
-    ``first`` is a stack (n_0, d, d) of operators on in_1, and ``slots[m]``
-    a stack (n_{m+1}, d*d, d*d) of operators on the wire pair
-    (out_{m+1}, in_{m+2}), out first, rows then columns.  Closing is
+def _close(comb: Comb, rho: np.ndarray | None, plugs) -> np.ndarray:
+    """Link product of a dense comb with ``rho`` on in_1 and ``plugs[m]`` on
+    the wire pair (out_{m+1}, in_{m+2}), out first, rows then columns:
     Tr[C S] with S the transposed plugs, so a plug's row index meets the
-    comb's row index.  Returns shape (d, d, n_0, ..., n_{M-1}): the out_M
-    row and column, then one axis per stack.  With ``first=None`` in_1
-    stays open and its row and column take the place of n_0.
-
-    in_1 is the slowest wire of the rows and of the columns, so the first
-    stack contracts into the comb as stored, with no copy of the comb.
-    What is left has the next slot's pair as its slowest wires, so each
-    slot stack contracts in the same way, by one tensordot on an operator
-    already d^2 times smaller than the comb.
+    comb's.  Returns the out_M row and column, then, with ``rho=None``, those
+    of in_1, which stays open.  in_1 is the slowest wire of the rows and of
+    the columns, so ``rho`` contracts into the comb as stored, with no copy.
+    What is left has the next slot's pair as its slowest wires, so each plug
+    contracts in the same way, by one tensordot on an operator d^2 times
+    smaller.
     """
     d = comb.d_sys
     x = comb.choi_op.shape[0] // d
     c = comb.choi_op.reshape(d, x, d, x)
-    if first is None:
-        t = c.transpose(1, 3, 0, 2)
-    else:
-        t = np.einsum("aybz,nab->yzn", c, first)
-    for plug in slots:
+    t = c.transpose(1, 3, 0, 2) if rho is None else np.einsum("aybz,ab->yz", c, rho)
+    for plug in plugs:
         x //= d * d
         t = t.reshape((d * d, x, d * d, x) + t.shape[2:])
-        t = np.tensordot(t, plug, axes=([0, 2], [1, 2]))
+        t = np.tensordot(t, plug, axes=([0, 2], [0, 1]))
     return t
 
 
@@ -546,7 +557,7 @@ def _close_factor(
     else:
         x, lead = rho.T @ a.reshape(d, -1), d
     for plug in plugs:
-        x = np.matmul(plug[0].T, x.reshape(lead, d * d, -1))
+        x = np.matmul(plug.T, x.reshape(lead, d * d, -1))
         lead *= d * d
     # Axes: the wires closed on both sides, the open ones (out_M, then
     # in_1 when it is open) and the factor's columns.
@@ -557,9 +568,7 @@ def _close_factor(
 def _pauli_close(comb: Comb, rho: np.ndarray | None, ptms) -> np.ndarray:
     """Close a Pauli-diagonal comb in Pauli coordinates, forming no operator.
 
-    A tooth conjugates by G_a with probability p[a], which multiplies
-    Pauli coordinate b by the commutation sign S[a, b], so the teeth act
-    through f = S^(x M) p, contracted one qubit at a time.  With
+    The teeth act through the fidelities f (:func:`_pauli_fidelities`).  With
     ``L_m = ptms[m - 1]``, the slot channels' transfer matrices
     (:attr:`_Slots.ptms`), and ``r_0[b] = Tr[G_b rho]``,
 
@@ -573,7 +582,7 @@ def _pauli_close(comb: Comb, rho: np.ndarray | None, ptms) -> np.ndarray:
     """
     n, d = qubit_count(comb.d_sys), comb.d_sys
     q, g = 4**n, np.array(pauli_basis(n))
-    f = _each_axis(comb.pauli, commutation_signs(1), n * comb.teeth)
+    f = _pauli_fidelities(comb)
     first = np.eye(q) if rho is None else np.einsum("bij,ji->b", g, rho)[:, None]
     x = first.T[:, :, None] * f.reshape(q, -1)  # (in_1 column, b_m, b_(m+1)..b_M)
     for ptm in ptms:
@@ -596,10 +605,9 @@ def _closed(comb: Comb, slots: _Slots, rho: np.ndarray | None) -> np.ndarray:
     if (factor := _thin_factor(comb)) is not None:
         return _close_factor(*factor, d, rho, slots.plugs)
     if rho is not None:
-        return _close(comb, rho[None], slots.plugs).reshape(d, d)
-    # t[a, b, i, j] is the Choi entry for out_M = (a, b), in_1 = (i, j).
-    t = _close(comb, None, slots.plugs)
-    return t.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        return _close(comb, rho, slots.plugs)
+    # The Choi entry for out_M = (a, b), in_1 = (i, j) is at [a, b, i, j].
+    return _close(comb, None, slots.plugs).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def _close_product(c1: Comb, c2: Comb, slots: _Slots, rho: np.ndarray) -> np.ndarray:

@@ -30,9 +30,9 @@ from .channels import (
     to_ptm,
     unitary_channel,
 )
-from .combs import Comb, _check_layers, _close, _plugs
-from .linalg import check_shape, choi_to_superop, partial_trace, psd_check, superop_to_choi
-from .pauli import _each_axis, _pair_order, pauli_matrix, qubit_count, tooth_ptm
+from .combs import Comb, _comb_ptm, _Slots
+from .linalg import check_shape, partial_trace, psd_check
+from .pauli import _each_axis, _pair_order, pauli_basis, pauli_matrix, qubit_count
 
 SINGULAR_VALUE_FLOOR = 1e-10
 ALPHA_CLEAN = 1e-12
@@ -73,17 +73,6 @@ class BasisOpSet:
         """``inv(ptm_stack.T)``: maps a flattened transfer matrix to its
         weights over the operations (read-only)."""
         return _read_only(np.linalg.inv(self.ptm_stack.T))
-
-    @cached_property
-    def choi_stack(self) -> np.ndarray:
-        """Choi matrices of the operations, stacked (read-only)."""
-        return _read_only(np.array([op.choi for op in self.ops]))
-
-    @cached_property
-    def superop_stack(self) -> np.ndarray:
-        """Superoperators of the operations, stacked (read-only)."""
-        d = 2**self.n_qubits
-        return _read_only(choi_to_superop(self.choi_stack, d, d))
 
     def __len__(self):
         return len(self.ops)
@@ -248,9 +237,8 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
     """Quasi-probability weights cancelling the comb's channel form.
 
     The comb is read as one channel from all inputs to all outputs.  Its
-    transfer matrix comes off the comb's wires by one realignment
-    transpose and the per-tooth Pauli sandwich (:func:`pauli.tooth_ptm`),
-    is inverted, and the inverse is expanded over tensor products of basis
+    transfer matrix, which the comb keeps (:func:`combs._comb_ptm`), is
+    inverted, and the inverse is expanded over tensor products of basis
     operations by one matmul per tooth axis with the basis's cached
     ``ptm_dual``.  Raises SingularNoiseError when the smallest singular
     value of the transfer matrix is at most SINGULAR_VALUE_FLOOR times the
@@ -265,7 +253,7 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
         raise ValueError(
             f"basis acts on {basis.n_qubits} qubit(s) but the comb's system has {n}"
         )
-    r = _read_only(tooth_ptm(comb.choi_op, comb.teeth, comb.d_sys))
+    r = _comb_ptm(comb)
     r_inv = _checked_inverse(r)
 
     q, m_teeth = 4**n, comb.teeth
@@ -299,25 +287,12 @@ def _term_values(
     rho: np.ndarray,
     observable: np.ndarray,
 ) -> np.ndarray:
-    """Expectation value of every insertion pattern, in one contraction.
-
-    A closed comb's value is Tr[C S] with S the tensor product of the
-    plugs, which is multilinear in them: the input state on in_1, the
-    map (layer after operation) on each slot's wires (out_m, in_{m+1}),
-    and the observable seen through the last operation, op^dag(O), on
-    out_M.  Stacking each slot's plug over all operations turns the whole
-    table into one closing of the comb, leading plug first, and one last
-    tensordot, which keeps M=4-5 teeth and two-qubit systems
-    (256 operations) cheap.  The inserted operations are the
-    decomposition's own basis, read through its cached Choi and
-    superoperator stacks.
-
-    Each comb's last table is kept, read-only, in ``_TERM_MEMO``, and
-    dies with the comb.  The table depends on
-    the basis but not on alpha, so a call with the same basis and slot
-    channels (both by identity) and an equal input state and observable
-    (by value, compared against copies) returns it after the argument
-    checks, for any decomposition over that basis.
+    """Expectation value of every insertion pattern of the decomposition's own
+    basis, in one contraction (:func:`_term_table`).  Each comb's last table
+    is kept, read-only, in ``_TERM_MEMO`` and dies with the comb.  It depends
+    on the basis but not on alpha, so a call with the same basis and slot
+    channels (both by identity) and an equal input state and observable (by
+    value, compared against copies) returns it after the argument checks.
     """
     n_qubits = qubit_count(comb.d_sys)
     if (decomp.teeth, decomp.n_qubits) != (comb.teeth, n_qubits):
@@ -325,25 +300,38 @@ def _term_values(
             f"decomposition is for {decomp.teeth} teeth on {decomp.n_qubits} qubit(s) "
             f"but the comb has {comb.teeth} teeth on {n_qubits} qubit(s)"
         )
-    d = comb.d_sys
-    layers = _check_layers(layers, comb.teeth, d)
-    rho, observable = check_shape(rho, d, "input state"), check_shape(observable, d, "observable")
-    key = (decomp.basis, tuple(layers), np.array(rho), np.array(observable))
+    slots = _Slots(comb, layers)
+    rho = check_shape(rho, comb.d_sys, "input state")
+    observable = check_shape(observable, comb.d_sys, "observable")
+    key = (decomp.basis, tuple(slots.layers), np.array(rho), np.array(observable))
     if (memo := _TERM_MEMO.get(comb)) is not None and _same_terms(memo[0], key):
         return memo[1]
-    # Each slot's stack is the layer's superoperator times those of all
-    # operations in one matmul, back to Choi matrices and into the comb's
-    # plugs.  op^dag(O) enters transposed ("nij" below), as the effect
-    # plug on out_M.
-    n = len(decomp.basis)
-    chois, superops = decomp.basis.choi_stack, decomp.basis.superop_stack
-    slots = [_plugs(superop_to_choi(choi_to_superop(layer.choi, d, d) @ superops, d, d), d)
-             for layer in layers]
-    values = _close(comb, rho[None], slots)
-    heisenberg = np.einsum("ba,naibj->nij", observable, chois.reshape(n, d, d, d, d))
-    values = np.tensordot(values, heisenberg, axes=([0, 1], [1, 2]))
-    _TERM_MEMO[comb] = key, _read_only(values.reshape((n,) * comb.teeth).real)
+    _TERM_MEMO[comb] = key, _read_only(_term_table(comb, decomp.basis, slots, rho, observable))
     return _TERM_MEMO[comb][1]
+
+
+def _term_table(comb: Comb, basis: BasisOpSet, slots: _Slots, rho: np.ndarray,
+                observable: np.ndarray) -> np.ndarray:
+    """The table of :func:`_term_values` in Pauli-transfer coordinates.
+
+    A closed comb's value is multilinear in its plugs; in Pauli coordinates
+    it is ``sum R[a, b] r_0[b_1] T_1[b_2, a_1] ... T_(M-1)[b_M, a_(M-1)] o[a_M] / d``
+    for the comb's transfer matrix R (:func:`combs._comb_ptm`), with output
+    labels a and input labels b, ``r_0[b] = Tr[G_b rho]``, T_m the transfer
+    matrix of slot m's map (layer after operation) and ``o[a] = Tr[O G_a]``
+    seen through the last operation.  Each slot's T stacked over all
+    operations, ``to_ptm(layer) @ ptm_stack``, closes one slot of R at a time.
+    """
+    m_teeth, g = comb.teeth, np.array(pauli_basis(basis.n_qubits))
+    q = len(g)
+    ops = basis.ptm_stack.reshape(len(basis), q, q)
+    x = np.einsum("bij,ji->b", g, rho) @ _comb_ptm(comb).reshape(q**m_teeth, q, -1)
+    x = x.reshape((q,) * (2 * m_teeth - 1))
+    for m, ptm in enumerate(slots.ptms):
+        # Axes (a_(m+1)..a_M, b_(m+2)..b_M, k_1..k_m); slot m+1 closes a_(m+1) and b_(m+2).
+        x = np.tensordot(x, ptm @ ops, axes=([0, m_teeth - m], [2, 1]))
+    o = np.einsum("ij,aji->a", observable, g) @ ops / comb.d_sys
+    return np.tensordot(x, o, axes=(0, 1)).real
 
 
 def _same_terms(a: tuple, b: tuple) -> bool:
@@ -390,7 +378,7 @@ def pec_sample(
     (:func:`_term_values`), so on the same inputs it is computed
     once for both.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 2:
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 2:
         raise ValueError(f"shots must be an integer of at least 2, got {shots!r}")
     rng = rng or np.random.default_rng()
     values = _term_values(comb, decomp, layers, rho, observable)

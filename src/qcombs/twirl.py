@@ -170,7 +170,7 @@ def sampled_twirl(
     (:func:`comb_from_chi`), so a dilation, whose chi is read from its
     factor, is twirled with no operator formed.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
     rng = rng or np.random.default_rng()
     n = qubit_count(comb.d_sys)

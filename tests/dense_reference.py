@@ -8,7 +8,7 @@ import numpy as np
 
 from qcombs.channels import Channel, from_kraus
 from qcombs.combs import choi_channel
-from qcombs.linalg import choi_to_superop, permute_wires, psd_check, tensor
+from qcombs.linalg import choi_to_superop, permute_wires, psd_check, superop_to_choi, tensor
 from qcombs.pauli import (_pair_order, commutation_signs, pauli_basis, pauli_matrix, qubit_count,
                           tooth_basis)
 from qcombs.pec import ALPHA_CLEAN
@@ -235,6 +235,31 @@ def solved_alpha(comb, basis) -> np.ndarray:
         alpha = np.moveaxis(solved.reshape(moved.shape), 0, ax)
     peak = np.abs(alpha).max()
     return np.where(np.abs(alpha) < ALPHA_CLEAN * peak, 0.0, alpha)
+
+
+def term_table(comb, basis, layers, rho, observable) -> np.ndarray:
+    """The value of every PEC insertion pattern by a link product on the comb's wires.
+
+    Each slot's stack of (layer after operation) maps is one matmul of
+    superoperators, turned back into Choi matrices on (in_{m+2}, out_{m+1})
+    and swapped into plugs on (out_{m+1}, in_{m+2}).  The input state and
+    then each stack contract into the dense operator, slowest wires first,
+    and the observable seen through the last operation, op^dag(O), closes
+    out_M.
+    """
+    d, n = comb.d_sys, len(basis)
+    chois = np.array([op.choi for op in basis.ops])
+    superops = choi_to_superop(chois, d, d)
+    x = d ** (2 * comb.teeth - 1)
+    t = np.einsum("aybz,ab->yz", comb.choi_op.reshape(d, x, d, x), rho)
+    for layer in layers:
+        stack = superop_to_choi(choi_to_superop(layer.choi, d, d) @ superops, d, d)
+        plugs = stack.reshape(n, d, d, d, d).transpose(0, 2, 1, 4, 3).reshape(n, d * d, d * d)
+        x //= d * d
+        t = np.tensordot(t.reshape((d * d, x, d * d, x) + t.shape[2:]), plugs,
+                         axes=([0, 2], [1, 2]))
+    heisenberg = np.einsum("ba,naibj->nij", observable, chois.reshape(n, d, d, d, d))
+    return np.tensordot(t, heisenberg, axes=([0, 1], [1, 2])).real
 
 
 # Pauli-table arithmetic on the keyed view, entry by entry in key order,

@@ -595,17 +595,17 @@ def test_pec_with_shots_computes_the_term_table_once(capsys, monkeypatch):
     """The exact value and the sampled estimate come from one table, and
     equal what pec_correct_exact and pec_sample return on a fresh comb."""
     closings, calls = [], []
-    close = pec._close
+    table = pec._term_table
 
-    def counting_close(*args):
+    def counting_table(*args):
         closings.append(args)
-        return close(*args)
+        return table(*args)
 
     def recording_exact(*args):
         calls.append(args)
         return pec.pec_correct_exact(*args)
 
-    monkeypatch.setattr(pec, "_close", counting_close)
+    monkeypatch.setattr(pec, "_term_table", counting_table)
     monkeypatch.setattr(cli, "pec_correct_exact", recording_exact)
     code, doc = run_cli(
         capsys, "--seed", "3", "pec", MARKOVIAN, "--layer", "h", "--observable", "x", "--shots", "400"
@@ -769,6 +769,20 @@ def test_default_seed_makes_repeat_runs_identical():
     second = run_subprocess("pec", PAULI, "--shots", "50")
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array"),
+     "error: Unable to allocate 74.5 GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_out_of_memory_is_one_error_line_and_exit_1(capsys, monkeypatch, exc, message):
+    def exhausted(arg):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_spec", exhausted)
+    assert main(["validate", MARKOVIAN]) == 1
+    assert capsys.readouterr() == ("", message)
 
 
 def test_closed_stdout_exits_1_without_traceback():

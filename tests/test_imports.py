@@ -177,6 +177,22 @@ def test_only_combs_reads_how_a_comb_is_stored():
     assert not set(imported_names(vcp)) & VCP_CLOSERS
 
 
+# The plug wire order, and the dense closing that reads it, are combs.py's too.
+PLUG_HELPERS = {"_close", "_plug"}
+
+
+def test_only_combs_knows_the_plug_wire_order():
+    found = {
+        f"{module}:{name}"
+        for module, tree in package_trees().items()
+        if module != "combs.py"
+        for name in read_names(tree) & PLUG_HELPERS
+    }
+    assert not found, f"plug helpers read outside combs.py: {found}"
+    caller = ast.parse("from .combs import _plug\n\ndef close(c):\n    return combs._close(c)\n")
+    assert read_names(caller) & PLUG_HELPERS == PLUG_HELPERS
+
+
 def test_detects_a_store_read():
     tree = ast.parse(
         "from .combs import _thin_factor\n\n"

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dense_reference import completely_depolarizing, solved_alpha
+from dense_reference import completely_depolarizing, solved_alpha, term_table
 from qcombs.channels import (
     Channel,
     apply,
@@ -21,11 +21,13 @@ from qcombs.channels import (
     pauli_channel,
     random_channel,
     random_density_matrix,
+    to_ptm,
     unitary_channel,
 )
 from qcombs import pec
 from qcombs.combs import (
     Comb,
+    _comb_ptm,
     apply_comb,
     comb_from_env_model,
     markovian_comb,
@@ -33,6 +35,7 @@ from qcombs.combs import (
 )
 from qcombs.linalg import permute_wires
 from qcombs.pauli import pauli_basis, pauli_matrix, tooth_ptm
+from qcombs.twirl import twirl_comb
 from qcombs.pec import (
     SINGULAR_VALUE_FLOOR,
     BasisOpSet,
@@ -288,7 +291,7 @@ def test_alpha_matches_per_axis_solves(teeth, n_sys, seed):
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_basis_stacks_are_cached_and_read_only(n_qubits):
     basis = default_basis(n_qubits)
-    for name in ("ptm_dual", "choi_stack", "superop_stack"):
+    for name in ("ptm_stack", "ptm_dual"):
         arr = getattr(basis, name)
         assert arr is getattr(basis, name)
         assert not arr.flags.writeable
@@ -296,7 +299,7 @@ def test_basis_stacks_are_cached_and_read_only(n_qubits):
             arr[0, 0] = 0.0
     k = len(basis)
     assert np.abs(basis.ptm_dual @ basis.ptm_stack.T - np.eye(k)).max() < 1e-12
-    assert np.array_equal(basis.choi_stack, [op.choi for op in basis.ops])
+    assert np.array_equal(basis.ptm_stack, [to_ptm(op).reshape(-1) for op in basis.ops])
 
 
 def test_custom_basis_gets_its_own_dual():
@@ -426,6 +429,47 @@ def test_term_values_match_pattern_loop(teeth):
             assert np.abs(got - want).max() <= 1e-12
 
 
+def _table_comb(kind, teeth, n, rng):
+    if kind == "markovian":
+        return markovian_comb([random_channel(2**n, rng=rng) for _ in range(teeth)])
+    model = random_env_model(teeth, n_sys_qubits=n, rng=rng, interaction_strength=0.4)
+    comb = comb_from_env_model(model, validate=False)
+    if kind == "choi_explicit":
+        return Comb(comb.choi_op, teeth=teeth, d_sys=comb.d_sys)
+    return twirl_comb(comb) if kind == "twirled" else comb
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind, teeth, n", [
+    ("factor", 2, 1), ("factor", 3, 1), ("factor", 4, 1), ("factor", 2, 2),
+    ("markovian", 3, 1), ("choi_explicit", 3, 1), ("twirled", 2, 1), ("twirled", 3, 1),
+    ("twirled", 2, 2),
+])
+def test_term_values_match_the_dense_link_product(kind, teeth, n, seed):
+    """The table closed in Pauli-transfer coordinates is the link product of
+    the dense operator with stacked plugs, also for a non-Hermitian observable."""
+    rng = np.random.default_rng([83, teeth, n, seed])
+    comb = _table_comb(kind, teeth, n, rng)
+    decomp = decompose_inverse(comb)
+    d = 2**n
+    layers = [random_channel(d, rng=rng) for _ in range(teeth - 1)]
+    rho = random_density_matrix(d, rng)
+    for obs in (pauli_matrix(str(rng.choice(list("IXYZ"))) * n), np.eye(d, k=1)):
+        got = _term_values(comb, decomp, layers, rho, obs)
+        want = term_table(comb, decomp.basis, layers, rho, obs)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("teeth, n", [(1, 1), (3, 1), (2, 2)])
+def test_pauli_combs_transfer_matrix_is_its_fidelities(teeth, n):
+    rng = np.random.default_rng([84, teeth, n])
+    comb = _table_comb("twirled", teeth, n, rng)
+    r = _comb_ptm(comb)
+    assert comb._choi_op is None
+    assert r is _comb_ptm(comb) and not r.flags.writeable
+    assert np.abs(r - tooth_ptm(comb.choi_op, teeth, 2**n)).max() <= 1e-14
+
+
 def test_term_values_reject_wrong_shapes():
     comb = markovian_comb([depolarizing_channel(0.2), depolarizing_channel(0.2)])
     decomp = decompose_inverse(comb)
@@ -492,8 +536,8 @@ def test_layer_count_checked():
 
 def _counted_closings(monkeypatch) -> list:
     """Record the comb of every term-table contraction, not of every lookup."""
-    closings, close = [], pec._close
-    monkeypatch.setattr(pec, "_close", lambda comb, *a: closings.append(comb) or close(comb, *a))
+    closings, table = [], pec._term_table
+    monkeypatch.setattr(pec, "_term_table", lambda c, *a: closings.append(c) or table(c, *a))
     return closings
 
 
@@ -693,7 +737,7 @@ def test_sampling_needs_an_integer_number_of_shots():
     comb = markovian_comb([depolarizing_channel(0.2), depolarizing_channel(0.1)])
     decomp = decompose_inverse(comb)
     args = (comb, decomp, [identity_channel(2)], np.eye(2) / 2, Z)
-    for shots in (2.9, 1000.0):
+    for shots in (2.9, 1000.0, True):
         with pytest.raises(ValueError, match=f"shots must be an integer of at least 2, got {shots}"):
             pec_sample(*args, shots=shots)
     assert (pec_sample(*args, np.int64(500), np.random.default_rng(1))

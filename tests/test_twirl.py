@@ -266,7 +266,7 @@ def test_sampled_twirl_rejects_zero_samples():
 def test_sampled_twirl_needs_an_integer_number_of_samples():
     """A float count is refused with a ValueError; numpy integers are accepted."""
     comb = cnot_comb()
-    for samples in (2.5, 64.0):
+    for samples in (2.5, 64.0, True):
         with pytest.raises(ValueError, match=f"samples must be an integer of at least 1, got {samples}"):
             sampled_twirl(comb, samples)
     a = sampled_twirl(comb, np.int64(3), rng=np.random.default_rng(0))
