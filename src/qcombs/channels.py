@@ -33,7 +33,7 @@ from .pauli import label_index, pauli_basis, pauli_labels, tooth_ptm, tooth_sand
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A linear map between density matrices, stored as a Choi matrix."""
+    """A linear map between density matrices, stored as a finite Choi matrix."""
 
     choi: np.ndarray
     d_in: int
@@ -47,6 +47,8 @@ class Channel:
                 f"Choi matrix shape {self.choi.shape} does not match "
                 f"d_out*d_in = {d}"
             )
+        if not np.isfinite(self.choi).all():
+            raise ValueError("Choi matrix entries must be finite")
 
     def is_trace_preserving(self, tol: float = 1e-9) -> bool:
         red = partial_trace(self.choi, [self.d_out, self.d_in], keep=[1])
@@ -100,7 +102,7 @@ def apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
 def compose(later: Channel, earlier: Channel) -> Channel:
     """The channel running ``earlier`` first and ``later`` second."""
     if later.d_in != earlier.d_out:
-        raise ValueError("channel dimensions do not line up for composition")
+        raise ShapeError("channel dimensions do not line up for composition")
     s = choi_to_superop(later.choi, later.d_in, later.d_out) @ choi_to_superop(
         earlier.choi, earlier.d_in, earlier.d_out
     )
@@ -156,7 +158,7 @@ def _tooth_choi(channel: Channel) -> np.ndarray:
     """The Choi matrix on a comb tooth's (in, out) wires, for the Pauli forms and
     :func:`combs.markovian_comb`."""
     if channel.d_in != channel.d_out:
-        raise ValueError("Pauli forms need matching input and output dimensions")
+        raise ShapeError("Pauli forms need matching input and output dimensions")
     return permute_wires(channel.choi, [channel.d_out, channel.d_in], [1, 0])
 
 

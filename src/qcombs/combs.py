@@ -22,6 +22,7 @@ from .channels import Channel, _tooth_choi, random_density_matrix, random_unitar
 from .linalg import (
     PsdReport,
     ShapeError,
+    _read_only,
     check_shape,
     check_state,
     check_unitary,
@@ -31,43 +32,37 @@ from .linalg import (
     psd_check_factored,
     tensor,
 )
-from .pauli import (_each_axis, _pair_order, _pauli_coords, commutation_signs, pauli_basis,
-                    qubit_count, tooth_basis, tooth_kernel, tooth_ptm, tooth_sandwich)
+from .pauli import (_each_axis, _pair_order, _pauli_coords, commutation_signs, offdiag_mass,
+                    pauli_basis, qubit_count, tooth_basis, tooth_kernel, tooth_ptm, tooth_sandwich)
 
 
 class Comb:
     """A deterministic quantum process with ``teeth`` interventions slots.
 
-    ``choi_op`` lives on wires (in_1, out_1, ..., in_M, out_M), leftmost
-    slowest, every wire of dimension ``d_sys``.  ``factor``, when given,
-    is a pair ``(a, s)`` of arrays, ``a`` of shape (d_sys**(2M), r)
-    and real signs ``s`` of length r, such that ``choi_op = a diag(s)
-    a^dag``, so the operator is Hermitian by construction.  ``pauli``,
-    when given, holds real weights p, one per Pauli label in label-index
-    order, and the comb's process matrix (:func:`comb_chi`) is
-    ``diag(p)``; a Pauli comb holds nothing else, so it takes no factor.
-    ``chi``, when given, is the process matrix itself, which
-    :func:`comb_chi` returns; the comb keeps a read-only copy and takes no
-    factor or weights beside it.  Every store may be given as an array or
-    a nested list, and must be finite; a store of the wrong shape raises
-    :class:`linalg.ShapeError`.  A comb given no operator derives ``choi_op`` on first
-    access and keeps it, treating the comb as immutable.  A comb with a
-    thin factor likewise keeps the Pauli coordinates of its columns once
-    read (:func:`_thin_coords`), one more array the size of its factor, and
-    every comb keeps its transfer matrix once read (:func:`_comb_ptm`).
+    A comb is built from exactly one store, and refuses none or two with one
+    ValueError.  ``choi_op`` lives on wires (in_1, out_1, ..., in_M, out_M),
+    leftmost slowest, every wire of dimension ``d_sys``.  ``factor`` is a
+    pair ``(a, s)``, ``a`` of shape (d_sys**(2M), r) and real signs ``s`` of
+    length r, with ``choi_op = a diag(s) a^dag``, Hermitian by construction.
+    ``pauli`` holds real weights p, one per Pauli label in label-index
+    order, and the process matrix (:func:`comb_chi`) is ``diag(p)``.
+    ``chi`` is the process matrix itself.  Every store may be given as an
+    array or a nested list, and must be finite; a store of the wrong shape
+    raises :class:`linalg.ShapeError`.  Every view a comb keeps is read-only,
+    treating the comb as immutable: the copy of ``chi``, and, derived on
+    first read, the operator of a comb built from another store, the Pauli
+    coordinates of a thin factor's columns (:func:`_thin_coords`) and the
+    transfer matrix (:func:`_comb_ptm`).
     """
 
     def __init__(self, choi_op: np.ndarray | None = None, *, teeth: int, d_sys: int,
                  factor: tuple[np.ndarray, np.ndarray] | None = None,
                  pauli: np.ndarray | None = None, chi: np.ndarray | None = None):
         d = d_sys ** (2 * teeth)
-        if choi_op is None and factor is None and pauli is None and chi is None:
-            raise ValueError("a comb needs its operator or its factor, its Pauli weights "
-                             "or its process matrix")
-        if pauli is not None and factor is not None:
-            raise ValueError("a Pauli comb holds only its weights, not a factor")
-        if chi is not None and (factor is not None or pauli is not None):
-            raise ValueError("a comb given its process matrix takes no factor or Pauli weights")
+        stores = {"choi_op": choi_op, "factor": factor, "pauli": pauli, "chi": chi}
+        if len(given := [k for k, x in stores.items() if x is not None]) != 1:
+            raise ValueError("a comb is built from exactly one of choi_op, factor, pauli or "
+                             f"chi, got {', '.join(given) or 'none'}")
         if pauli is not None:
             pauli = np.asarray(pauli)
             if pauli.shape != (d,):
@@ -78,26 +73,21 @@ class Comb:
         if choi_op is not None:
             choi_op = np.asarray(choi_op)
             if choi_op.shape != (d, d):
-                raise ShapeError(
-                    f"comb operator shape {choi_op.shape} does not match "
-                    f"{teeth} teeth of dimension {d_sys}"
-                )
+                raise ShapeError(f"comb operator shape {choi_op.shape} does not match "
+                                 f"{teeth} teeth of dimension {d_sys}")
         if factor is not None:
             a, s = factor = tuple(map(np.asarray, factor))
             if a.ndim != 2 or a.shape[0] != d or s.shape != (a.shape[1],):
-                raise ShapeError(
-                    f"comb factor shapes {a.shape} and {s.shape} do not match "
-                    f"a ({d}, r) factor with r signs"
-                )
+                raise ShapeError(f"comb factor shapes {a.shape} and {s.shape} do not match "
+                                 f"a ({d}, r) factor with r signs")
             if np.iscomplexobj(s):
                 raise ValueError("comb factor signs must be real")
         if chi is not None:
-            chi = np.array(chi)
+            chi = _read_only(np.array(chi))
             if chi.shape != (d, d):
                 raise ShapeError(f"comb process matrix shape {chi.shape} does not match "
                                  f"{teeth} teeth of dimension {d_sys}")
             qubit_count(d_sys)  # chi is over Pauli labels, so qubits only
-            chi.setflags(write=False)
         for what, x in (("operator", choi_op), ("Pauli weight", pauli), ("process matrix", chi),
                         *(("factor", x) for x in factor or ())):
             if x is not None and not np.isfinite(x).all():
@@ -107,15 +97,17 @@ class Comb:
 
     @property
     def choi_op(self) -> np.ndarray:
-        if self._choi_op is None and self.pauli is not None:
-            self._choi_op = _pauli_op(self.pauli, self.teeth, self.d_sys)
-        elif self._choi_op is None and self.chi is not None:
+        if self._choi_op is not None:
+            return self._choi_op
+        if self.pauli is not None:
+            op = _pauli_op(self.pauli, self.teeth, self.d_sys)
+        elif self.chi is not None:
             b = tooth_basis(qubit_count(self.d_sys))
-            self._choi_op = _each_axis(_each_axis(self.chi, b.T, self.teeth), b.conj().T, self.teeth)
-        elif self._choi_op is None:
-            a, s = self.factor
-            self._choi_op = (a * s) @ a.conj().T
-        return self._choi_op
+            op = _each_axis(_each_axis(self.chi, b.T, self.teeth), b.conj().T, self.teeth)
+        else:
+            op = (self.factor[0] * self.factor[1]) @ self.factor[0].conj().T
+        self._choi_op = _read_only(op)
+        return op
 
     @property
     def trace(self) -> float:
@@ -253,8 +245,7 @@ def _thin_coords(comb: Comb) -> tuple[np.ndarray, np.ndarray] | None:
     if (factor := _thin_factor(comb)) is None:
         return None
     if comb._coords is None:
-        comb._coords = _pauli_coords(factor[0], comb.teeth, comb.d_sys)
-        comb._coords.setflags(write=False)
+        comb._coords = _read_only(_pauli_coords(factor[0], comb.teeth, comb.d_sys))
     return comb._coords, factor[1]
 
 
@@ -405,15 +396,19 @@ def comb_chi(comb: Comb) -> np.ndarray:
     return tooth_sandwich(comb.choi_op, comb.teeth, comb.d_sys) / scale
 
 
+def _offdiag_mass(comb: Comb) -> float:
+    """:func:`pauli.offdiag_mass` of :func:`comb_chi`, zero for a Pauli comb with nothing formed."""
+    return 0.0 if comb.pauli is not None else offdiag_mass(comb_chi(comb))
+
+
 def _comb_ptm(comb: Comb) -> np.ndarray:
     """Transfer matrix R[a, b] = Tr[G_a E(G_b)] / d**M of the channel form E,
     kept read-only on the comb once read: ``diag(f)`` for a Pauli comb's
     fidelities f, with no operator formed, and :func:`pauli.tooth_ptm` of the
     operator for every other comb."""
     if comb._ptm is None:
-        comb._ptm = (np.diag(_pauli_fidelities(comb)) if comb.pauli is not None
-                     else tooth_ptm(comb.choi_op, comb.teeth, comb.d_sys))
-        comb._ptm.setflags(write=False)
+        comb._ptm = _read_only(np.diag(_pauli_fidelities(comb)) if comb.pauli is not None
+                               else tooth_ptm(comb.choi_op, comb.teeth, comb.d_sys))
     return comb._ptm
 
 

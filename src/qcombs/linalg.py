@@ -18,6 +18,12 @@ class ShapeError(ValueError):
     object it builds; malformed rather than unphysical input."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` with writing switched off, as every array an object keeps is."""
+    a.setflags(write=False)
+    return a
+
+
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of any number of matrices (left factor slowest).
 
@@ -49,7 +55,7 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep) -> np.
     n = len(dims)
     keep = sorted(keep)
     if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices out of range for {n} wires")
+        raise ShapeError(f"keep indices out of range for {n} wires")
     t = m.reshape(dims + dims)
     # Trace the discarded wires starting from the rightmost so that the
     # axis numbers of the wires still to process stay valid.
@@ -73,7 +79,7 @@ def permute_wires(m: np.ndarray, dims, perm) -> np.ndarray:
     perm = list(perm)
     n = len(dims)
     if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm} is not a permutation of range({n})")
+        raise ShapeError(f"perm {perm} is not a permutation of range({n})")
     t = m.reshape(dims + dims)
     t = t.transpose(perm + [p + n for p in perm])
     d = prod(dims)
@@ -146,10 +152,13 @@ def psd_check_factored(a: np.ndarray, s: np.ndarray, tol: float = 1e-9) -> PsdRe
 
 def check_shape(m, d: int, what: str) -> np.ndarray:
     """``np.asarray(m)``, a state or observable given as an array or nested
-    list, after checking that it is d x d; ``what`` names it in the error."""
+    list, after checking that it is d x d (:class:`ShapeError` otherwise) and
+    finite; ``what`` names it in the error."""
     m = np.asarray(m)
     if m.shape != (d, d):
         raise ShapeError(f"{what} shape {m.shape} does not match the system dimension {d}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} entries must be finite")
     return m
 
 

@@ -31,7 +31,7 @@ from .channels import (
     unitary_channel,
 )
 from .combs import Comb, _comb_ptm, _Slots
-from .linalg import check_shape, partial_trace, psd_check
+from .linalg import ShapeError, _read_only, check_shape, partial_trace, psd_check
 from .pauli import _each_axis, _pair_order, pauli_basis, pauli_matrix, qubit_count
 
 SINGULAR_VALUE_FLOOR = 1e-10
@@ -40,11 +40,6 @@ ALPHA_CLEAN = 1e-12
 
 class SingularNoiseError(ValueError):
     """The noise channel cannot be inverted reliably."""
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -57,11 +52,11 @@ class BasisOpSet:
 
     def __post_init__(self):
         if len(self.ops) != len(self.names):
-            raise ValueError("need one name per operation")
+            raise ShapeError("need one name per operation")
         d = 2**self.n_qubits
         for op in self.ops:
             if op.d_in != d or op.d_out != d:
-                raise ValueError("operation dimension does not match n_qubits")
+                raise ShapeError("operation dimension does not match n_qubits")
 
     @cached_property
     def ptm_stack(self) -> np.ndarray:
@@ -250,7 +245,7 @@ def decompose_inverse(comb: Comb, basis: BasisOpSet | None = None) -> QuasiProbD
     n = qubit_count(comb.d_sys)
     basis = basis or default_basis(n)
     if basis.n_qubits != n:
-        raise ValueError(
+        raise ShapeError(
             f"basis acts on {basis.n_qubits} qubit(s) but the comb's system has {n}"
         )
     r = _comb_ptm(comb)
@@ -296,7 +291,7 @@ def _term_values(
     """
     n_qubits = qubit_count(comb.d_sys)
     if (decomp.teeth, decomp.n_qubits) != (comb.teeth, n_qubits):
-        raise ValueError(
+        raise ShapeError(
             f"decomposition is for {decomp.teeth} teeth on {decomp.n_qubits} qubit(s) "
             f"but the comb has {comb.teeth} teeth on {n_qubits} qubit(s)"
         )

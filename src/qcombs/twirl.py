@@ -14,13 +14,13 @@ from math import fsum, isfinite
 
 import numpy as np
 
-from .combs import Comb, EnvModel, _check_layers, _pauli_diag, comb_chi, comb_from_chi
+from .combs import (Comb, EnvModel, _check_layers, _offdiag_mass, _pauli_diag, comb_chi,
+                    comb_from_chi)
 from .linalg import ShapeError, check_shape
 from .pauli import (
     _each_axis,
     commutation_signs,
     label_index,
-    offdiag_mass,
     pauli_basis,
     pauli_labels,
     qubit_count,
@@ -194,8 +194,8 @@ def extract_pauli_diag(comb: Comb, *, max_offdiag_mass: float = 1e-8) -> PauliDi
     ``max_offdiag_mass=None`` nothing is checked, nor for a
     Pauli-diagonal comb, whose off-diagonal mass is zero by construction.
     """
-    if max_offdiag_mass is not None and comb.pauli is None:
-        off_mass = offdiag_mass(comb_chi(comb))
+    if max_offdiag_mass is not None:
+        off_mass = _offdiag_mass(comb)
         if off_mass > max_offdiag_mass:
             raise ValueError(
                 f"process matrix has off-diagonal mass {off_mass:.3e}; "
@@ -298,14 +298,14 @@ def tv_distance(a: PauliDiagTable, b: PauliDiagTable) -> float:
     of the terms.
     """
     if (a.teeth, a.n_qubits) != (b.teeth, b.n_qubits):
-        raise ValueError("tables must have the same teeth and qubits")
+        raise ShapeError("tables must have the same teeth and qubits")
     return 0.5 * fsum(np.abs(a.vector - b.vector).tolist())
 
 
 def mutual_information(table: PauliDiagTable) -> float:
     """Mutual information in bits between the two teeth of a table."""
     if table.teeth != 2:
-        raise ValueError("mutual information is defined here for two teeth")
+        raise ShapeError("mutual information is defined here for two teeth")
     q = 4**table.n_qubits
     joint = table.vector.reshape(q, q)
     m0, m1 = table._marginal_vectors

@@ -35,7 +35,7 @@ from .combs import (
     markovian_comb,
     simulate_env_model,
 )
-from .linalg import ShapeError, check_shape, choi_to_superop
+from .linalg import ShapeError, check_shape
 from .twirl import PauliDiagTable, _pauli_mixture
 
 
@@ -157,8 +157,9 @@ def _coherence(copy1: EnvModel, copy2: EnvModel, layers, rho: np.ndarray) -> np.
     What evolves is ``r`` with rows (main, env1, env2) and columns (env1,
     main, env2), d*d_env1*d_env2 levels each: per tooth ``u1`` on the
     leading row pair, ``conj(u2)`` on the trailing column pair and ``k``
-    on the middle pair, one matmul each, and in a slot the layer on the
-    main row and column.
+    on the middle pair, one matmul each, and in a slot the layer's Choi
+    matrix, its input row and column contracted with the main row and
+    column as in :func:`combs.simulate_env_model`, by one tensordot.
     """
     d, e1, e2 = copy1.d_sys, copy1.d_env, copy2.d_env
     r = np.einsum("mM,eE,fF->mefEMF", rho, copy1.env_init, copy2.env_init)
@@ -169,8 +170,8 @@ def _coherence(copy1: EnvModel, copy2: EnvModel, layers, rho: np.ndarray) -> np.
         r = (u1 @ r.reshape(d * e1, -1)).reshape(-1, d * e2) @ u2.conj().T
         r = np.matmul(k, r.reshape(d * e1, e2 * e1, d * e2))
         if m < len(layers):
-            s = choi_to_superop(layers[m].choi, d, d).reshape(d, d, d, d)
-            r = np.tensordot(s, r.reshape(d, e1 * e2 * e1, d, e2), axes=([2, 3], [0, 2]))
+            r = np.tensordot(layers[m].choi.reshape(d, d, d, d),
+                             r.reshape(d, e1 * e2 * e1, d, e2), axes=([1, 3], [0, 2]))
             r = r.transpose(0, 2, 1, 3)
     return np.einsum("mefeMf->mM", r.reshape(d, e1, e2, e1, d, e2))
 

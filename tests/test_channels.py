@@ -25,7 +25,7 @@ from dense_reference import (
     is_completely_positive,
 )
 from qcombs.combs import choi_channel, comb_from_chi
-from qcombs.linalg import choi_to_superop, tensor
+from qcombs.linalg import ShapeError, choi_to_superop, tensor
 from qcombs.pauli import pauli_basis
 
 
@@ -71,6 +71,21 @@ def test_channel_from_a_nested_list_is_the_arrays_channel():
     assert np.array_equal(apply(got, rho), apply(Channel(choi=choi, d_in=2, d_out=2), rho))
     with pytest.raises(ValueError, match="does not match"):
         Channel(choi=np.eye(3).tolist(), d_in=2, d_out=2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Channel(choi=np.diag([1.0, 0.0, 0.0, np.inf]), d_in=2, d_out=2),
+        lambda: pauli_channel({"I": np.nan, "X": 0.0}),
+        lambda: from_kraus([np.full((2, 2), np.nan)], require_tp=False),
+    ],
+    ids=["choi_inf", "pauli_channel_nan", "kraus_nan"],
+)
+def test_channel_refuses_a_choi_matrix_that_is_not_finite(build):
+    with pytest.raises(ValueError, match="Choi matrix entries must be finite") as info:
+        build()
+    assert not isinstance(info.value, ShapeError)
 
 
 def test_from_kraus_refuses_an_empty_list():

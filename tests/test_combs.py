@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from qcombs.combs import (
     apply_comb,
     choi_channel,
     comb_chi,
+    comb_from_chi,
     comb_from_env_model,
     markovian_comb,
     output_channel,
@@ -50,7 +53,7 @@ def test_comb_shape_validation():
 )
 def test_comb_factor_shape_validation(a, s):
     with pytest.raises(ValueError, match="factor shapes"):
-        Comb(choi_op=np.eye(16), teeth=2, d_sys=2, factor=(a, s))
+        Comb(teeth=2, d_sys=2, factor=(a, s))
 
 
 def test_comb_takes_every_store_as_a_nested_list():
@@ -65,6 +68,35 @@ def test_comb_takes_every_store_as_a_nested_list():
     assert np.array_equal(pauli.pauli, [1.0, 0, 0, 0]) and validate_comb(pauli).passes
     with pytest.raises(ValueError, match="real numbers"):
         Comb(teeth=1, d_sys=2, pauli=[1.0, 0, 0])
+
+
+_ONE_TOOTH_STORES = {
+    "choi_op": np.eye(4) / 2,
+    "factor": (np.eye(4)[:, :2], np.ones(2)),
+    "pauli": [1.0, 0.0, 0.0, 0.0],
+    "chi": np.diag([1.0, 0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize(
+    "names", [()] + list(itertools.combinations(_ONE_TOOTH_STORES, 2)),
+    ids=lambda names: "+".join(names) or "none",
+)
+def test_comb_is_built_from_exactly_one_store(names):
+    """Two stores could disagree, and each stage would read one of them."""
+    stores = {k: _ONE_TOOTH_STORES[k] for k in names}
+    with pytest.raises(ValueError, match=f"exactly one of choi_op, factor, pauli or chi, got "
+                                         f"{', '.join(names) or 'none'}$"):
+        Comb(teeth=1, d_sys=2, **stores)
+
+
+@pytest.mark.parametrize("name", ["factor", "pauli", "chi"])
+def test_a_derived_operator_is_read_only(name):
+    comb = Comb(teeth=1, d_sys=2, **{name: _ONE_TOOTH_STORES[name]})
+    assert np.allclose(comb.choi_op, comb_from_chi(comb_chi(comb), 1, 2).choi_op)
+    with pytest.raises(ValueError, match="read-only"):
+        comb.choi_op[0, 0] = 1.0
+    assert comb.choi_op is comb.choi_op
 
 
 @pytest.mark.parametrize("where, bad", [("a", np.nan), ("a", np.inf), ("s", np.nan)])

@@ -200,7 +200,7 @@ def test_comb_rejects_complex_signs_and_empty_combs():
     a = np.ones((16, 2), dtype=complex)
     with pytest.raises(ValueError, match="signs must be real"):
         Comb(teeth=2, d_sys=2, factor=(a, np.ones(2, dtype=complex)))
-    with pytest.raises(ValueError, match="operator or its factor"):
+    with pytest.raises(ValueError, match="exactly one of .*, got none$"):
         Comb(teeth=2, d_sys=2)
 
 

@@ -131,7 +131,7 @@ def test_signed_factor_closes_as_its_operator(teeth):
     dim = d ** (2 * teeth)
     a = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
     s = np.array([1.0, -1.0, 0.0])
-    comb = Comb(choi_op=(a * s) @ a.conj().T, teeth=teeth, d_sys=d, factor=(a, s))
+    comb = Comb(teeth=teeth, d_sys=d, factor=(a, s))
     layers = [_non_cp_layer(rng, d) for _ in range(teeth - 1)]
     rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     _assert_close(apply_comb(comb, layers, rho), apply_comb(_dense(comb), layers, rho))

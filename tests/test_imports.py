@@ -138,10 +138,11 @@ def test_detects_an_orphaned_public_name():
 
 
 # How a comb is stored (dense operator, thin factor, Pauli weights or
-# process matrix) is combs.py's business: elsewhere a comb closes, twirls
-# and purifies through combs.py's dispatch.  The one other reader is the off-diagonal guard of
-# extract_pauli_diag, which a Pauli comb passes by construction.
-STORE_ALLOWED = {"twirl.py:extract_pauli_diag.pauli"}
+# process matrix), and the views it keeps (its operator, Pauli coordinates and
+# transfer matrix), are combs.py's business: elsewhere a comb closes, twirls,
+# cancels and purifies through combs.py's dispatch.
+STORE_ALLOWED: set[str] = set()
+STORE_ATTRIBUTES = ("factor", "pauli", "chi", "_choi_op", "_coords", "_ptm")
 
 # What vcp.py closed combs with before combs.py took over the dispatch.
 VCP_CLOSERS = {"_close", "_close_factor", "_layer_plugs", "_layer_ptms", "_pauli_close",
@@ -149,14 +150,14 @@ VCP_CLOSERS = {"_close", "_close_factor", "_layer_plugs", "_layer_ptms", "_pauli
 
 
 def store_reads(tree: ast.Module) -> set[str]:
-    """Reads of a comb's store, as ``definition.name`` per module-level
-    definition: the attributes ``factor``, ``pauli`` and ``chi``, and the name
-    ``_thin_factor`` loaded or imported."""
+    """Reads and writes of a comb's store or kept views, as ``definition.name``
+    per module-level definition: the attributes in ``STORE_ATTRIBUTES``, and
+    the name ``_thin_factor`` loaded or imported."""
     found = set()
     for top in tree.body:
         owner = getattr(top, "name", "<module>")
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr in ("factor", "pauli", "chi"):
+            if isinstance(node, ast.Attribute) and node.attr in STORE_ATTRIBUTES:
                 found.add(f"{owner}.{node.attr}")
             elif isinstance(node, ast.Name) and node.id == "_thin_factor":
                 found.add(f"{owner}._thin_factor")
@@ -198,8 +199,10 @@ def test_detects_a_store_read():
         "from .combs import _thin_factor\n\n"
         "def close(c):\n    if c.pauli is not None:\n        return c.factor\n"
         "    return c.chi if c.chi is not None else _thin_factor(c)\n\n"
-        "def trace(c):\n    return c.choi_op.trace()\n"
+        "def trace(c):\n    return c.choi_op.trace()\n\n"
+        "def cache(c, op):\n    c._choi_op = op\n    return c._coords, c._ptm\n"
     )
     assert store_reads(tree) == {
-        "<module>._thin_factor", "close.pauli", "close.factor", "close.chi", "close._thin_factor"
+        "<module>._thin_factor", "close.pauli", "close.factor", "close.chi", "close._thin_factor",
+        "cache._choi_op", "cache._coords", "cache._ptm",
     }

@@ -12,8 +12,18 @@ from dense_reference import (
     trace_distance,
     trace_norm,
 )
-from qcombs.channels import Channel, from_kraus, identity_channel, pauli_channel, unitary_channel
-from qcombs.combs import Comb, EnvModel, apply_comb, markovian_comb
+from qcombs.channels import (
+    Channel,
+    apply,
+    compose,
+    from_kraus,
+    identity_channel,
+    pauli_channel,
+    to_chi,
+    to_ptm,
+    unitary_channel,
+)
+from qcombs.combs import Comb, EnvModel, apply_comb, markovian_comb, simulate_env_model
 from qcombs.linalg import (
     ShapeError,
     check_shape,
@@ -27,9 +37,21 @@ from qcombs.linalg import (
     superop_to_choi,
     tensor,
 )
-from qcombs.pauli import label_index, qubit_count
-from qcombs.twirl import PauliDiagTable
-from qcombs.vcp import vcp_comb
+from qcombs.pauli import label_index, pauli_matrix, qubit_count
+from qcombs.pec import (
+    BasisOpSet,
+    decompose_inverse,
+    default_basis,
+    pec_correct_exact,
+    pec_sample,
+)
+from qcombs.twirl import (
+    PauliDiagTable,
+    apply_correlated_pauli,
+    mutual_information,
+    tv_distance,
+)
+from qcombs.vcp import reference_purified, vcp_channel, vcp_comb
 
 
 def rand_matrix(rng, d):
@@ -336,6 +358,21 @@ SHAPE_REFUSALS = {
     "table_vector": lambda: PauliDiagTable(np.ones(4) / 4, teeth=2, n_qubits=1),
     "vcp_copies": lambda: vcp_comb(_TWO_TEETH, markovian_comb([identity_channel(2)]), [],
                                    np.eye(2) / 2),
+    "compose": lambda: compose(identity_channel(2), identity_channel(3)),
+    "ptm_not_square": lambda: to_ptm(Channel(choi=np.eye(6), d_in=2, d_out=3)),
+    "chi_not_square": lambda: to_chi(Channel(choi=np.eye(6), d_in=3, d_out=2)),
+    "basis_names": lambda: BasisOpSet(ops=(identity_channel(2),), names=(), n_qubits=1),
+    "basis_dimension": lambda: BasisOpSet(ops=(identity_channel(4),), names=("id",), n_qubits=1),
+    "decompose_basis_qubits": lambda: decompose_inverse(_TWO_TEETH, default_basis(2)),
+    "pec_decomposition": lambda: pec_correct_exact(
+        markovian_comb([identity_channel(2)] * 3), decompose_inverse(_TWO_TEETH),
+        [identity_channel(2)] * 2, np.eye(2) / 2, np.eye(2)),
+    "tv_distance": lambda: tv_distance(PauliDiagTable(np.ones(4) / 4, teeth=1, n_qubits=1),
+                                       PauliDiagTable(np.ones(16) / 16, teeth=2, n_qubits=1)),
+    "mutual_information": lambda: mutual_information(
+        PauliDiagTable(np.ones(4) / 4, teeth=1, n_qubits=1)),
+    "partial_trace_keep": lambda: partial_trace(np.eye(4), [2, 2], keep=[2]),
+    "permute_wires_perm": lambda: permute_wires(np.eye(4), [2, 2], [0, 0]),
 }
 
 
@@ -346,6 +383,42 @@ def test_every_shape_refusal_is_a_shape_error(build):
     with pytest.raises(ShapeError) as info:
         build()
     assert isinstance(info.value, ValueError)
+
+
+_TABLE = PauliDiagTable(np.ones(16) / 16, teeth=2, n_qubits=1)
+_Z = pauli_matrix("Z")
+
+# The state-taking functions, each given its state and, for PEC, its observable.
+STATE_TAKERS = {
+    "apply": lambda rho, obs: apply(identity_channel(2), rho),
+    "apply_comb": lambda rho, obs: apply_comb(_TWO_TEETH, [identity_channel(2)], rho),
+    "simulate_env_model": lambda rho, obs: simulate_env_model(EnvModel(**_ENV), [], rho),
+    "vcp_comb": lambda rho, obs: vcp_comb(_TWO_TEETH, _TWO_TEETH, [identity_channel(2)], rho),
+    "vcp_channel": lambda rho, obs: vcp_channel(identity_channel(2), rho),
+    "pec_correct_exact": lambda rho, obs: pec_correct_exact(
+        _TWO_TEETH, decompose_inverse(_TWO_TEETH), [identity_channel(2)], rho, obs),
+    "pec_sample": lambda rho, obs: pec_sample(
+        _TWO_TEETH, decompose_inverse(_TWO_TEETH), [identity_channel(2)], rho, obs, shots=10),
+    "apply_correlated_pauli": lambda rho, obs: apply_correlated_pauli(
+        _TABLE, [identity_channel(2)], rho),
+    "reference_purified": lambda rho, obs: reference_purified(_TABLE, [identity_channel(2)], rho),
+}
+_PEC = ("pec_correct_exact", "pec_sample")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "name, what",
+    [(name, "input state") for name in STATE_TAKERS] + [(name, "observable") for name in _PEC],
+)
+def test_every_state_taker_refuses_an_input_that_is_not_finite(name, what, bad):
+    """A state or observable passes linalg.check_shape, which refuses an entry
+    that is not finite, where a closing would return NaN without a word."""
+    given = {"input state": np.eye(2) / 2, "observable": _Z}
+    given[what] = np.diag([0.5, bad])
+    with pytest.raises(ValueError, match=f"{what} entries must be finite") as info:
+        STATE_TAKERS[name](*given.values())
+    assert not isinstance(info.value, ShapeError)
 
 
 def test_check_unitary_refuses_a_non_square_matrix_before_unitarity():

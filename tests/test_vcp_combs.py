@@ -270,7 +270,7 @@ def test_table_combs_hold_only_their_weights(teeth, n):
     a, s = ref.table_factor(table)
     assert a.shape == (4 ** (n * teeth), 3)
     assert np.abs((a * s) @ a.conj().T - comb.choi_op).max() < 1e-15
-    with pytest.raises(ValueError, match="only its weights"):
+    with pytest.raises(ValueError, match="exactly one of .*, got factor, pauli$"):
         Comb(teeth=teeth, d_sys=2**n, pauli=comb.pauli, factor=(a, s))
 
 
